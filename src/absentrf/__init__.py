@@ -26,10 +26,10 @@ from .forest import (
     absence_proportion,
     bootstrap_sample,
     default_grow_config,
-    forest_predict,
     load_forest,
     oob_predict_all,
     pooled_absence_proportions,
+    predict_rows,
     save_forest,
     train_forest,
 )

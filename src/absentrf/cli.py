@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 usage error (argparse), 3 bad data or
-configuration, 4 runtime failure inside a computation.
+Exit codes: 0 success, 2 usage error (argparse), 3 bad data,
+configuration or model dump, 4 runtime failure inside a computation.
 """
 from __future__ import annotations
 
@@ -9,13 +9,9 @@ import argparse
 import csv
 import os
 import sys
-from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .data import (
-    CATEGORICAL,
     REGRESSION,
     DataError,
     ingest_csv,
@@ -25,11 +21,11 @@ from .data import (
     write_csv,
 )
 from .experiment import ConfigError, load_experiment_config, run_experiment
-from .forest import ForestConfig, load_forest, save_forest, train_forest
+from .forest import ForestConfig, load_forest, predict_rows, save_forest, train_forest
 from .heuristics import Heuristic, parse_heuristic
 from .seeding import Coins
 from .splits import CategoricalRule
-from .tree import GrowConfig, route, tree_predict, tree_vote
+from .tree import GrowConfig
 
 EXIT_OK = 0
 EXIT_DATA = 3
@@ -85,35 +81,23 @@ def _cmd_predict(args) -> int:
         require_response=False,
     )
     coins = Coins(master=forest.config.seed if args.coin_seed is None else args.coin_seed)
-    xmat = dataset.matrix()
+    preds = predict_rows(forest, dataset.matrix(), policy, coins)
     out = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8", newline="")
     try:
         writer = csv.writer(out, lineterminator="\n")
         if forest.task == REGRESSION:
             writer.writerow(["observation", "prediction", "absent_trees"])
+            for i, (p, absent) in enumerate(zip(preds.predictions, preds.absent_tree_counts)):
+                writer.writerow([i, repr(float(p)), absent])
         else:
             labels = forest.response.classes
             writer.writerow(
                 ["observation", "prediction"] + [f"p_{c}" for c in labels] + ["absent_trees"]
             )
-        for i in range(dataset.n_rows):
-            absent = 0
-            if forest.task == REGRESSION:
-                total = 0.0
-                for tree in forest.trees:
-                    trace = route(tree, xmat[i], policy, coins, obs_id=i)
-                    total += tree_predict(trace, tree)
-                    absent += trace.absent_encountered
-                writer.writerow([i, repr(total / forest.n_trees), absent])
-            else:
-                votes = np.zeros(forest.n_classes)
-                for tree in forest.trees:
-                    trace = route(tree, xmat[i], policy, coins, obs_id=i)
-                    votes[tree_vote(trace, tree) - 1] += 1
-                    absent += trace.absent_encountered
-                shares = votes / forest.n_trees
-                label = forest.response.classes[int(np.argmax(votes))]
-                writer.writerow([i, label] + [repr(float(s)) for s in shares] + [absent])
+            for i, (p, shares, absent) in enumerate(
+                zip(preds.predictions, preds.probabilities, preds.absent_tree_counts)
+            ):
+                writer.writerow([i, labels[p - 1]] + [repr(float(s)) for s in shares] + [absent])
     finally:
         if args.out is not None:
             out.close()

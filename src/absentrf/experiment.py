@@ -24,11 +24,10 @@ import numpy as np
 from . import __version__
 from .data import CLASSIFICATION, REGRESSION, Dataset, ingest_csv, load_schema, one_hot_transform
 from .forest import (
-    Forest,
     ForestConfig,
     OOBPredictionSet,
+    combine_tree_hashes,
     default_grow_config,
-    forest_hash,
     forest_tree_hashes,
     oob_predict_all,
     pooled_absence_proportions,
@@ -324,17 +323,19 @@ def run_experiment_on(
                 ForestConfig(cfg.n_trees, cfg.sample_size, seed_r, grow),
                 workers=cfg.workers,
             )
+            tree_hashes = forest_tree_hashes(forest)
             coins = Coins(master=cfg.seed, replication=r)
             sets: dict[Heuristic, OOBPredictionSet] = {}
             for h in routed:
                 sets[h] = oob_predict_all(forest, dataset, h, coins)
-            onehot_forest = None
+            onehot_tree_hashes = None
             if use_onehot:
                 onehot_forest = train_forest(
                     onehot_data,
                     ForestConfig(cfg.n_trees, cfg.sample_size, seed_r, None),
                     workers=cfg.workers,
                 )
+                onehot_tree_hashes = forest_tree_hashes(onehot_forest)
                 # no categorical columns remain, so the routing policy is
                 # never consulted; LEFT is an arbitrary stand-in
                 s = oob_predict_all(onehot_forest, onehot_data, Heuristic.LEFT, coins)
@@ -381,18 +382,9 @@ def run_experiment_on(
                     rel_per_metric[metric] = rel
                     for h in cfg.heuristics:
                         relative_values[metric][h].append(rel[h.token])
-                    best_h = None
-                    best_v = None
-                    for h in baseline:
-                        v = values_per_metric[metric][h.token]
-                        better = (
-                            best_v is None
-                            or (orientation == LOWER_IS_BETTER and v < best_v)
-                            or (orientation == HIGHER_IS_BETTER and v > best_v)
-                        )
-                        if better:
-                            best_h, best_v = h, v
-                    win_counts[metric][best_h] += 1
+                    # the best baseline member is the first whose distance
+                    # from the best is 0, so ties go to the earlier member
+                    win_counts[metric][next(h for h in baseline if rel[h.token] == 0)] += 1
 
             kappas: list[tuple[str, str, float]] = []
             if task == CLASSIFICATION:
@@ -413,14 +405,14 @@ def run_experiment_on(
                 cfg,
                 dataset,
                 seed_r,
-                forest,
-                onehot_forest,
+                tree_hashes,
+                onehot_tree_hashes,
                 sets,
                 values_per_metric,
                 rel_per_metric,
                 kappas,
             )
-            hashes.append(forest_hash(forest))
+            hashes.append(combine_tree_hashes(tree_hashes))
             if verbose:
                 print(f"replication {r} done", file=sys.stderr)
     except Exception as exc:
@@ -526,8 +518,8 @@ def _write_replication(
     cfg: ExperimentConfig,
     dataset: Dataset,
     seed_r: int,
-    forest: Forest,
-    onehot_forest: Forest | None,
+    tree_hashes: list[str],
+    onehot_tree_hashes: list[str] | None,
     sets: dict[Heuristic, OOBPredictionSet],
     values_per_metric: dict[str, dict[str, float]],
     rel_per_metric: dict[str, dict[str, float]],
@@ -575,12 +567,12 @@ def _write_replication(
     manifest = {
         "replication": r,
         "seed": seed_r,
-        "forest_hash": forest_hash(forest),
-        "tree_hashes": forest_tree_hashes(forest),
+        "forest_hash": combine_tree_hashes(tree_hashes),
+        "tree_hashes": tree_hashes,
     }
-    if onehot_forest is not None:
-        manifest["onehot_forest_hash"] = forest_hash(onehot_forest)
-        manifest["onehot_tree_hashes"] = forest_tree_hashes(onehot_forest)
+    if onehot_tree_hashes is not None:
+        manifest["onehot_forest_hash"] = combine_tree_hashes(onehot_tree_hashes)
+        manifest["onehot_tree_hashes"] = onehot_tree_hashes
     with open(rep_dir / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -18,7 +18,9 @@ import numpy as np
 
 from . import __version__
 from .data import (
+    CATEGORICAL,
     CLASSIFICATION,
+    NUMERIC,
     REGRESSION,
     ColumnSchema,
     Dataset,
@@ -28,9 +30,9 @@ from .data import (
 )
 from .heuristics import Heuristic
 from .seeding import BOOTSTRAP, COIN, TREE, Coins, derive, stream
+from .splits import OrderedRule
 from .tree import (
     GrowConfig,
-    PredictionTrace,
     Tree,
     grow_tree,
     route,
@@ -163,37 +165,15 @@ def default_coins(forest: Forest, replication: int = 0) -> Coins:
     return Coins(master=derive(forest.config.seed, COIN), replication=replication)
 
 
-def forest_predict(
-    forest: Forest, x, policy: Heuristic, coins: Coins | None = None, obs_id: int = 0
-):
-    """Aggregate all trees for one predictor vector.
-
-    Returns ``(prediction, None)`` for regression and
-    ``(class_index, vote_shares)`` for classification, where the shares
-    are the fraction of trees voting for each class and equal-vote ties
-    go to the lowest class index.
-    """
-    if coins is None:
-        coins = default_coins(forest)
-    if forest.task == REGRESSION:
-        total = 0.0
-        for tree in forest.trees:
-            total += tree_predict(route(tree, x, policy, coins, obs_id), tree)
-        return total / forest.n_trees, None
-    votes = np.zeros(forest.n_classes)
-    for tree in forest.trees:
-        votes[tree_vote(route(tree, x, policy, coins, obs_id), tree) - 1] += 1
-    shares = votes / forest.n_trees
-    return int(np.argmax(votes)) + 1, shares
-
-
 @dataclass
 class OOBPredictionSet:
-    """Out-of-bag aggregates for every training row under one heuristic.
+    """Per-row tree aggregates under one heuristic, over each row's
+    out-of-bag trees (:func:`oob_predict_all`) or over the trees chosen
+    by :func:`predict_rows`.
 
-    Rows with no out-of-bag trees are flagged undefined (NaN prediction,
-    NaN probabilities) rather than erroring, since single-tree forests
-    legitimately produce them.
+    Rows with no trees are flagged undefined (NaN prediction, NaN
+    probabilities) rather than erroring, since single-tree forests
+    legitimately produce them out of bag.
     """
 
     heuristic: str
@@ -209,6 +189,48 @@ class OOBPredictionSet:
         return self.oob_tree_counts > 0
 
 
+def predict_rows(
+    forest: Forest,
+    xmat: np.ndarray,
+    policy: Heuristic,
+    coins: Coins,
+    uses: np.ndarray | None = None,
+) -> OOBPredictionSet:
+    """Aggregate trees over every row of ``xmat``.
+
+    Row ``i`` is observation ``i`` for the routing coins.  It is routed
+    through every tree ``b`` with ``uses[b, i]`` true (every tree when
+    ``uses`` is None), and its tree outputs are summed in tree order:
+    regression averages the tree predictions, classification returns the
+    vote shares and the most-voted class (ties to the lowest index).
+    """
+    n = len(xmat)
+    regression = forest.task == REGRESSION
+    totals = np.zeros(n) if regression else np.zeros((n, forest.n_classes), dtype=np.int64)
+    tree_counts = np.zeros(n, dtype=np.int64)
+    absent_counts = np.zeros(n, dtype=np.int64)
+    for b, tree in enumerate(forest.trees):
+        for i in range(n) if uses is None else np.flatnonzero(uses[b]):
+            trace = route(tree, xmat[i], policy, coins, obs_id=int(i))
+            if regression:
+                totals[i] += tree_predict(trace, tree)
+            else:
+                totals[i, tree_vote(trace, tree) - 1] += 1
+            tree_counts[i] += 1
+            absent_counts[i] += trace.absent_encountered
+    defined = tree_counts > 0
+    divisor = np.maximum(tree_counts, 1)
+    if regression:
+        preds, probs = np.where(defined, totals / divisor, np.nan), None
+    else:
+        probs = totals / divisor[:, None]
+        probs[~defined] = np.nan
+        preds = np.where(defined, np.argmax(totals, axis=1) + 1, 0).astype(np.int64)
+    return OOBPredictionSet(
+        policy.token, forest.task, forest.n_classes, preds, probs, tree_counts, absent_counts
+    )
+
+
 def oob_predict_all(
     forest: Forest, dataset: Dataset, policy: Heuristic, coins: Coins | None = None
 ) -> OOBPredictionSet:
@@ -217,38 +239,7 @@ def oob_predict_all(
         raise ValueError("dataset does not match the one this forest was trained on")
     if coins is None:
         coins = default_coins(forest)
-    n = dataset.n_rows
-    xmat = dataset.matrix()
-    oob_counts = np.zeros(n, dtype=np.int64)
-    absent_counts = np.zeros(n, dtype=np.int64)
-    if forest.task == REGRESSION:
-        sums = np.zeros(n)
-        for b, tree in enumerate(forest.trees):
-            for i in np.flatnonzero(forest.in_bag[b] == 0):
-                trace = route(tree, xmat[i], policy, coins, obs_id=int(i))
-                sums[i] += tree_predict(trace, tree)
-                oob_counts[i] += 1
-                absent_counts[i] += trace.absent_encountered
-        with np.errstate(invalid="ignore"):
-            preds = np.where(oob_counts > 0, sums / np.maximum(oob_counts, 1), np.nan)
-        return OOBPredictionSet(
-            policy.token, forest.task, 0, preds, None, oob_counts, absent_counts
-        )
-    votes = np.zeros((n, forest.n_classes), dtype=np.int64)
-    for b, tree in enumerate(forest.trees):
-        for i in np.flatnonzero(forest.in_bag[b] == 0):
-            trace = route(tree, xmat[i], policy, coins, obs_id=int(i))
-            votes[i, tree_vote(trace, tree) - 1] += 1
-            oob_counts[i] += 1
-            absent_counts[i] += trace.absent_encountered
-    defined = oob_counts > 0
-    with np.errstate(invalid="ignore"):
-        probs = votes / np.maximum(oob_counts, 1)[:, None]
-    probs[~defined] = np.nan
-    preds = np.where(defined, np.argmax(votes, axis=1) + 1, 0).astype(np.int64)
-    return OOBPredictionSet(
-        policy.token, forest.task, forest.n_classes, preds, probs, oob_counts, absent_counts
-    )
+    return predict_rows(forest, dataset.matrix(), policy, coins, forest.in_bag == 0)
 
 
 def pooled_absence_proportions(sets: list[OOBPredictionSet]) -> np.ndarray:
@@ -270,11 +261,16 @@ def forest_tree_hashes(forest: Forest) -> list[str]:
     return [structure_hash(t) for t in forest.trees]
 
 
-def forest_hash(forest: Forest) -> str:
+def combine_tree_hashes(tree_hashes: list[str]) -> str:
+    """The :func:`forest_hash` of a forest whose trees hash to ``tree_hashes``."""
     h = hashlib.sha256()
-    for digest in forest_tree_hashes(forest):
+    for digest in tree_hashes:
         h.update(digest.encode())
     return h.hexdigest()
+
+
+def forest_hash(forest: Forest) -> str:
+    return combine_tree_hashes(forest_tree_hashes(forest))
 
 
 # ---------------------------------------------------------------------------
@@ -302,28 +298,66 @@ def forest_to_dict(forest: Forest) -> dict:
     }
 
 
+def _check_splits(tree: Tree, schema: tuple[ColumnSchema, ...]) -> None:
+    """Raise ValueError unless every split of ``tree`` fits ``schema``:
+    the predictor exists, the rule kind matches the column kind, and a
+    categorical split's present and absent levels cover 1..Q."""
+    for node in tree.nodes:
+        if node.is_leaf:
+            continue
+        where = f"tree {tree.tree_id} node {node.id}"
+        if not 0 <= node.predictor < len(schema):
+            raise ValueError(f"{where}: predictor {node.predictor} is outside the schema")
+        spec = schema[node.predictor]
+        if isinstance(node.rule, OrderedRule) != (spec.kind == NUMERIC):
+            raise ValueError(f"{where}: rule does not fit {spec.kind} column {spec.name!r}")
+        if spec.kind == CATEGORICAL and (
+            node.rule.present | node.rule.absent != frozenset(range(1, spec.n_levels + 1))
+        ):
+            raise ValueError(
+                f"{where}: present and absent levels do not cover "
+                f"1..{spec.n_levels} of {spec.name!r}"
+            )
+
+
 def forest_from_dict(obj: dict) -> Forest:
-    if obj.get("format") != FOREST_FORMAT:
+    """Rebuild a forest from :func:`forest_to_dict` output; a malformed
+    dump raises ValueError naming its first defect."""
+    if not isinstance(obj, dict) or obj.get("format") != FOREST_FORMAT:
         raise ValueError("not a forest dump")
-    cfg_obj = obj["config"]
-    grow = GrowConfig(**cfg_obj["grow"])
-    config = ForestConfig(
-        n_trees=int(cfg_obj["n_trees"]),
-        sample_size=int(cfg_obj["sample_size"]),
-        seed=int(cfg_obj["seed"]),
-        grow=grow,
-    )
-    schema, response = schema_from_dict(obj["data"])
-    return Forest(
-        trees=[tree_from_dict(t) for t in obj["trees"]],
-        in_bag=np.asarray(obj["in_bag"], dtype=np.int64),
-        config=config,
-        fingerprint=obj["fingerprint"],
-        task=obj["task"],
-        n_classes=int(obj["n_classes"]),
-        schema=schema,
-        response=response,
-    )
+    try:
+        cfg_obj = obj["config"]
+        grow = GrowConfig(**cfg_obj["grow"])
+        config = ForestConfig(
+            n_trees=int(cfg_obj["n_trees"]),
+            sample_size=int(cfg_obj["sample_size"]),
+            seed=int(cfg_obj["seed"]),
+            grow=grow,
+        )
+        schema, response = schema_from_dict(obj["data"])
+        forest = Forest(
+            trees=[tree_from_dict(t) for t in obj["trees"]],
+            in_bag=np.asarray(obj["in_bag"], dtype=np.int64),
+            config=config,
+            fingerprint=obj["fingerprint"],
+            task=obj["task"],
+            n_classes=int(obj["n_classes"]),
+            schema=schema,
+            response=response,
+        )
+    except KeyError as exc:
+        raise ValueError(f"malformed model dump: missing key {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"malformed model dump: {exc}") from exc
+    if not forest.trees:
+        raise ValueError("model dump holds no trees")
+    if (forest.task, forest.n_classes) != (response.task, response.n_classes):
+        raise ValueError("model dump's task or class count does not match its response")
+    for tree in forest.trees:
+        if (tree.task, tree.n_classes) != (forest.task, forest.n_classes):
+            raise ValueError(f"tree {tree.tree_id}: task or class count differs from the forest")
+        _check_splits(tree, schema)
+    return forest
 
 
 def save_forest(forest: Forest, path) -> None:

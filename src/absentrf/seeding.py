@@ -33,7 +33,6 @@ BOOTSTRAP = 0xB0
 TREE = 0x7E
 REPLICATION = 0x4E
 COIN = 0xC0
-ONE_HOT = 0x01
 
 
 def _mix(z: int) -> int:

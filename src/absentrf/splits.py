@@ -76,14 +76,6 @@ class CategoricalRule:
     def n_levels(self) -> int:
         return len(self.present) + len(self.absent)
 
-    def gamma_value(self, level: int) -> float:
-        if self.gamma is None:
-            raise ValueError("split has no pseudo-value table")
-        for q, g in self.gamma:
-            if q == level:
-                return g
-        raise KeyError(level)
-
 
 @dataclass(frozen=True)
 class GammaTable:

@@ -352,8 +352,21 @@ def tree_to_dict(tree: Tree) -> dict:
 
 
 def tree_from_dict(obj: dict) -> Tree:
+    """Rebuild a tree from :func:`tree_to_dict` output.
+
+    Raises ValueError unless the node ids run 0..n-1 in order, every
+    child id lies strictly between its parent's id and n (preorder, so
+    routing cannot loop), classification nodes count every class, and
+    each categorical split keeps its present and absent levels apart and
+    sends only present levels left.  A missing key or a wrong type
+    surfaces as KeyError or TypeError; :func:`forest_from_dict` turns
+    those into ValueError too.
+    """
     tree = Tree(task=obj["task"], n_classes=int(obj["n_classes"]), tree_id=int(obj["tree_id"]))
-    for entry in obj["nodes"]:
+    entries = obj["nodes"]
+    if not entries:
+        raise ValueError(f"tree {tree.tree_id} has no nodes")
+    for position, entry in enumerate(entries):
         if tree.task == REGRESSION:
             stats = NodeStats(size=int(entry["size"]), mean=float(entry["mean"]))
         else:
@@ -361,7 +374,14 @@ def tree_from_dict(obj: dict) -> Tree:
                 size=int(entry["size"]),
                 class_counts=tuple(int(c) for c in entry["class_counts"]),
             )
+            if len(stats.class_counts) != tree.n_classes:
+                raise ValueError(
+                    f"tree {tree.tree_id} node {position}: {len(stats.class_counts)} "
+                    f"class counts for {tree.n_classes} classes"
+                )
         node = Node(id=int(entry["id"]), stats=stats)
+        if node.id != position:
+            raise ValueError(f"tree {tree.tree_id}: node {position} has id {node.id}")
         split = entry["split"]
         if split is not None:
             node.predictor = int(split["predictor"])
@@ -369,9 +389,15 @@ def tree_from_dict(obj: dict) -> Tree:
             node.right = int(split["right"])
             node.left_size = int(split["left_size"])
             node.right_size = int(split["right_size"])
+            for child in (node.left, node.right):
+                if not node.id < child < len(entries):
+                    raise ValueError(
+                        f"tree {tree.tree_id} node {node.id}: child id {child} is not "
+                        f"between {node.id} and {len(entries)}"
+                    )
             if split["kind"] == "ordered":
                 node.rule = OrderedRule(threshold=float(split["threshold"]))
-            else:
+            elif split["kind"] == "categorical":
                 node.rule = CategoricalRule(
                     left_levels=frozenset(int(q) for q in split["left_levels"]),
                     present=frozenset(int(q) for q in split["present"]),
@@ -383,6 +409,16 @@ def tree_from_dict(obj: dict) -> Tree:
                     gamma=None
                     if split["gamma"] is None
                     else tuple((int(q), float(g)) for q, g in split["gamma"]),
+                )
+                rule = node.rule
+                if rule.present & rule.absent or not rule.left_levels <= rule.present:
+                    raise ValueError(
+                        f"tree {tree.tree_id} node {node.id}: present and absent levels "
+                        "overlap, or a left level is not present"
+                    )
+            else:
+                raise ValueError(
+                    f"tree {tree.tree_id} node {node.id}: unknown split kind {split['kind']!r}"
                 )
         tree.nodes.append(node)
     return tree

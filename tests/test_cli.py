@@ -11,6 +11,7 @@ from absentrf.cli import EXIT_DATA, EXIT_OK, EXIT_RUNTIME, main
 from absentrf.data import (
     CATEGORICAL,
     NUMERIC,
+    REGRESSION,
     RESPONSE_CLASS,
     RESPONSE_NUMERIC,
     ColumnSchema,
@@ -21,6 +22,11 @@ from absentrf.data import (
     write_csv,
 )
 from absentrf.forest import load_forest
+from absentrf.heuristics import Heuristic
+from absentrf.seeding import Coins
+from absentrf.tree import route, tree_predict, tree_vote
+
+ROUTED = [h for h in Heuristic if h is not Heuristic.ONE_HOT]
 
 
 def read_rows(path):
@@ -152,6 +158,116 @@ def test_predict_rejects_unknown_heuristic(trained, capsys):
     )
     assert code == EXIT_DATA
     assert "unknown heuristic" in capsys.readouterr().err
+
+
+def classification_inputs(tmp_path, n=60, seed=4):
+    """Three classes; the 6-level colour column has rare levels, so
+    bootstraps miss them and rows meet absent levels."""
+    rng = np.random.default_rng(seed)
+    num = np.round(rng.normal(size=n), 2)
+    colour = np.repeat(np.arange(1, 7), [22, 15, 10, 7, 4, 2])
+    rng.shuffle(colour)
+    score = num + np.array([0.9, -0.6, 0.2, -1.1, 1.3, -0.3])[colour - 1] + rng.normal(0, 0.6, n)
+    y = np.digitize(score, [-0.5, 0.5]) + 1
+    schema = (
+        ColumnSchema("num", NUMERIC),
+        ColumnSchema("colour", CATEGORICAL, tuple("rgbcmy")),
+    )
+    resp = ResponseSpec(RESPONSE_CLASS, ("low", "mid", "high"))
+    ds = from_arrays(schema, resp, [num, colour], y)
+    data = tmp_path / "cls.csv"
+    spec = tmp_path / "cls.json"
+    write_csv(ds, data)
+    save_schema(spec, schema, resp)
+    return ds, str(data), str(spec)
+
+
+def reference_rows(forest, ds, policy, coins):
+    """Expected predict CSV rows from the reference router: each row's
+    tree outputs summed left to right in tree order."""
+    rows = []
+    for i in range(ds.n_rows):
+        traces = [route(t, ds.row(i), policy, coins, i) for t in forest.trees]
+        absent = str(sum(tr.absent_encountered for tr in traces))
+        if forest.task == REGRESSION:
+            total = 0.0
+            for tr, t in zip(traces, forest.trees):
+                total += tree_predict(tr, t)
+            rows.append([str(i), repr(total / forest.n_trees), absent])
+        else:
+            votes = [tree_vote(tr, t) for tr, t in zip(traces, forest.trees)]
+            counts = [votes.count(k) for k in range(1, forest.n_classes + 1)]
+            label = forest.response.classes[counts.index(max(counts))]
+            shares = [repr(c / forest.n_trees) for c in counts]
+            rows.append([str(i), label] + shares + [absent])
+    return rows
+
+
+@pytest.mark.parametrize("inputs", [regression_inputs, classification_inputs])
+def test_predict_matches_reference_router(tmp_path, inputs):
+    ds, data, spec = inputs(tmp_path)
+    model = tmp_path / "model.json"
+    assert main(
+        ["train", "--data", data, "--schema", spec, "--out", str(model),
+         "--trees", "15", "--seed", "8"]
+    ) == EXIT_OK
+    forest = load_forest(model)
+    coins = Coins(master=forest.config.seed)
+    for policy in ROUTED:
+        out = tmp_path / f"{policy.token}.csv"
+        assert main(
+            ["predict", "--data", data, "--schema", spec, "--model", str(model),
+             "--heuristic", policy.token, "--out", str(out)]
+        ) == EXIT_OK
+        with open(out, newline="") as fh:
+            got = list(csv.reader(fh))[1:]
+        expected = reference_rows(forest, ds, policy, coins)
+        assert got == expected, policy
+        assert any(int(row[-1]) > 0 for row in expected)  # absent levels were met
+
+
+def _child_far_out_of_range(dump):
+    split = next(n["split"] for n in dump["trees"][0]["nodes"] if n["split"])
+    split["left"] = 10**6
+
+
+def _children_point_at_root(dump):
+    for tree in dump["trees"]:
+        for node in tree["nodes"]:
+            if node["split"]:
+                node["split"]["left"] = node["split"]["right"] = 0
+
+
+def _node_without_size(dump):
+    del dump["trees"][0]["nodes"][1]["size"]
+
+
+def _predictor_outside_schema(dump):
+    split = next(n["split"] for n in dump["trees"][0]["nodes"] if n["split"])
+    split["predictor"] = 99
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_child_far_out_of_range, "child id 1000000"),
+        (_children_point_at_root, "child id 0"),
+        (_node_without_size, "missing key 'size'"),
+        (_predictor_outside_schema, "predictor 99"),
+    ],
+)
+def test_predict_rejects_malformed_model_dump(trained, tmp_path, capsys, corrupt, message):
+    _, data, spec, model = trained
+    with open(model) as fh:
+        dump = json.load(fh)
+    corrupt(dump)
+    bad = tmp_path / "bad_model.json"
+    bad.write_text(json.dumps(dump))
+    code = main(
+        ["predict", "--data", data, "--schema", spec, "--model", str(bad), "--heuristic", "left"]
+    )
+    assert code == EXIT_DATA
+    assert message in capsys.readouterr().err
 
 
 def test_transform_emits_dummies(tmp_path):

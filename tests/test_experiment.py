@@ -15,6 +15,9 @@ from absentrf.data import (
     ColumnSchema,
     ResponseSpec,
     from_arrays,
+    ingest_csv,
+    load_schema,
+    one_hot_transform,
     save_schema,
     write_csv,
 )
@@ -24,6 +27,7 @@ from absentrf.experiment import (
     load_experiment_config,
     run_experiment,
 )
+from absentrf.forest import ForestConfig, forest_hash, forest_tree_hashes, train_forest
 from absentrf.heuristics import Heuristic
 from absentrf.metrics import cohen_kappa, log_loss
 from absentrf.synth import bridge_multiclass
@@ -134,6 +138,19 @@ def test_replication_manifests_record_forest_hashes(bridge_run):
         assert m["seed"] == result.replication_seeds[r]
     # independent replications draw different forests
     assert result.forest_hashes[0] != result.forest_hashes[1]
+
+
+def test_replication_manifest_hashes_match_a_retrained_forest(bridge_run):
+    cfg, _, out = bridge_run
+    dataset, _ = ingest_csv(cfg.dataset_path, *load_schema(cfg.schema_path))
+    m = json.loads((out / "replication_1" / "manifest.json").read_text())
+    for data, hash_key, trees_key in (
+        (dataset, "forest_hash", "tree_hashes"),
+        (one_hot_transform(dataset), "onehot_forest_hash", "onehot_tree_hashes"),
+    ):
+        forest = train_forest(data, ForestConfig(n_trees=cfg.n_trees, seed=m["seed"]))
+        assert forest_hash(forest) == m[hash_key]
+        assert forest_tree_hashes(forest) == m[trees_key]
 
 
 def test_summary_layout(bridge_run):

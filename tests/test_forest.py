@@ -21,18 +21,20 @@ from absentrf.forest import (
     bootstrap_sample,
     default_coins,
     default_grow_config,
+    forest_from_dict,
     forest_hash,
-    forest_predict,
+    forest_to_dict,
     forest_tree_hashes,
     load_forest,
     oob_predict_all,
     pooled_absence_proportions,
+    predict_rows,
     save_forest,
     train_forest,
 )
 from absentrf.heuristics import Heuristic
 from absentrf.seeding import BOOTSTRAP, stream
-from absentrf.tree import route, tree_predict
+from absentrf.tree import route, tree_predict, tree_vote
 
 
 def make_dataset(seed=0, n=60, task=REGRESSION):
@@ -151,25 +153,30 @@ def test_trees_have_distinct_bootstraps():
 # prediction
 
 
-def test_forest_predict_regression_is_tree_average():
+def test_predict_rows_regression_is_tree_average():
     ds, forest = small_forest()
     coins = default_coins(forest)
-    x = ds.row(3)
-    manual = np.mean(
-        [tree_predict(route(t, x, Heuristic.LEFT, coins, 3), t) for t in forest.trees]
-    )
-    pred, probs = forest_predict(forest, x, Heuristic.LEFT, coins, obs_id=3)
-    assert probs is None
-    assert pred == pytest.approx(manual, abs=1e-12)
+    out = predict_rows(forest, ds.matrix(), Heuristic.LEFT, coins)
+    assert out.probabilities is None
+    assert np.all(out.oob_tree_counts == forest.n_trees)
+    for i in (0, 3, ds.n_rows - 1):
+        manual = np.mean(
+            [tree_predict(route(t, ds.row(i), Heuristic.LEFT, coins, i), t) for t in forest.trees]
+        )
+        assert out.predictions[i] == pytest.approx(manual, abs=1e-12)
 
 
-def test_forest_predict_classification_votes():
+def test_predict_rows_classification_votes():
     ds, forest = small_forest(task=CLASSIFICATION)
-    pred, shares = forest_predict(forest, ds.row(5), Heuristic.LEFT, obs_id=5)
-    assert shares.shape == (2,)
-    assert shares.sum() == pytest.approx(1.0, abs=1e-12)
+    coins = default_coins(forest)
+    out = predict_rows(forest, ds.matrix(), Heuristic.LEFT, coins)
+    shares = out.probabilities
+    assert shares.shape == (ds.n_rows, 2)
+    assert np.allclose(shares.sum(axis=1), 1.0, rtol=0, atol=1e-12)
     assert np.all(shares * forest.n_trees == np.round(shares * forest.n_trees))
-    assert pred == int(np.argmax(shares)) + 1
+    assert np.array_equal(out.predictions, np.argmax(shares, axis=1) + 1)
+    votes = [tree_vote(route(t, ds.row(5), Heuristic.LEFT, coins, 5), t) for t in forest.trees]
+    assert shares[5, 0] == votes.count(1) / forest.n_trees
 
 
 def test_oob_counts_match_in_bag_complement():
@@ -283,3 +290,51 @@ def test_load_rejects_other_files(tmp_path):
     path.write_text('{"format": "something-else"}')
     with pytest.raises(ValueError, match="not a forest dump"):
         load_forest(path)
+
+
+def first_split(dump, kind):
+    return next(
+        n["split"]
+        for t in dump["trees"]
+        for n in t["nodes"]
+        if n["split"] and n["split"]["kind"] == kind
+    )
+
+
+def _move_left_level_to_absent(d):
+    split = first_split(d, "categorical")
+    q = split["left_levels"][0]
+    split["present"].remove(q)
+    split["absent"].append(q)
+
+
+def _add_third_class_to_one_tree(d):
+    tree = d["trees"][1]
+    tree["n_classes"] = 3
+    for node in tree["nodes"]:
+        node["class_counts"].append(0)
+
+
+@pytest.mark.parametrize(
+    "task, corrupt, message",
+    [
+        (REGRESSION, lambda d: first_split(d, "ordered").update(predictor=1), "does not fit"),
+        (REGRESSION, lambda d: first_split(d, "categorical").update(kind="x"), "unknown split kind"),
+        (REGRESSION, lambda d: first_split(d, "categorical")["absent"].append(99), "do not cover"),
+        (REGRESSION, lambda d: first_split(d, "categorical")["present"].pop(), "do not cover"),
+        (REGRESSION, _move_left_level_to_absent, "left level is not present"),
+        (REGRESSION, lambda d: d["trees"][0]["nodes"][1].update(id=0), "has id 0"),
+        (REGRESSION, lambda d: d.update(trees=[]), "no trees"),
+        (REGRESSION, lambda d: d.update(task=CLASSIFICATION), "does not match its response"),
+        (REGRESSION, lambda d: d["trees"][0].update(nodes=5), "malformed model dump"),
+        (REGRESSION, lambda d: d["trees"][0]["nodes"][0].update(split="x"), "malformed model dump"),
+        (CLASSIFICATION, lambda d: d["trees"][0]["nodes"][0]["class_counts"].pop(), "class counts"),
+        (CLASSIFICATION, _add_third_class_to_one_tree, "differs from the forest"),
+    ],
+)
+def test_forest_from_dict_rejects_malformed_dumps(task, corrupt, message):
+    _, forest = small_forest(task=task)
+    dump = forest_to_dict(forest)
+    corrupt(dump)
+    with pytest.raises(ValueError, match=message):
+        forest_from_dict(dump)
