@@ -206,7 +206,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_args(p)
     p.add_argument("--model", required=True, help="model dump from 'train'")
     p.add_argument("--heuristic", required=True, help="routing heuristic token")
-    p.add_argument("--coin-seed", type=int, default=None, help="override the routing coin seed")
+    p.add_argument(
+        "--coin-seed",
+        type=int,
+        default=None,
+        help="master seed of the routing coins, Coins(master=S); defaults to the forest's training seed",
+    )
     p.add_argument("--out", default=None, help="predictions CSV (default stdout)")
     p.set_defaults(func=_cmd_predict)
 

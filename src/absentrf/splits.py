@@ -165,41 +165,6 @@ def split_objective(task: str, left_values, right_values, n_classes: int | None 
 # vectorised objective kernels (private)
 
 
-def _prefix_objective_regression(y_sorted: np.ndarray, cut_idx: np.ndarray) -> np.ndarray:
-    """Objective at each cut (left block = sorted positions 0..c).
-
-    Values are centred on the mother mean first; the objective is
-    shift-invariant and centring keeps the cumulative-sum formula well
-    conditioned.
-    """
-    yc = y_sorted - y_sorted.mean()
-    cs = np.cumsum(yc)
-    css = np.cumsum(yc * yc)
-    n = yc.size
-    nl = cut_idx + 1.0
-    nr = n - nl
-    sl = cs[cut_idx]
-    ssl = css[cut_idx]
-    st, sst = cs[-1], css[-1]
-    sse_l = ssl - sl * sl / nl
-    sse_r = (sst - ssl) - (st - sl) ** 2 / nr
-    # tiny negatives are cancellation noise
-    return np.maximum(sse_l, 0.0) + np.maximum(sse_r, 0.0)
-
-
-def _prefix_objective_gini(y_sorted: np.ndarray, cut_idx: np.ndarray, n_classes: int) -> np.ndarray:
-    onehot = (y_sorted[:, None] == np.arange(1, n_classes + 1)[None, :]).astype(np.int64)
-    cum = np.cumsum(onehot, axis=0)
-    n = y_sorted.size
-    lc = cum[cut_idx].astype(np.float64)
-    rc = cum[-1].astype(np.float64) - lc
-    nl = (cut_idx + 1).astype(np.float64)
-    nr = n - nl
-    gl = 1.0 - ((lc / nl[:, None]) ** 2).sum(axis=1)
-    gr = 1.0 - ((rc / nr[:, None]) ** 2).sum(axis=1)
-    return (nl * gl + nr * gr) / n
-
-
 def _masked_gini_objective(
     bits: np.ndarray, level_class_counts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -239,37 +204,103 @@ def _mother_arrays(dataset: Dataset, rows, predictor: int) -> tuple[np.ndarray, 
 # ordered predictors
 
 
-def best_ordered_split(dataset: Dataset, rows, predictor: int) -> CandidateSplit | None:
-    """Best threshold split of an ordered predictor, or None if every
-    observed value is identical.  Ties on the objective keep the lowest
-    threshold."""
-    spec = dataset.schema[predictor]
-    if spec.kind != NUMERIC:
-        raise ValueError(f"column {spec.name!r} is not ordered")
-    x, y = _mother_arrays(dataset, rows, predictor)
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    ys = y[order]
-    cuts = np.flatnonzero(xs[:-1] != xs[1:])
-    if cuts.size == 0:
-        return None
+def best_ordered_splits(dataset: Dataset, rows, predictors) -> list[CandidateSplit | None]:
+    """Best threshold split of each ordered predictor, scored in one batch.
+
+    Row ``j`` of the (m, n) working arrays is ``predictors[j]`` stably
+    sorted; the objective is evaluated only where the sorted value changes
+    (cut ``c`` = left block of sorted positions 0..c).  Entry ``j`` is None
+    if every value of that predictor is identical.  Ties on the objective
+    keep the lowest threshold.  Regression values are centred on the
+    mother mean: the objective is shift-invariant and centring keeps the
+    cumulative-sum formula well conditioned.
+    """
+    if len(predictors) == 0:
+        return []
+    for p in predictors:
+        spec = dataset.schema[p]
+        if spec.kind != NUMERIC:
+            raise ValueError(f"column {spec.name!r} is not ordered")
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.size == 0:
+        raise ValueError("empty mother node")
+    if dataset.y is None:
+        raise ValueError("dataset has no response")
+    n = int(rows.size)
+    if n < 2:
+        return [None] * len(predictors)
+    xs = np.array([dataset.columns[p][rows] for p in predictors])
+    order = xs.argsort(axis=1, kind="stable")
+    xs.sort(axis=1, kind="stable")  # a stable sort of the values lands them in ``order``
+    ys = dataset.y[rows][order]
+    r, c = (xs[:, :-1] != xs[:, 1:]).nonzero()
+    nl = c + 1.0
+    nr = n - nl
     if dataset.task == REGRESSION:
-        obj = _prefix_objective_regression(ys, cuts)
+        # sum / n is the division ndarray.mean performs, row by row
+        yc = ys - ys.sum(axis=1, keepdims=True) / n
+        cs = yc.cumsum(axis=1)
+        css = (yc * yc).cumsum(axis=1)
+        sl, ssl = cs[r, c], css[r, c]
+        st, sst = cs[:, -1][r], css[:, -1][r]
+        sse_l = ssl - sl * sl / nl
+        sse_r = (sst - ssl) - (st - sl) ** 2 / nr
+        # tiny negatives are cancellation noise
+        obj = np.maximum(sse_l, 0.0) + np.maximum(sse_r, 0.0)
     else:
-        obj = _prefix_objective_gini(ys, cuts, dataset.response.n_classes)
-    i = int(np.argmin(obj))
-    c = int(cuts[i])
-    return CandidateSplit(
-        predictor=predictor,
-        rule=OrderedRule(threshold=float(xs[c])),
-        impurity=float(obj[i]),
-        left_size=c + 1,
-        right_size=int(xs.size) - c - 1,
-    )
+        classes = np.arange(1, dataset.response.n_classes + 1)
+        # (m, K, n) counts; lc rows are contiguous, so the sum over K adds
+        # in the same order as a one-predictor scan would
+        cum = (ys[:, None, :] == classes[:, None]).cumsum(axis=2)
+        lc = cum[r, :, c].astype(np.float64)
+        rc = cum[:, :, -1][r].astype(np.float64) - lc
+        gl = 1.0 - ((lc / nl[:, None]) ** 2).sum(axis=1)
+        gr = 1.0 - ((rc / nr[:, None]) ** 2).sum(axis=1)
+        obj = (nl * gl + nr * gr) / n
+    full = np.full(xs.shape, np.inf)
+    full[r, c] = obj
+    best = full.argmin(axis=1).tolist()
+    found = (xs[:, 0] != xs[:, -1]).tolist()  # a sorted row has a cut iff its ends differ
+    return [
+        CandidateSplit(int(p), OrderedRule(float(xs[j, k])), float(full[j, k]), k + 1, n - k - 1)
+        if found[j]
+        else None
+        for j, (p, k) in enumerate(zip(predictors, best))
+    ]
+
+
+def best_ordered_split(dataset: Dataset, rows, predictor: int) -> CandidateSplit | None:
+    """Best threshold split of one ordered predictor; see
+    :func:`best_ordered_splits`."""
+    return best_ordered_splits(dataset, rows, [predictor])[0]
 
 
 # ---------------------------------------------------------------------------
 # categorical predictors: pseudo-value route
+
+
+def _gamma_pass(dataset: Dataset, rows, predictor: int):
+    """One counting pass over a node: its predictor and response values,
+    the count of every level, the present levels (ascending), their
+    pseudo values, and the same as a :class:`GammaTable`."""
+    spec = dataset.schema[predictor]
+    if spec.kind != CATEGORICAL:
+        raise ValueError(f"column {spec.name!r} is not categorical")
+    x, y = _mother_arrays(dataset, rows, predictor)
+    q = spec.n_levels
+    counts = np.bincount(x, minlength=q + 1)[1:]
+    levels = np.flatnonzero(counts) + 1
+    if dataset.task == REGRESSION:
+        sums = np.bincount(x, weights=y.astype(np.float64), minlength=q + 1)[1:]
+    else:
+        if dataset.response.n_classes != 2:
+            raise ValueError("pseudo values are undefined for more than two classes")
+        sums = np.bincount(x[y == 1], minlength=q + 1)[1:].astype(np.float64)
+    gam = sums[levels - 1] / counts[levels - 1]
+    present = frozenset(levels.tolist())
+    values = tuple(zip(levels.tolist(), gam.tolist()))
+    table = GammaTable(predictor, values, present, frozenset(range(1, q + 1)) - present)
+    return x, y, counts, levels, gam, table
 
 
 def gamma_table(dataset: Dataset, rows, predictor: int) -> GammaTable:
@@ -279,24 +310,13 @@ def gamma_table(dataset: Dataset, rows, predictor: int) -> GammaTable:
     classification: each present level's proportion of class 1.
     Undefined for more than two classes.
     """
-    spec = dataset.schema[predictor]
-    if spec.kind != CATEGORICAL:
-        raise ValueError(f"column {spec.name!r} is not categorical")
-    x, y = _mother_arrays(dataset, rows, predictor)
-    q = spec.n_levels
-    counts = np.bincount(x, minlength=q + 1)[1:]
-    present = frozenset(int(v) + 1 for v in np.flatnonzero(counts > 0))
-    absent = frozenset(range(1, q + 1)) - present
-    if dataset.task == REGRESSION:
-        sums = np.bincount(x, weights=y.astype(np.float64), minlength=q + 1)[1:]
-    else:
-        if dataset.response.n_classes != 2:
-            raise ValueError("pseudo values are undefined for more than two classes")
-        sums = np.bincount(x[y == 1], minlength=q + 1)[1:].astype(np.float64)
-    with np.errstate(invalid="ignore"):
-        gam = sums / counts
-    values = tuple((int(q_), float(gam[q_ - 1])) for q_ in sorted(present))
-    return GammaTable(predictor=predictor, values=values, present=present, absent=absent)
+    return _gamma_pass(dataset, rows, predictor)[-1]
+
+
+def pseudo_value_search(dataset: Dataset, rows, predictor: int) -> CandidateSplit | None:
+    """:func:`gamma_table` followed by :func:`pseudo_value_split`, with
+    one counting pass over the node instead of two."""
+    return _pseudo_scan(dataset, *_gamma_pass(dataset, rows, predictor))
 
 
 def pseudo_value_split(
@@ -316,16 +336,21 @@ def pseudo_value_split(
     if table.predictor != predictor:
         raise ValueError("pseudo-value table belongs to a different predictor")
     x, y = _mother_arrays(dataset, rows, predictor)
-    q = spec.n_levels
-    counts = np.bincount(x, minlength=q + 1)[1:]
-    observed = frozenset(int(v) + 1 for v in np.flatnonzero(counts > 0))
-    if observed != table.present:
+    counts = np.bincount(x, minlength=spec.n_levels + 1)[1:]
+    levels = np.flatnonzero(counts) + 1
+    if frozenset(levels.tolist()) != table.present:
         raise ValueError("pseudo-value table is inconsistent with the node rows")
-    if len(observed) < 2:
-        return None
+    by_level = dict(table.values)
+    gam = np.array([by_level[q_] for q_ in levels.tolist()], dtype=np.float64)
+    return _pseudo_scan(dataset, x, y, counts, levels, gam, table)
 
-    levels = np.array(sorted(observed), dtype=np.int64)
-    gam = np.array([table.value(int(q_)) for q_ in levels])
+
+def _pseudo_scan(dataset: Dataset, x, y, counts, levels, gam, table: GammaTable) -> CandidateSplit | None:
+    """The scan behind :func:`pseudo_value_split`, given the node's level
+    counts and the pseudo values ``gam`` of its present ``levels``."""
+    if levels.size < 2:
+        return None
+    q = counts.size
     order = np.argsort(gam, kind="stable")
     levels_sorted = levels[order]
     gam_sorted = gam[order]
@@ -377,7 +402,7 @@ def pseudo_value_split(
         gamma=table.values,
     )
     return CandidateSplit(
-        predictor=predictor,
+        predictor=table.predictor,
         rule=rule,
         impurity=float(obj[i]),
         left_size=int(nl[c]),

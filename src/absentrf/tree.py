@@ -31,10 +31,9 @@ from .splits import (
     CandidateSplit,
     CategoricalRule,
     OrderedRule,
-    best_ordered_split,
+    best_ordered_splits,
     exhaustive_categorical_split,
-    gamma_table,
-    pseudo_value_split,
+    pseudo_value_search,
     random_categorical_split,
 )
 
@@ -126,18 +125,14 @@ def _is_pure(y: np.ndarray) -> bool:
 def _search_predictor(
     dataset: Dataset, rows: np.ndarray, predictor: int, cfg: GrowConfig, rng: np.random.Generator
 ) -> CandidateSplit | None:
-    spec = dataset.schema[predictor]
-    if spec.kind == NUMERIC:
-        return best_ordered_split(dataset, rows, predictor)
-    q = spec.n_levels
+    """Best split of one categorical predictor by the task's method."""
+    q = dataset.schema[predictor].n_levels
     if cfg.task == REGRESSION:
-        table = gamma_table(dataset, rows, predictor)
-        return pseudo_value_split(dataset, rows, predictor, table)
+        return pseudo_value_search(dataset, rows, predictor)
     if dataset.response.n_classes == 2:
         if q <= cfg.exhaustive_max_q_binary:
             return exhaustive_categorical_split(dataset, rows, predictor, cfg.exhaustive_max_q_binary)
-        table = gamma_table(dataset, rows, predictor)
-        return pseudo_value_split(dataset, rows, predictor, table)
+        return pseudo_value_search(dataset, rows, predictor)
     if q <= cfg.exhaustive_max_q_multiclass:
         return exhaustive_categorical_split(dataset, rows, predictor, cfg.exhaustive_max_q_multiclass)
     return random_categorical_split(dataset, rows, predictor, rng, cfg.random_candidates)
@@ -183,10 +178,17 @@ def grow_tree(
 
         if node.stats.size <= cfg.min_node_size or _is_pure(y):
             continue
-        sampled = rng.choice(p, size=cfg.mtry, replace=False)
+        sampled = rng.choice(p, size=cfg.mtry, replace=False).tolist()
+        # ordered predictors are scored together; categorical ones are
+        # searched in sampled order, keeping the random search's rng stream
+        numeric = [j for j in sampled if dataset.schema[j].kind == NUMERIC]
+        ordered = dict(zip(numeric, best_ordered_splits(dataset, node_rows, numeric)))
         best: CandidateSplit | None = None
         for predictor in sampled:
-            cand = _search_predictor(dataset, node_rows, int(predictor), cfg, rng)
+            if predictor in ordered:
+                cand = ordered[predictor]
+            else:
+                cand = _search_predictor(dataset, node_rows, predictor, cfg, rng)
             if cand is not None and (best is None or cand.impurity < best.impurity):
                 best = cand
         if best is None:

@@ -28,6 +28,7 @@ from absentrf.splits import (
     CategoricalRule,
     OrderedRule,
     best_ordered_split,
+    best_ordered_splits,
     class_proportions,
     count_partitions,
     emulate_zero_imputed_routing,
@@ -35,6 +36,7 @@ from absentrf.splits import (
     gamma_table,
     gini,
     node_mean,
+    pseudo_value_search,
     pseudo_value_split,
     random_bitmasks,
     random_categorical_split,
@@ -57,6 +59,15 @@ def cat_dataset(x, y, q, task, k=2):
 def num_dataset(x, y):
     schema = (ColumnSchema("num", NUMERIC),)
     return from_arrays(schema, ResponseSpec(RESPONSE_NUMERIC), [np.asarray(x, float)], np.asarray(y, float))
+
+
+def nums_dataset(columns, y, task, k=2):
+    schema = tuple(ColumnSchema(f"num{j}", NUMERIC) for j in range(len(columns)))
+    if task == REGRESSION:
+        response = ResponseSpec(RESPONSE_NUMERIC)
+    else:
+        response = ResponseSpec(RESPONSE_CLASS, tuple(f"c{i}" for i in range(1, k + 1)))
+    return from_arrays(schema, response, [np.asarray(c, float) for c in columns], np.asarray(y))
 
 
 def direct_objective(left, right, task, k=2):
@@ -192,6 +203,64 @@ def test_ordered_split_matches_threshold_enumeration(seed):
     assert s.left_size == int((x <= thresholds[i]).sum())
 
 
+@pytest.mark.parametrize("k", [2, 3])
+@given(seed=st.integers(0, 10**9))
+@settings(max_examples=120, deadline=None)
+def test_ordered_split_classification_matches_threshold_enumeration(k, seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 30))
+    x = rng.integers(0, 6, size=n).astype(float)
+    y = rng.integers(1, k + 1, size=n)
+    ds = nums_dataset([x], y, CLASSIFICATION, k)
+    s = best_ordered_split(ds, np.arange(n), 0)
+    thresholds = sorted(set(x))[:-1]
+    if not thresholds:
+        assert s is None
+        return
+    objs = [split_objective(CLASSIFICATION, y[x <= t], y[x > t], k) for t in thresholds]
+    # Gini ties are common and the kernel's cumulative formula may order
+    # exact ties differently in the last bit, so require an optimum and
+    # no clearly better threshold below the chosen one
+    i = thresholds.index(s.rule.threshold)
+    assert objs[i] == pytest.approx(min(objs), abs=1e-12)
+    assert s.impurity == pytest.approx(objs[i], abs=1e-12)
+    assert all(o > objs[i] - 1e-12 for o in objs[:i])
+    assert (s.left_size, s.right_size) == (int((x <= s.rule.threshold).sum()), int((x > s.rule.threshold).sum()))
+
+
+@pytest.mark.parametrize("task,k", [(REGRESSION, 0), (CLASSIFICATION, 2), (CLASSIFICATION, 3)])
+@given(seed=st.integers(0, 10**9))
+@settings(max_examples=150, deadline=None)
+def test_batched_ordered_splits_equal_single_predictor_search(task, k, seed):
+    rng = np.random.default_rng(seed)
+    n_rows = int(rng.integers(1, 25))
+    p = int(rng.integers(1, 21))
+    columns = []
+    for _ in range(p):
+        kind = rng.integers(0, 3)
+        if kind == 0:
+            columns.append(np.full(n_rows, float(rng.integers(-2, 3))))  # constant
+        elif kind == 1:
+            columns.append(rng.integers(0, 3, size=n_rows).astype(float))  # ties
+        else:
+            columns.append(np.round(rng.normal(0, 2, size=n_rows), 2))
+    y = np.round(rng.normal(0, 3, size=n_rows), 3) if task == REGRESSION else rng.integers(1, k + 1, size=n_rows)
+    ds = nums_dataset(columns, y, task, k)
+    n = int(rng.choice([1, 2, int(rng.integers(1, 40))]))
+    rows = rng.integers(0, n_rows, size=n)  # repeated row ids count twice
+    predictors = rng.permutation(p)[: int(rng.integers(1, p + 1))].tolist()
+    batch = best_ordered_splits(ds, rows, predictors)
+    assert len(batch) == len(predictors)
+    for j, predictor in enumerate(predictors):
+        assert batch[j] == best_ordered_split(ds, rows, predictor)
+
+
+def test_batched_ordered_splits_rejects_categorical():
+    ds = cat_dataset([1, 2, 1], [0.0, 1.0, 2.0], 2, REGRESSION)
+    with pytest.raises(ValueError, match="not ordered"):
+        best_ordered_splits(ds, np.arange(3), [0])
+
+
 # ---------------------------------------------------------------------------
 # pseudo-value splits vs the oracle
 
@@ -249,6 +318,19 @@ def test_pseudo_split_left_set_is_low_pseudo_levels(seed):
     left_g = [g for lv, g in table.values if lv in rule.left_levels]
     right_g = [g for lv, g in table.values if lv not in rule.left_levels]
     assert max(left_g) == rule.pseudo_split < min(right_g)
+
+
+@pytest.mark.parametrize("task", [REGRESSION, CLASSIFICATION])
+@given(seed=st.integers(0, 10**9))
+@settings(max_examples=200, deadline=None)
+def test_pseudo_value_search_equals_table_then_split(task, seed):
+    x, y, q = random_instance(seed, task, min_q=1, tie_prone=seed % 2 == 0)
+    ds = cat_dataset(x, y, q, task)
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, x.size, size=int(rng.integers(1, 2 * x.size + 1)))
+    if seed % 3 == 0:
+        rows = np.flatnonzero(x == x[0])  # one present level
+    assert pseudo_value_search(ds, rows, 0) == pseudo_value_split(ds, rows, 0, gamma_table(ds, rows, 0))
 
 
 def test_gamma_table_values_regression():
