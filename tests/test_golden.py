@@ -6,12 +6,20 @@ one-hot transform.  Together they exercise the ordered, pseudo-value,
 exhaustive and random-bitmask split searches, so any change to a split
 kernel or to the growth loop that alters a threshold, a tie-break or the
 rng stream changes a hash here.
+
+The out-of-bag digests pin routing the same way: every routed policy
+scored out of bag on each native forest, so a change to routing, to the
+coin draws or to the order in which tree outputs are summed changes a
+digest here.
 """
+import hashlib
+
 import pytest
 
 from absentrf import synth
 from absentrf.data import one_hot_transform
-from absentrf.forest import ForestConfig, forest_hash, train_forest
+from absentrf.forest import ForestConfig, default_coins, forest_hash, oob_predict_all, train_forest
+from absentrf.heuristics import Heuristic
 
 GOLDEN = {
     ("price_regression", False): "f4869261218c62fd55a9162115bceee2f8a61a01898db81ce22cd2b58391f887",
@@ -30,3 +38,24 @@ def test_forest_hash_is_unchanged(generator, onehot):
         d = one_hot_transform(d)
     forest = train_forest(d, ForestConfig(n_trees=10, seed=11))
     assert forest_hash(forest) == GOLDEN[(generator, onehot)]
+
+
+GOLDEN_OOB = {
+    "price_regression": "b9cf8f44b4fc658cd0dc3823e6c521f7ed20763a1d575b274c2b79d04194ae9c",
+    "rollcall_binary": "2b892116dd6aa8f344db6ba4ee2888223c43a311db62d6d77f9bb73ce58f71f3",
+    "bridge_multiclass": "ad2ad50935a3292c201e65006946c55ce15b15437c01d67e777ba402ae822c71",
+}
+ROUTED = ("left", "right", "stop", "majority", "random", "dbi")
+
+
+@pytest.mark.parametrize("generator", sorted(GOLDEN_OOB))
+def test_oob_predictions_are_unchanged(generator):
+    d = getattr(synth, generator)(0)
+    forest = train_forest(d, ForestConfig(n_trees=10, seed=11))
+    h = hashlib.sha256()
+    for token in ROUTED:
+        s = oob_predict_all(forest, d, Heuristic(token), default_coins(forest))
+        for arr in (s.predictions, s.probabilities, s.oob_tree_counts, s.absent_tree_counts):
+            if arr is not None:
+                h.update(arr.tobytes())
+    assert h.hexdigest() == GOLDEN_OOB[generator]
