@@ -81,7 +81,7 @@ def _cmd_predict(args) -> int:
         require_response=False,
     )
     coins = Coins(master=forest.config.seed if args.coin_seed is None else args.coin_seed)
-    preds = predict_rows(forest, dataset.matrix(), policy, coins)
+    preds = predict_rows(forest, dataset.matrix(), [policy], coins)[policy]
     out = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8", newline="")
     try:
         writer = csv.writer(out, lineterminator="\n")

@@ -325,9 +325,7 @@ def run_experiment_on(
             )
             tree_hashes = forest_tree_hashes(forest)
             coins = Coins(master=cfg.seed, replication=r)
-            sets: dict[Heuristic, OOBPredictionSet] = {}
-            for h in routed:
-                sets[h] = oob_predict_all(forest, dataset, h, coins)
+            sets = oob_predict_all(forest, dataset, routed, coins)
             onehot_tree_hashes = None
             if use_onehot:
                 onehot_forest = train_forest(
@@ -338,7 +336,7 @@ def run_experiment_on(
                 onehot_tree_hashes = forest_tree_hashes(onehot_forest)
                 # no categorical columns remain, so the routing policy is
                 # never consulted; LEFT is an arbitrary stand-in
-                s = oob_predict_all(onehot_forest, onehot_data, Heuristic.LEFT, coins)
+                (s,) = oob_predict_all(onehot_forest, onehot_data, [Heuristic.LEFT], coins).values()
                 if s.absent_tree_counts.any():
                     raise RuntimeError("one-hot forest reported absent levels")
                 s = dataclasses.replace(s, heuristic=Heuristic.ONE_HOT.token)

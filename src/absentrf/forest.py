@@ -30,18 +30,8 @@ from .data import (
 )
 from .heuristics import Heuristic
 from .seeding import BOOTSTRAP, COIN, TREE, Coins, derive, stream
-from .splits import OrderedRule
-from .tree import (
-    GrowConfig,
-    Tree,
-    grow_tree,
-    route,
-    structure_hash,
-    tree_from_dict,
-    tree_predict,
-    tree_to_dict,
-    tree_vote,
-)
+from .splits import CategoricalRule, OrderedRule
+from .tree import GrowConfig, Tree, grow_tree, structure_hash, tree_from_dict, tree_to_dict
 
 FOREST_FORMAT = "absentrf-forest"
 FOREST_FORMAT_VERSION = 1
@@ -189,57 +179,185 @@ class OOBPredictionSet:
         return self.oob_tree_counts > 0
 
 
+class _CompiledForest:
+    """Every node of every tree in flat arrays, indexed by global node id
+    (node ``v`` of tree ``b`` is ``start[b] + v``).  ``codes`` has one row
+    per categorical node, indexed by level: 0 absent, 1 left, 2 present
+    and right, 3 outside the node's 1..Q."""
+
+    def __init__(self, forest: Forest):
+        nodes = [node for tree in forest.trees for node in tree.nodes]
+        n, n_nodes = len(nodes), [len(tree.nodes) for tree in forest.trees]
+        self.start = np.cumsum([0] + n_nodes[:-1])
+        offset = np.repeat(self.start, n_nodes)
+        self.tree_id = np.repeat([tree.tree_id for tree in forest.trees], n_nodes)
+        self.local = np.arange(n) - offset
+        self.predictor, self.threshold, self.cat_row = np.full(n, -1), np.full(n, np.nan), np.full(n, -1)
+        self.left, self.right = np.arange(n), np.arange(n)
+        self.left_size, self.right_size = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+        cats = [k for k, node in enumerate(nodes) if isinstance(node.rule, CategoricalRule)]
+        width = max((nodes[k].rule.n_levels for k in cats), default=0) + 1
+        self.codes = np.full((len(cats), width), 3, dtype=np.int8)
+        self.cat_row[cats] = np.arange(len(cats))
+        for k, node in enumerate(nodes):
+            if node.is_leaf:
+                continue
+            self.predictor[k] = node.predictor
+            self.left[k], self.right[k] = offset[k] + node.left, offset[k] + node.right
+            self.left_size[k], self.right_size[k] = node.left_size, node.right_size
+            if isinstance(node.rule, OrderedRule):
+                self.threshold[k] = node.rule.threshold
+            else:
+                row = self.codes[self.cat_row[k]]
+                row[1 : node.rule.n_levels + 1] = 0
+                row[list(node.rule.present)] = 2
+                row[list(node.rule.left_levels)] = 1
+        if forest.task == REGRESSION:
+            self.value = np.fromiter((node.stats.mean for node in nodes), np.float64, n)
+        else:
+            counts = np.array([node.stats.class_counts for node in nodes], dtype=np.float64)
+            self.value = counts / np.array([node.stats.size for node in nodes])[:, None]
+            self.vote = np.argmax(self.value, axis=1) + 1
+
+    def coin_draws(self, coins: Coins, nodes: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The uniform of each (node, row) event, drawn node by node."""
+        order, u = np.argsort(nodes, kind="stable"), np.empty(nodes.size)
+        for at in np.split(order, np.flatnonzero(np.diff(nodes[order])) + 1):
+            g = nodes[at[0]]
+            u[at] = coins.uniforms(int(self.tree_id[g]), int(self.local[g]), rows[at])
+        return u
+
+    def route(self, xmat, policy: Heuristic, coins: Coins, trees: np.ndarray, rows: np.ndarray):
+        """Route each pair (``trees[k]``, ``rows[k]``) level by level, resolving
+        absent levels as :func:`absentrf.heuristics.resolve` does.  Returns
+        the (pair, global node, weight) entries where the pairs ended and
+        whether each pair met an absent level."""
+        pair, node = np.arange(rows.size), self.start[trees]
+        weight, absent = np.ones(rows.size), np.zeros(rows.size, dtype=bool)
+        ended = [(pair[:0], node[:0], weight[:0])]
+        while pair.size:
+            pred = self.predictor[node]
+            x = xmat[rows[pair], pred]  # leaves read column -1 and ignore it
+            go_left = x <= self.threshold[node]
+            k = np.flatnonzero(self.cat_row[node] >= 0)
+            v = x[k]
+            ok = (v >= 1) & (v < self.codes.shape[1])
+            level = np.where(ok, v, 0).astype(np.int64)
+            code = np.where(ok & (level == v), self.codes[self.cat_row[node[k]], level], 3)
+            if (code == 3).any():
+                j = k[np.argmax(code == 3)]
+                q = np.count_nonzero(self.codes[self.cat_row[node[j]]] < 3)
+                raise ValueError(
+                    f"value {x[j]!r} of predictor {pred[j]} is outside the declared levels 1..{q}"
+                )
+            go_left[k] = code == 1
+            nxt, stop = np.where(go_left, self.left[node], self.right[node]), pred < 0
+            ev = k[code == 0]
+            absent[pair[ev]] = True
+            at, ls, rs = node[ev], self.left_size[node[ev]], self.right_size[node[ev]]
+            total, fork = ls + rs, None
+            if policy in (Heuristic.RANDOM, Heuristic.DBI) and (total <= 0).any():
+                raise ValueError("routing context has no daughter rows")
+            if policy is Heuristic.STOP:
+                stop[ev] = True
+            elif ev.size:
+                if policy is Heuristic.DBI:  # left here, right as a new pair
+                    fork = (pair[ev], self.right[at], weight[ev] * (rs / total))
+                    weight[ev] *= ls / total
+                    go = np.ones(ev.size, dtype=bool)
+                elif policy is Heuristic.MAJORITY:
+                    go, tie = ls > rs, np.flatnonzero(ls == rs)
+                    if tie.size:
+                        go[tie] = self.coin_draws(coins, at[tie], rows[pair[ev[tie]]]) < 0.5
+                elif policy is Heuristic.RANDOM:
+                    go = self.coin_draws(coins, at, rows[pair[ev]]) < ls / total
+                else:
+                    go = np.full(ev.size, policy is Heuristic.LEFT)
+                nxt[ev] = np.where(go, self.left[at], self.right[at])
+            ended.append((pair[stop], node[stop], weight[stop]))
+            pair, node, weight = pair[~stop], nxt[~stop], weight[~stop]
+            if fork is not None:
+                pair, node, weight = (np.concatenate(p) for p in zip((pair, node, weight), fork))
+        return (*(np.concatenate(parts) for parts in zip(*ended)), absent)
+
+
+def _totals(c: _CompiledForest, forest: Forest, n: int, rows: np.ndarray, routed) -> tuple:
+    """Per-row totals and absent-tree counts of the routed pairs.  ``np.add.at``
+    adds in index order: a pair's entries in ascending node id from 0.0,
+    then a row's pairs in tree order (pairs are tree-major), as ``route`` does."""
+    pair, node, weight, absent = routed
+    order = np.lexsort((node, pair))
+    pair, node, weight = pair[order], node[order], weight[order]
+    if forest.task == REGRESSION:
+        value = np.zeros(rows.size)
+        np.add.at(value, pair, weight * c.value[node])
+        totals = np.zeros(n)
+        np.add.at(totals, rows, value)
+    else:
+        first = np.diff(pair, prepend=-1) != 0
+        vote = c.vote[node[first]]  # every pair ended somewhere, so pair[first] is 0..P-1
+        forked = np.unique(pair[~first])  # DBI pairs that ended in several nodes
+        fk = np.isin(pair, forked)
+        scores = np.zeros((forked.size, forest.n_classes))
+        np.add.at(scores, np.searchsorted(forked, pair[fk]), weight[fk, None] * c.value[node[fk]])
+        vote[forked] = np.argmax(scores, axis=1) + 1
+        totals = np.zeros((n, forest.n_classes), dtype=np.int64)
+        np.add.at(totals, (rows, vote - 1), 1)
+    return totals, np.bincount(rows[absent], minlength=n)
+
+
 def predict_rows(
     forest: Forest,
     xmat: np.ndarray,
-    policy: Heuristic,
+    policies: list[Heuristic],
     coins: Coins,
     uses: np.ndarray | None = None,
-) -> OOBPredictionSet:
-    """Aggregate trees over every row of ``xmat``.
+) -> dict[Heuristic, OOBPredictionSet]:
+    """Aggregate trees over every row of ``xmat``, once per policy.
 
     Row ``i`` is observation ``i`` for the routing coins.  It is routed
     through every tree ``b`` with ``uses[b, i]`` true (every tree when
     ``uses`` is None), and its tree outputs are summed in tree order:
     regression averages the tree predictions, classification returns the
-    vote shares and the most-voted class (ties to the lowest index).
+    vote shares and the most-voted class (ties to the lowest index).  The
+    forest is compiled into arrays once for all ``policies``; the results
+    equal summing ``route`` with ``tree_predict``/``tree_vote`` bit for bit.
     """
     n = len(xmat)
-    regression = forest.task == REGRESSION
-    totals = np.zeros(n) if regression else np.zeros((n, forest.n_classes), dtype=np.int64)
-    tree_counts = np.zeros(n, dtype=np.int64)
-    absent_counts = np.zeros(n, dtype=np.int64)
-    for b, tree in enumerate(forest.trees):
-        for i in range(n) if uses is None else np.flatnonzero(uses[b]):
-            trace = route(tree, xmat[i], policy, coins, obs_id=int(i))
-            if regression:
-                totals[i] += tree_predict(trace, tree)
-            else:
-                totals[i, tree_vote(trace, tree) - 1] += 1
-            tree_counts[i] += 1
-            absent_counts[i] += trace.absent_encountered
-    defined = tree_counts > 0
-    divisor = np.maximum(tree_counts, 1)
-    if regression:
-        preds, probs = np.where(defined, totals / divisor, np.nan), None
-    else:
-        probs = totals / divisor[:, None]
-        probs[~defined] = np.nan
-        preds = np.where(defined, np.argmax(totals, axis=1) + 1, 0).astype(np.int64)
-    return OOBPredictionSet(
-        policy.token, forest.task, forest.n_classes, preds, probs, tree_counts, absent_counts
-    )
+    if uses is None:
+        uses = np.ones((forest.n_trees, n), dtype=bool)
+    if np.shape(uses) != (forest.n_trees, n):
+        raise ValueError(f"uses must have shape {(forest.n_trees, n)}, not {np.shape(uses)}")
+    trees, rows = np.nonzero(uses)
+    if Heuristic.ONE_HOT in policies and rows.size:
+        raise ValueError("onehot is a dataset transform and cannot route observations")
+    c, xmat = _CompiledForest(forest), np.asarray(xmat)
+    tree_counts = np.bincount(rows, minlength=n)
+    defined, divisor = tree_counts > 0, np.maximum(tree_counts, 1)
+    out = {}
+    for policy in policies:
+        totals, absent = _totals(c, forest, n, rows, c.route(xmat, policy, coins, trees, rows))
+        if forest.task == REGRESSION:
+            preds, probs = np.where(defined, totals / divisor, np.nan), None
+        else:
+            probs = totals / divisor[:, None]
+            probs[~defined] = np.nan
+            preds = np.where(defined, np.argmax(totals, axis=1) + 1, 0).astype(np.int64)
+        out[policy] = OOBPredictionSet(
+            policy.token, forest.task, forest.n_classes, preds, probs, tree_counts, absent
+        )
+    return out
 
 
 def oob_predict_all(
-    forest: Forest, dataset: Dataset, policy: Heuristic, coins: Coins | None = None
-) -> OOBPredictionSet:
-    """Predict every row using only the trees whose bootstrap missed it."""
+    forest: Forest, dataset: Dataset, policies: list[Heuristic], coins: Coins | None = None
+) -> dict[Heuristic, OOBPredictionSet]:
+    """Predict every row under each policy using only the trees whose
+    bootstrap missed it."""
     if dataset.fingerprint() != forest.fingerprint:
         raise ValueError("dataset does not match the one this forest was trained on")
-    if coins is None:
-        coins = default_coins(forest)
-    return predict_rows(forest, dataset.matrix(), policy, coins, forest.in_bag == 0)
+    coins = default_coins(forest) if coins is None else coins
+    return predict_rows(forest, dataset.matrix(), policies, coins, forest.in_bag == 0)
 
 
 def pooled_absence_proportions(sets: list[OOBPredictionSet]) -> np.ndarray:
@@ -351,6 +469,10 @@ def forest_from_dict(obj: dict) -> Forest:
         raise ValueError(f"malformed model dump: {exc}") from exc
     if not forest.trees:
         raise ValueError("model dump holds no trees")
+    if forest.in_bag.ndim != 2 or len(forest.in_bag) != forest.n_trees:
+        raise ValueError(f"in_bag has shape {forest.in_bag.shape}, not ({forest.n_trees}, N)")
+    if (forest.in_bag < 0).any() or (forest.in_bag.sum(axis=1) != config.sample_size).any():
+        raise ValueError(f"in_bag rows must be counts >= 0 summing to sample_size {config.sample_size}")
     if (forest.task, forest.n_classes) != (response.task, response.n_classes):
         raise ValueError("model dump's task or class count does not match its response")
     for tree in forest.trees:

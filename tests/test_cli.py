@@ -247,9 +247,14 @@ def _predictor_outside_schema(dump):
     split["predictor"] = 99
 
 
+def _in_bag_missing_a_tree(dump):
+    dump["in_bag"].pop()
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
+        (_in_bag_missing_a_tree, "in_bag has shape"),
         (_child_far_out_of_range, "child id 1000000"),
         (_children_point_at_root, "child id 0"),
         (_node_without_size, "missing key 'size'"),

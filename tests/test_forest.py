@@ -156,7 +156,7 @@ def test_trees_have_distinct_bootstraps():
 def test_predict_rows_regression_is_tree_average():
     ds, forest = small_forest()
     coins = default_coins(forest)
-    out = predict_rows(forest, ds.matrix(), Heuristic.LEFT, coins)
+    out = predict_rows(forest, ds.matrix(), [Heuristic.LEFT], coins)[Heuristic.LEFT]
     assert out.probabilities is None
     assert np.all(out.oob_tree_counts == forest.n_trees)
     for i in (0, 3, ds.n_rows - 1):
@@ -169,7 +169,7 @@ def test_predict_rows_regression_is_tree_average():
 def test_predict_rows_classification_votes():
     ds, forest = small_forest(task=CLASSIFICATION)
     coins = default_coins(forest)
-    out = predict_rows(forest, ds.matrix(), Heuristic.LEFT, coins)
+    out = predict_rows(forest, ds.matrix(), [Heuristic.LEFT], coins)[Heuristic.LEFT]
     shares = out.probabilities
     assert shares.shape == (ds.n_rows, 2)
     assert np.allclose(shares.sum(axis=1), 1.0, rtol=0, atol=1e-12)
@@ -181,7 +181,7 @@ def test_predict_rows_classification_votes():
 
 def test_oob_counts_match_in_bag_complement():
     ds, forest = small_forest()
-    out = oob_predict_all(forest, ds, Heuristic.LEFT)
+    out = oob_predict_all(forest, ds, [Heuristic.LEFT])[Heuristic.LEFT]
     expected = (forest.in_bag == 0).sum(axis=0)
     assert np.array_equal(out.oob_tree_counts, expected)
     assert np.all(out.absent_tree_counts <= out.oob_tree_counts)
@@ -190,7 +190,7 @@ def test_oob_counts_match_in_bag_complement():
 def test_oob_regression_row_matches_manual_aggregate():
     ds, forest = small_forest()
     coins = default_coins(forest)
-    out = oob_predict_all(forest, ds, Heuristic.RIGHT, coins)
+    out = oob_predict_all(forest, ds, [Heuristic.RIGHT], coins)[Heuristic.RIGHT]
     i = int(np.flatnonzero(out.defined)[0])
     vals = [
         tree_predict(route(t, ds.row(i), Heuristic.RIGHT, coins, i), t)
@@ -202,7 +202,7 @@ def test_oob_regression_row_matches_manual_aggregate():
 
 def test_oob_classification_probabilities():
     ds, forest = small_forest(task=CLASSIFICATION)
-    out = oob_predict_all(forest, ds, Heuristic.MAJORITY)
+    out = oob_predict_all(forest, ds, [Heuristic.MAJORITY])[Heuristic.MAJORITY]
     d = out.defined
     assert np.allclose(out.probabilities[d].sum(axis=1), 1.0)
     assert np.array_equal(out.predictions[d], np.argmax(out.probabilities[d], axis=1) + 1)
@@ -212,8 +212,8 @@ def test_oob_classification_probabilities():
 def test_oob_replay_is_exact_even_for_random_policy():
     ds, forest = small_forest(task=CLASSIFICATION)
     coins = default_coins(forest, replication=3)
-    a = oob_predict_all(forest, ds, Heuristic.RANDOM, coins)
-    b = oob_predict_all(forest, ds, Heuristic.RANDOM, coins)
+    a = oob_predict_all(forest, ds, [Heuristic.RANDOM], coins)[Heuristic.RANDOM]
+    b = oob_predict_all(forest, ds, [Heuristic.RANDOM], coins)[Heuristic.RANDOM]
     assert np.array_equal(a.predictions, b.predictions)
     assert np.array_equal(a.probabilities, b.probabilities, equal_nan=True)
     assert np.array_equal(a.absent_tree_counts, b.absent_tree_counts)
@@ -222,7 +222,7 @@ def test_oob_replay_is_exact_even_for_random_policy():
 def test_single_tree_forest_leaves_rows_undefined():
     ds = make_dataset()
     forest = train_forest(ds, ForestConfig(n_trees=1, seed=2))
-    out = oob_predict_all(forest, ds, Heuristic.LEFT)
+    out = oob_predict_all(forest, ds, [Heuristic.LEFT])[Heuristic.LEFT]
     assert not out.defined.all() and out.defined.any()
     assert np.all(np.isnan(out.predictions[~out.defined]))
     assert np.all(~np.isnan(out.predictions[out.defined]))
@@ -232,7 +232,7 @@ def test_oob_rejects_mismatched_dataset():
     ds, forest = small_forest()
     other = make_dataset(seed=99)
     with pytest.raises(ValueError, match="match"):
-        oob_predict_all(forest, other, Heuristic.LEFT)
+        oob_predict_all(forest, other, [Heuristic.LEFT])
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +280,8 @@ def test_save_load_round_trip(tmp_path):
         assert back.schema == forest.schema
         assert back.response == forest.response
         assert back.fingerprint == forest.fingerprint
-        a = oob_predict_all(forest, ds, Heuristic.DBI)
-        b = oob_predict_all(back, ds, Heuristic.DBI)
+        a = oob_predict_all(forest, ds, [Heuristic.DBI])[Heuristic.DBI]
+        b = oob_predict_all(back, ds, [Heuristic.DBI])[Heuristic.DBI]
         assert np.array_equal(a.predictions, b.predictions, equal_nan=(task == REGRESSION))
 
 
@@ -308,6 +308,16 @@ def _move_left_level_to_absent(d):
     split["absent"].append(q)
 
 
+def _negative_in_bag_count(d):
+    row = d["in_bag"][0]
+    row[1] += row[0] + 1
+    row[0] = -1
+
+
+def _in_bag_row_not_summing_to_sample_size(d):
+    d["in_bag"][3][0] += 1
+
+
 def _add_third_class_to_one_tree(d):
     tree = d["trees"][1]
     tree["n_classes"] = 3
@@ -328,6 +338,10 @@ def _add_third_class_to_one_tree(d):
         (REGRESSION, lambda d: d.update(task=CLASSIFICATION), "does not match its response"),
         (REGRESSION, lambda d: d["trees"][0].update(nodes=5), "malformed model dump"),
         (REGRESSION, lambda d: d["trees"][0]["nodes"][0].update(split="x"), "malformed model dump"),
+        (REGRESSION, lambda d: d["in_bag"].pop(), "in_bag has shape"),
+        (REGRESSION, lambda d: d.update(in_bag=d["in_bag"][0]), "in_bag has shape"),
+        (REGRESSION, _negative_in_bag_count, "counts >= 0"),
+        (REGRESSION, _in_bag_row_not_summing_to_sample_size, "summing to sample_size 60"),
         (CLASSIFICATION, lambda d: d["trees"][0]["nodes"][0]["class_counts"].pop(), "class counts"),
         (CLASSIFICATION, _add_third_class_to_one_tree, "differs from the forest"),
     ],

@@ -53,8 +53,10 @@ def test_oob_predictions_are_unchanged(generator):
     d = getattr(synth, generator)(0)
     forest = train_forest(d, ForestConfig(n_trees=10, seed=11))
     h = hashlib.sha256()
-    for token in ROUTED:
-        s = oob_predict_all(forest, d, Heuristic(token), default_coins(forest))
+    policies = [Heuristic(token) for token in ROUTED]
+    sets = oob_predict_all(forest, d, policies, default_coins(forest))
+    for policy in policies:
+        s = sets[policy]
         for arr in (s.predictions, s.probabilities, s.oob_tree_counts, s.absent_tree_counts):
             if arr is not None:
                 h.update(arr.tobytes())
