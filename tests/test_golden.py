@@ -40,6 +40,20 @@ def test_forest_hash_is_unchanged(generator, onehot):
     assert forest_hash(forest) == GOLDEN[(generator, onehot)]
 
 
+# the shapes the benchmark trains: forests with more trees than the cases
+# above, so trees of very different sizes grow side by side for long
+GOLDEN_LARGE = {
+    ("bridge_multiclass", 40, 7): "114d4153da5002aa87dbf123647145a6444f141a8f1e06552a780d71dc35c165",
+    ("price_regression", 20, 11): "9880ba9b7bc42d2b1dafc2c7c9b266ef5d599c0cc1c0eb54d8777d4a7327e609",
+}
+
+
+@pytest.mark.parametrize("generator,n_trees,seed", sorted(GOLDEN_LARGE))
+def test_large_forest_hash_is_unchanged(generator, n_trees, seed):
+    forest = train_forest(getattr(synth, generator)(0), ForestConfig(n_trees=n_trees, seed=seed))
+    assert forest_hash(forest) == GOLDEN_LARGE[(generator, n_trees, seed)]
+
+
 GOLDEN_OOB = {
     "price_regression": "b9cf8f44b4fc658cd0dc3823e6c521f7ed20763a1d575b274c2b79d04194ae9c",
     "rollcall_binary": "2b892116dd6aa8f344db6ba4ee2888223c43a311db62d6d77f9bb73ce58f71f3",
