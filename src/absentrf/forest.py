@@ -31,7 +31,7 @@ from .data import (
 from .heuristics import Heuristic
 from .seeding import BOOTSTRAP, COIN, TREE, Coins, derive, stream
 from .splits import CategoricalRule, OrderedRule
-from .tree import GrowConfig, Tree, grow_tree, structure_hash, tree_from_dict, tree_to_dict
+from .tree import GrowConfig, Tree, grow_trees, structure_hash, tree_from_dict, tree_to_dict
 
 FOREST_FORMAT = "absentrf-forest"
 FOREST_FORMAT_VERSION = 1
@@ -100,11 +100,11 @@ def _init_worker(dataset: Dataset, grow_cfg: GrowConfig) -> None:
     _WORKER_GROW = grow_cfg
 
 
-def _grow_task(args: tuple[int, int, np.ndarray]) -> Tree:
-    tree_id, seed, counts = args
-    rows = np.repeat(np.arange(counts.size), counts)
-    rng = np.random.default_rng(seed)
-    return grow_tree(_WORKER_DATASET, rows, _WORKER_GROW, rng, tree_id=tree_id)
+def _grow_task(chunk: list[tuple[int, int, np.ndarray]]) -> list[Tree]:
+    """Grow a chunk of (tree id, growth seed, bootstrap counts) in lock step."""
+    samples = [np.repeat(np.arange(counts.size), counts) for _, _, counts in chunk]
+    rngs = [np.random.default_rng(seed) for _, seed, _ in chunk]
+    return grow_trees(_WORKER_DATASET, samples, _WORKER_GROW, rngs, [b for b, _, _ in chunk])
 
 
 def train_forest(dataset: Dataset, config: ForestConfig, workers: int = 1) -> Forest:
@@ -132,12 +132,14 @@ def train_forest(dataset: Dataset, config: ForestConfig, workers: int = 1) -> Fo
 
     if workers <= 1:
         _init_worker(dataset, grow_cfg)
-        trees = [_grow_task(t) for t in tasks]
+        trees = _grow_task(tasks)
     else:
+        size = -(-len(tasks) // workers)  # one contiguous chunk of trees per worker
+        chunks = [tasks[k : k + size] for k in range(0, len(tasks), size)]
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(dataset, grow_cfg)
         ) as pool:
-            trees = list(pool.map(_grow_task, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
+            trees = [tree for grown in pool.map(_grow_task, chunks) for tree in grown]
 
     return Forest(
         trees=trees,
@@ -483,9 +485,18 @@ def forest_from_dict(obj: dict) -> Forest:
 
 
 def save_forest(forest: Forest, path) -> None:
+    """Write :func:`forest_to_dict` as sorted, compact JSON.  The header
+    and then each tree go through the C encoder one at a time, which
+    ``json.dump`` never uses, without holding the whole text in memory;
+    ``"trees"`` sorts last, so the bytes equal ``json.dump``'s."""
+    obj = forest_to_dict(forest)
+    trees = obj.pop("trees")
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(forest_to_dict(forest), fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(encode(obj)[:-1] + ',"trees":[')
+        for i, tree in enumerate(trees):
+            fh.write(("," if i else "") + encode(tree))
+        fh.write("]}\n")
 
 
 def load_forest(path) -> Forest:

@@ -191,6 +191,50 @@ def _masked_gini_objective(
     return obj, ln, rn
 
 
+def _sum_in_row_order(terms: list[np.ndarray]) -> np.ndarray:
+    """Elementwise sum of ``terms`` in the order ndarray.sum adds a row of
+    ``len(terms)`` values (see :func:`_row_sums`): from 0.0, pairwise."""
+
+    def pairwise(ts):
+        n = len(ts)
+        if n < 8:
+            res = 0.0
+            for t in ts:
+                res = res + t
+            return res
+        if n > 128:
+            half = n // 2 - n // 2 % 8
+            return pairwise(ts[:half]) + pairwise(ts[half:])
+        r = list(ts[:8])
+        for i in range(8, n - n % 8):
+            r[i % 8] = r[i % 8] + ts[i]
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for t in ts[n - n % 8 :]:
+            res = res + t
+        return res
+
+    return 0.0 + pairwise(terms)
+
+
+def _class_major_gini_objective(
+    bits: np.ndarray, level_class_counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_masked_gini_objective`, bit for bit, on float64 counts
+    from one BLAS product, laid out class by class.  Counts are integers
+    far below 2**53, so the product is exact; the squared shares are
+    added over classes in the order of the row sums there."""
+    cc = level_class_counts.astype(np.float64)
+    lc = cc.T @ bits.astype(np.float64).T  # (K, M)
+    rc = cc.sum(axis=0)[:, None] - lc
+    ln, rn = lc.sum(axis=0), rc.sum(axis=0)
+    valid = (ln > 0) & (rn > 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gl = 1.0 - _sum_in_row_order([(row / ln) ** 2 for row in lc])
+        gr = 1.0 - _sum_in_row_order([(row / rn) ** 2 for row in rc])
+        obj = (ln * gl + rn * gr) / float(cc.sum())
+    return np.where(valid, obj, np.inf), ln, rn
+
+
 def _mother_arrays(dataset: Dataset, rows, predictor: int) -> tuple[np.ndarray, np.ndarray]:
     rows = np.asarray(rows, dtype=np.int64)
     if rows.size == 0:
@@ -419,6 +463,289 @@ def emulate_zero_imputed_routing(table: GammaTable, pseudo_split: float) -> dict
 
 
 # ---------------------------------------------------------------------------
+# batched scans over the (node, predictor) pairs of many nodes
+#
+# Both batched scans equal their per-node kernel bit for bit.  The rows
+# of the nodes are right-padded to a common width, and padded cells sort
+# or bin after every real one.  Prefix sums along a row are exact under
+# padding; a row's full sum is not, since ndarray.sum adds pairwise, so
+# :func:`_row_sums` reproduces that order.
+
+# at most this many padded cells per batch, to bound memory on large nodes
+_BATCH_CELLS = 1 << 18
+# padding worth one more batch's fixed numpy cost, in cells
+_BATCH_OVERHEAD = 4096
+
+
+class ColumnTable:
+    """A dataset laid out for batched scans: its numeric columns as rows of
+    one float matrix and its categorical columns as rows of one int matrix
+    (predictor ``p`` is row ``row[p]`` of its kind's matrix), each row
+    ending in one padding cell.  The padding reads as NaN in a numeric
+    column, as level 0 in a categorical one, and as 0 in ``response``."""
+
+    def __init__(self, dataset: Dataset):
+        if dataset.y is None:
+            raise ValueError("dataset has no response")
+        self.dataset = dataset
+        self.numeric = np.array([spec.kind == NUMERIC for spec in dataset.schema], dtype=bool)
+        self.n_levels = np.array([spec.n_levels for spec in dataset.schema], dtype=np.int64)
+        self.row = np.zeros(dataset.n_predictors, dtype=np.int64)
+        mats = []
+        for numeric, pad in ((True, np.nan), (False, 0)):
+            ps = np.flatnonzero(self.numeric == numeric)
+            self.row[ps] = np.arange(ps.size)
+            mat = np.full((ps.size, dataset.n_rows + 1), pad)
+            for k, p in enumerate(ps.tolist()):
+                mat[k, :-1] = dataset.columns[p]
+            mats.append(mat)
+        self.values, self.levels = mats
+        self.response = np.append(dataset.y, dataset.y.dtype.type(0))
+
+    def check(self, pred: np.ndarray, numeric: bool) -> None:
+        wrong = np.flatnonzero(self.numeric[pred] != numeric)
+        if wrong.size:
+            name = self.dataset.schema[int(pred[wrong[0]])].name
+            raise ValueError(f"column {name!r} is not {'ordered' if numeric else 'categorical'}")
+
+
+class NodeBlock:
+    """The row multisets of several nodes, right-padded into one matrix.
+
+    ``rows[i, :sizes[i]]`` are node ``i``'s rows in order, padded with the
+    table's padding cell, so ``y[i]`` is node ``i``'s response followed by
+    zeros.
+    """
+
+    def __init__(self, table: ColumnTable, nodes):
+        nodes = [np.asarray(r, dtype=np.int64) for r in nodes]
+        self.table = table
+        self.sizes = np.array([r.size for r in nodes], dtype=np.int64)
+        if not nodes or (self.sizes == 0).any():
+            raise ValueError("empty mother node")
+        self.flat = np.concatenate(nodes)
+        self.rows = np.full((len(nodes), int(self.sizes.max())), table.dataset.n_rows)
+        self.rows[np.arange(self.rows.shape[1]) < self.sizes[:, None]] = self.flat
+        self.y = table.response[self.rows]
+
+
+def _row_sums(mat: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``mat[i, :lengths[i]].sum()`` for every row ``i``, bit for bit, where
+    every entry past a row's length is 0.0.
+
+    ndarray.sum adds a run of float64 values to 0.0 pairwise: a run of up
+    to 128 values in 8 interleaved lanes of its full blocks of 8, the
+    lanes as ((0+1)+(2+3))+((4+5)+(6+7)), then the leftover values one by
+    one.  A zero added after the last value can only turn -0.0 into 0.0,
+    as the final 0.0 + does anyway.  Longer runs, which numpy splits in
+    two, are left to numpy, grouped by length.
+    """
+    out = np.empty(lengths.size)
+    small = slice(None)
+    big = lengths > 128
+    if big.any():
+        for length in set(lengths[big].tolist()):
+            same = lengths == length
+            out[same] = mat[same, :length].sum(axis=1)
+        small = np.flatnonzero(~big)
+        mat, lengths = mat[small], lengths[small]
+        if not small.size:
+            return out
+    m = lengths.size
+    lanes = lengths // 8
+    k = max(int(lanes.max()), 1)
+    vals = np.zeros((m, 8 * k + 8))
+    w = min(mat.shape[1], 8 * k + 8)
+    vals[:, :w] = mat[:, :w]
+    at = np.arange(m)
+    r = vals[:, : 8 * k].reshape(m, k, 8).cumsum(axis=1)[at, lanes - 1]
+    r[lanes == 0] = 0.0
+    r = r[:, 0::2] + r[:, 1::2]
+    r = r[:, 0::2] + r[:, 1::2]
+    # the lanes' total, then the leftover values in order
+    tail = vals[at[:, None], 8 * lanes[:, None] + np.arange(-1, 7)]
+    tail[:, 0] = r[:, 0] + r[:, 1]
+    out[small] = 0.0 + tail.cumsum(axis=1)[:, -1]
+    return out
+
+
+def _batches(widths: np.ndarray, depth: int = 1):
+    """Index arrays covering every pair, widest first.  A batch is as wide
+    as its widest pair; it ends where the padding it would give the pairs
+    left outweighs the cost of one more batch, or at ``_BATCH_CELLS``
+    cells of ``depth`` values (a single pair may exceed that)."""
+    order = np.argsort(-widths, kind="stable")
+    w = widths[order] * depth
+    start = 0
+    while start < order.size:
+        stop = min(order.size, start + max(1, _BATCH_CELLS // int(w[start])))
+        at = np.arange(start + 1, stop)
+        over = np.flatnonzero((w[start] - w[at]) * (order.size - at) > _BATCH_OVERHEAD)
+        if over.size:
+            stop = int(at[over[0]])
+        yield order[start:stop]
+        start = stop
+
+
+def ordered_split_batch(block: NodeBlock, node: np.ndarray, pred: np.ndarray):
+    """Best threshold split of every (node, ordered predictor) pair.
+
+    Pair ``j`` is node ``node[j]`` of ``block`` and predictor ``pred[j]``.
+    Returns the best objective of each pair, whether the pair has a split
+    at all, and a function that builds pair ``j``'s
+    :class:`CandidateSplit`.  They equal :func:`best_ordered_splits` on
+    that node and predictor bit for bit.
+    """
+    table = block.table
+    dataset = table.dataset
+    table.check(pred, numeric=True)
+    m = node.size
+    n_all = block.sizes[node]
+    impurity, threshold = np.empty(m), np.empty(m)
+    left, found = np.empty(m, dtype=np.int64), np.empty(m, dtype=bool)
+    k_classes = dataset.response.n_classes if dataset.task == CLASSIFICATION else 1
+    for idx in _batches(n_all, k_classes):
+        n = n_all[idx]
+        rows = block.rows[node[idx], : int(n[0])]
+        at = np.arange(idx.size)
+        xs = table.values[table.row[pred[idx]][:, None], rows]
+        # stable: the NaN padding stays behind every value, NaN included
+        order = xs.argsort(axis=1, kind="stable")
+        xs = xs[at[:, None], order]
+        ys = table.response[rows[at[:, None], order]]
+        last = n - 1
+        r, c = (xs[:, :-1] != xs[:, 1:]).nonzero()
+        keep = c < last[r]
+        r, c = r[keep], c[keep]
+        nl = c + 1.0
+        nr = n[r] - nl
+        if dataset.task == REGRESSION:
+            yc = ys - (_row_sums(ys, n) / n)[:, None]
+            cs = yc.cumsum(axis=1)
+            css = (yc * yc).cumsum(axis=1)
+            sl, ssl = cs[r, c], css[r, c]
+            st, sst = cs[r, last[r]], css[r, last[r]]
+            sse_l = ssl - sl * sl / nl
+            sse_r = (sst - ssl) - (st - sl) ** 2 / nr
+            obj = np.maximum(sse_l, 0.0) + np.maximum(sse_r, 0.0)
+        else:
+            classes = np.arange(1, k_classes + 1)
+            cum = (ys[:, None, :] == classes[:, None]).cumsum(axis=2)
+            lc = cum[r, :, c].astype(np.float64)
+            rc = cum[r, :, last[r]].astype(np.float64) - lc
+            gl = 1.0 - ((lc / nl[:, None]) ** 2).sum(axis=1)
+            gr = 1.0 - ((rc / nr[:, None]) ** 2).sum(axis=1)
+            obj = (nl * gl + nr * gr) / n[r]
+        full = np.full(xs.shape, np.inf)
+        full[r, c] = obj
+        best = full.argmin(axis=1)
+        impurity[idx], threshold[idx], left[idx] = full[at, best], xs[at, best], best + 1
+        found[idx] = (n > 1) & (xs[at, 0] != xs[at, last])
+
+    def build(j: int) -> CandidateSplit:
+        k = int(left[j])
+        rule = OrderedRule(float(threshold[j]))
+        return CandidateSplit(int(pred[j]), rule, float(impurity[j]), k, int(n_all[j]) - k)
+
+    return impurity, found, build
+
+
+def pseudo_value_batch(block: NodeBlock, node: np.ndarray, pred: np.ndarray):
+    """Pseudo-value search of every (node, categorical predictor) pair.
+
+    Arguments and results as for :func:`ordered_split_batch`; they equal
+    :func:`pseudo_value_search` on that node and predictor bit for bit.
+    """
+    table = block.table
+    dataset = table.dataset
+    table.check(pred, numeric=False)
+    regression = dataset.task == REGRESSION
+    if not regression and dataset.response.n_classes != 2:
+        raise ValueError("pseudo values are undefined for more than two classes")
+    m = node.size
+    n_all, q_all = block.sizes[node], table.n_levels[pred]
+    impurity, found = np.empty(m), np.zeros(m, dtype=bool)
+    where: list = [None] * m
+    for idx in _batches(q_all + 1):
+        nb, width = idx.size, int(q_all[idx[0]]) + 1
+        n = n_all[idx]
+        rows = block.rows[node[idx], : int(n.max())]
+        y = block.y[node[idx], : rows.shape[1]]
+        # bin (pair, level) of every cell, the padding in level 0; bincount
+        # adds in row order, as the per-node kernel does
+        bins = (table.levels[table.row[pred[idx]][:, None], rows] + (np.arange(nb) * width)[:, None]).ravel()
+
+        def per_level(weights=None, sel=None):
+            b = bins if sel is None else bins[sel]
+            return np.bincount(b, weights=weights, minlength=nb * width).reshape(nb, width)[:, 1:]
+
+        counts = per_level()
+        present = counts > 0
+        if regression:
+            sums = per_level(weights=y.ravel())
+        else:
+            sums = per_level(sel=y.ravel() == 1).astype(np.float64)
+        gam = np.divide(sums, counts, out=np.zeros(sums.shape), where=present)
+        # present levels first, by pseudo value, ties in level order
+        order = np.lexsort((gam, ~present), axis=-1)
+        at = np.arange(nb)[:, None]
+        gs = gam[at, order]
+        n_lvl = present.sum(axis=1)
+        r, c = (gs[:, :-1] != gs[:, 1:]).nonzero()
+        keep = c < n_lvl[r] - 1
+        r, c = r[keep], c[keep]
+        nl = counts[at, order].cumsum(axis=1)
+        nlc = nl[r, c].astype(np.float64)
+        nrc = n[r] - nlc
+        if regression:
+            yc = (y - (_row_sums(y, n) / n)[:, None]).ravel()  # the node mean
+            s_lvl = per_level(weights=yc)[at, order]
+            ss_lvl = per_level(weights=yc * yc)[at, order]
+            cs, css = s_lvl.cumsum(axis=1), ss_lvl.cumsum(axis=1)
+            sl, ssl = cs[r, c], css[r, c]
+            totals = _row_sums(np.concatenate([s_lvl, ss_lvl]), np.concatenate([n_lvl, n_lvl]))
+            st, sst = totals[:nb][r], totals[nb:][r]
+            sse_l = ssl - sl * sl / nlc
+            sse_r = (sst - ssl) - (st - sl) ** 2 / nrc
+            obj = np.maximum(sse_l, 0.0) + np.maximum(sse_r, 0.0)
+        else:
+            cum = [per_level(sel=y.ravel() == k)[at, order].cumsum(axis=1) for k in (1, 2)]
+            lc = np.stack([cum_k[r, c] for cum_k in cum], axis=1).astype(np.float64)
+            rc = np.stack([cum_k[r, n_lvl[r] - 1] for cum_k in cum], axis=1).astype(np.float64) - lc
+            gl = 1.0 - ((lc / nlc[:, None]) ** 2).sum(axis=1)
+            gr = 1.0 - ((rc / nrc[:, None]) ** 2).sum(axis=1)
+            obj = (nlc * gl + nrc * gr) / n[r]
+        full = np.full(gs.shape, np.inf)
+        full[r, c] = obj
+        best = full.argmin(axis=1)
+        impurity[idx] = full[at[:, 0], best]
+        found[idx[r]] = True
+        batch = (gam, present, order, gs, nl)
+        for a, j in enumerate(idx.tolist()):
+            where[j] = (batch, a, int(best[a]))
+
+    def build(j: int) -> CandidateSplit:
+        (gam, present, order, gs, nl), a, c = where[j]
+        levels = np.flatnonzero(present[a]) + 1
+        left = frozenset((order[a, : c + 1] + 1).tolist())
+        bitmask = 0
+        for q_ in left:
+            bitmask |= 1 << (q_ - 1)
+        rule = CategoricalRule(
+            left_levels=left,
+            present=frozenset(levels.tolist()),
+            absent=frozenset(range(1, int(q_all[j]) + 1)) - frozenset(levels.tolist()),
+            bitmask=bitmask,
+            pseudo_split=float(gs[a, c]),
+            gamma=tuple(zip(levels.tolist(), gam[a, levels - 1].tolist())),
+        )
+        n_left = int(nl[a, c])
+        return CandidateSplit(int(pred[j]), rule, float(impurity[j]), n_left, int(n_all[j]) - n_left)
+
+    return impurity, found, build
+
+
+# ---------------------------------------------------------------------------
 # categorical predictors: bitmask routes
 
 
@@ -526,7 +853,9 @@ def random_categorical_split(
     k = dataset.response.n_classes
     bits = random_bitmasks(rng, n_candidates, q)
     lvl_cc = _level_class_counts(x, y, q, k)
-    obj, ln, rn = _masked_gini_objective(bits, lvl_cc)
+    # absent levels hold no rows, so their bits change no candidate's score
+    present = np.flatnonzero(lvl_cc.sum(axis=1))
+    obj, ln, rn = _class_major_gini_objective(bits[:, present], lvl_cc[present])
     i = int(np.argmin(obj))
     if not np.isfinite(obj[i]):
         return None

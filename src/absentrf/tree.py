@@ -28,12 +28,14 @@ from .data import CATEGORICAL, CLASSIFICATION, NUMERIC, REGRESSION, Dataset
 from .heuristics import Heuristic, RoutingContext, resolve
 from .seeding import Coins
 from .splits import (
-    CandidateSplit,
     CategoricalRule,
+    ColumnTable,
+    NodeBlock,
     OrderedRule,
-    best_ordered_splits,
+    _row_sums,
     exhaustive_categorical_split,
-    pseudo_value_search,
+    ordered_split_batch,
+    pseudo_value_batch,
     random_categorical_split,
 )
 
@@ -110,47 +112,78 @@ class Tree:
         return self.nodes[0]
 
 
-def _stats_for(y: np.ndarray, task: str, n_classes: int) -> NodeStats:
-    if task == REGRESSION:
-        return NodeStats(size=int(y.size), mean=float(y.mean()))
-    counts = np.bincount(y, minlength=n_classes + 1)[1:]
-    return NodeStats(size=int(y.size), class_counts=tuple(int(c) for c in counts))
+def _node_stats(block: NodeBlock) -> tuple[list[NodeStats], list[bool]]:
+    """Stats of every node of ``block``, and whether each is pure (one
+    class, or one response value)."""
+    dataset, sizes = block.table.dataset, block.sizes
+    if dataset.task == REGRESSION:
+        means = (_row_sums(block.y, sizes) / sizes).tolist()  # each node's ndarray.mean
+        y = dataset.y[block.flat]
+        starts = np.cumsum(sizes) - sizes
+        pure = np.minimum.reduceat(y, starts) == np.maximum.reduceat(y, starts)
+        stats = [NodeStats(size=s, mean=mu) for s, mu in zip(sizes.tolist(), means)]
+        return stats, pure.tolist()
+    k = dataset.response.n_classes
+    bins = block.y + (np.arange(sizes.size) * (k + 1))[:, None]  # padding in class 0
+    counts = np.bincount(bins.ravel(), minlength=sizes.size * (k + 1)).reshape(-1, k + 1)[:, 1:]
+    stats = [NodeStats(size=s, class_counts=tuple(c)) for s, c in zip(sizes.tolist(), counts.tolist())]
+    return stats, (counts.max(axis=1) == sizes).tolist()
 
 
-def _is_pure(y: np.ndarray) -> bool:
-    # one class, or zero regression variance
-    return bool(np.all(y == y[0]))
+# the split search of a predictor, by column kind, task and cardinality
+ORDERED, PSEUDO, EXHAUSTIVE, RANDOM = range(4)
 
 
-def _search_predictor(
-    dataset: Dataset, rows: np.ndarray, predictor: int, cfg: GrowConfig, rng: np.random.Generator
-) -> CandidateSplit | None:
-    """Best split of one categorical predictor by the task's method."""
-    q = dataset.schema[predictor].n_levels
-    if cfg.task == REGRESSION:
-        return pseudo_value_search(dataset, rows, predictor)
-    if dataset.response.n_classes == 2:
-        if q <= cfg.exhaustive_max_q_binary:
-            return exhaustive_categorical_split(dataset, rows, predictor, cfg.exhaustive_max_q_binary)
-        return pseudo_value_search(dataset, rows, predictor)
-    if q <= cfg.exhaustive_max_q_multiclass:
-        return exhaustive_categorical_split(dataset, rows, predictor, cfg.exhaustive_max_q_multiclass)
-    return random_categorical_split(dataset, rows, predictor, rng, cfg.random_candidates)
+def _search_kinds(dataset: Dataset, cfg: GrowConfig) -> np.ndarray:
+    """The split search of each predictor: ordered for numeric ones, and
+    the task's method for categorical ones (see the module notes)."""
+    kinds = []
+    for spec in dataset.schema:
+        if spec.kind == NUMERIC:
+            kinds.append(ORDERED)
+        elif cfg.task == REGRESSION:
+            kinds.append(PSEUDO)
+        elif dataset.response.n_classes == 2:
+            kinds.append(EXHAUSTIVE if spec.n_levels <= cfg.exhaustive_max_q_binary else PSEUDO)
+        else:
+            kinds.append(EXHAUSTIVE if spec.n_levels <= cfg.exhaustive_max_q_multiclass else RANDOM)
+    return np.array(kinds)
 
 
-def grow_tree(
-    dataset: Dataset, rows, cfg: GrowConfig, rng: np.random.Generator, tree_id: int = 0
-) -> Tree:
-    """Grow one tree on a row multiset (indices may repeat; repeats count).
+def _first_best(impurity: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """Per row, the column that scanning left to right keeps when a valid
+    candidate replaces the incumbent only if strictly lower: the first
+    minimum, or the first valid candidate if that is NaN (nothing is
+    lower than NaN, and NaN is lower than nothing)."""
+    first = valid.argmax(axis=1)
+    rows = np.arange(len(first))
+    usable = valid & ~np.isnan(impurity)
+    low = np.where(usable, impurity, np.inf).min(axis=1)
+    best = (usable & (impurity == low[:, None])).argmax(axis=1)
+    return np.where(np.isnan(impurity[rows, first]), first, best)
+
+
+def grow_trees(
+    dataset: Dataset, samples, cfg: GrowConfig, rngs, tree_ids=None
+) -> list[Tree]:
+    """Grow one tree per row multiset of ``samples`` (indices may repeat;
+    repeats count), tree ``b`` drawing from ``rngs[b]``.
 
     A node is split while it holds more rows than ``min_node_size``, is
     impure, and at least one of ``mtry`` predictors sampled without
     replacement yields a valid split; the best candidate wins with ties
     resolved in favour of the earliest sampled predictor.  Nodes are
     numbered in preorder (left subtree before right).
+
+    The trees grow in lock step, each from its own depth-first stack:
+    every step takes the next node of every tree still growing, and
+    scores all their (node, predictor) pairs of the ordered and the
+    pseudo-value searches in one batched call each.  The bitmask
+    searches run per node in sampled order, so each tree consumes its rng
+    exactly as if it were grown alone.
     """
-    rows = np.asarray(rows, dtype=np.int64)
-    if rows.size == 0:
+    samples = [np.asarray(rows, dtype=np.int64) for rows in samples]
+    if any(rows.size == 0 for rows in samples):
         raise ValueError("cannot grow a tree on an empty row multiset")
     if cfg.task != dataset.task:
         raise ValueError(f"config task {cfg.task!r} does not match dataset task {dataset.task!r}")
@@ -160,54 +193,90 @@ def grow_tree(
     if dataset.y is None:
         raise ValueError("dataset has no response")
     n_classes = dataset.response.n_classes
-    tree = Tree(task=cfg.task, n_classes=n_classes, tree_id=tree_id)
+    tree_ids = range(len(samples)) if tree_ids is None else tree_ids
+    trees = [Tree(task=cfg.task, n_classes=n_classes, tree_id=b) for b in tree_ids]
+    table = ColumnTable(dataset)
+    kinds = _search_kinds(dataset, cfg)
+    limit = cfg.exhaustive_max_q_binary if n_classes == 2 else cfg.exhaustive_max_q_multiclass
 
-    # explicit stack (right child pushed first) gives preorder ids
+    # explicit stacks (right child pushed first) give preorder ids
     # without recursion-depth limits on deep, min-node-size-1 trees
-    stack: list[tuple[np.ndarray, int | None, str]] = [(rows, None, "")]
-    while stack:
-        node_rows, parent, side = stack.pop()
-        y = dataset.y[node_rows]
-        node = Node(id=len(tree.nodes), stats=_stats_for(y, cfg.task, n_classes))
-        tree.nodes.append(node)
-        if parent is not None:
-            if side == "L":
-                tree.nodes[parent].left = node.id
-            else:
-                tree.nodes[parent].right = node.id
-
-        if node.stats.size <= cfg.min_node_size or _is_pure(y):
-            continue
-        sampled = rng.choice(p, size=cfg.mtry, replace=False).tolist()
-        # ordered predictors are scored together; categorical ones are
-        # searched in sampled order, keeping the random search's rng stream
-        numeric = [j for j in sampled if dataset.schema[j].kind == NUMERIC]
-        ordered = dict(zip(numeric, best_ordered_splits(dataset, node_rows, numeric)))
-        best: CandidateSplit | None = None
-        for predictor in sampled:
-            if predictor in ordered:
-                cand = ordered[predictor]
-            else:
-                cand = _search_predictor(dataset, node_rows, predictor, cfg, rng)
-            if cand is not None and (best is None or cand.impurity < best.impurity):
-                best = cand
-        if best is None:
+    stacks: list[list[tuple[np.ndarray, int | None, str]]] = [[(rows, None, "")] for rows in samples]
+    while any(stacks):
+        popped = [(tree, rng, stack, *stack.pop()) for tree, rng, stack in zip(trees, rngs, stacks) if stack]
+        block = NodeBlock(table, [entry[3] for entry in popped])
+        step = []  # (block index, stack, rng, node, rows) of every node to split
+        sampled = []
+        for i, ((tree, rng, stack, node_rows, parent, side), stats, pure) in enumerate(
+            zip(popped, *_node_stats(block))
+        ):
+            node = Node(id=len(tree.nodes), stats=stats)
+            tree.nodes.append(node)
+            if parent is not None:
+                if side == "L":
+                    tree.nodes[parent].left = node.id
+                else:
+                    tree.nodes[parent].right = node.id
+            if stats.size > cfg.min_node_size and not pure:
+                sampled.append(rng.choice(p, size=cfg.mtry, replace=False))
+                step.append((i, stack, rng, node, node_rows))
+        if not step:
             continue
 
-        node.predictor = best.predictor
-        node.rule = best.rule
-        node.left_size = best.left_size
-        node.right_size = best.right_size
-        x = dataset.columns[best.predictor][node_rows]
-        if isinstance(best.rule, OrderedRule):
-            mask = x <= best.rule.threshold
-        else:
-            lut = np.zeros(dataset.schema[best.predictor].n_levels + 1, dtype=bool)
-            lut[list(best.rule.left_levels)] = True
-            mask = lut[x]
-        stack.append((node_rows[~mask], node.id, "R"))
-        stack.append((node_rows[mask], node.id, "L"))
-    return tree
+        # every candidate of the step: row = node, column = sampling rank
+        sampled = np.array(sampled)
+        kind = kinds[sampled]
+        impurity = np.full(sampled.shape, np.nan)
+        valid = np.zeros(sampled.shape, dtype=bool)
+        pair = np.zeros(sampled.shape, dtype=np.int64)  # index into its scan
+        at = np.array([entry[0] for entry in step])
+        scans = {}
+        for search, scan in ((ORDERED, ordered_split_batch), (PSEUDO, pseudo_value_batch)):
+            r, c = (kind == search).nonzero()
+            if r.size:
+                impurity[r, c], valid[r, c], scans[search] = scan(block, at[r], sampled[r, c])
+                pair[r, c] = np.arange(r.size)
+        per_node = {}
+        for r, c in zip(*(kind >= EXHAUSTIVE).nonzero()):  # per node, in sampled order
+            _, _, rng, _, node_rows = step[r]
+            predictor = int(sampled[r, c])
+            if kind[r, c] == EXHAUSTIVE:
+                cand = exhaustive_categorical_split(dataset, node_rows, predictor, limit)
+            else:
+                cand = random_categorical_split(dataset, node_rows, predictor, rng, cfg.random_candidates)
+            if cand is not None:
+                impurity[r, c], valid[r, c], per_node[r, c] = cand.impurity, True, cand
+
+        has = valid.any(axis=1).tolist()
+        for r, c in enumerate(_first_best(impurity, valid).tolist()):
+            if not has[r]:
+                continue
+            _, stack, _, node, node_rows = step[r]
+            if kind[r, c] >= EXHAUSTIVE:
+                best = per_node[r, c]
+            else:  # only a winner of a batched scan is built into a split
+                best = scans[kind[r, c]](int(pair[r, c]))
+            node.predictor = best.predictor
+            node.rule = best.rule
+            node.left_size = best.left_size
+            node.right_size = best.right_size
+            x = dataset.columns[best.predictor][node_rows]
+            if isinstance(best.rule, OrderedRule):
+                mask = x <= best.rule.threshold
+            else:
+                lut = np.zeros(dataset.schema[best.predictor].n_levels + 1, dtype=bool)
+                lut[list(best.rule.left_levels)] = True
+                mask = lut[x]
+            stack.append((node_rows[~mask], node.id, "R"))
+            stack.append((node_rows[mask], node.id, "L"))
+    return trees
+
+
+def grow_tree(
+    dataset: Dataset, rows, cfg: GrowConfig, rng: np.random.Generator, tree_id: int = 0
+) -> Tree:
+    """Grow one tree on a row multiset; :func:`grow_trees` with one tree."""
+    return grow_trees(dataset, [rows], cfg, [rng], [tree_id])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +427,11 @@ def tree_from_dict(obj: dict) -> Tree:
 
     Raises ValueError unless the node ids run 0..n-1 in order, every
     child id lies strictly between its parent's id and n (preorder, so
-    routing cannot loop), classification nodes count every class, and
-    each categorical split keeps its present and absent levels apart and
-    sends only present levels left.  A missing key or a wrong type
+    routing cannot loop), every split's daughter sizes are at least 1 and
+    equal its children's sizes (the majority, random and DBI policies read
+    them), classification nodes count every class, and each categorical
+    split keeps its present and absent levels apart and sends only present
+    levels left.  A missing key or a wrong type
     surfaces as KeyError or TypeError; :func:`forest_from_dict` turns
     those into ValueError too.
     """
@@ -423,6 +494,18 @@ def tree_from_dict(obj: dict) -> Tree:
                     f"tree {tree.tree_id} node {node.id}: unknown split kind {split['kind']!r}"
                 )
         tree.nodes.append(node)
+    for node in tree.nodes:
+        if node.is_leaf:
+            continue
+        for side, size, child in (("left", node.left_size, node.left), ("right", node.right_size, node.right)):
+            where = f"tree {tree.tree_id} node {node.id}"
+            if size < 1:
+                raise ValueError(f"{where}: {side}_size {size} is below 1")
+            if size != tree.nodes[child].stats.size:
+                raise ValueError(
+                    f"{where}: {side}_size {size} differs from the size "
+                    f"{tree.nodes[child].stats.size} of child {child}"
+                )
     return tree
 
 

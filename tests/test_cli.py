@@ -247,6 +247,11 @@ def _predictor_outside_schema(dump):
     split["predictor"] = 99
 
 
+def _zero_daughter_sizes(dump):
+    split = next(n["split"] for n in dump["trees"][0]["nodes"] if n["split"])
+    split["left_size"] = split["right_size"] = 0
+
+
 def _in_bag_missing_a_tree(dump):
     dump["in_bag"].pop()
 
@@ -259,6 +264,7 @@ def _in_bag_missing_a_tree(dump):
         (_children_point_at_root, "child id 0"),
         (_node_without_size, "missing key 'size'"),
         (_predictor_outside_schema, "predictor 99"),
+        (_zero_daughter_sizes, "left_size 0 is below 1"),
     ],
 )
 def test_predict_rejects_malformed_model_dump(trained, tmp_path, capsys, corrupt, message):

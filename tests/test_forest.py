@@ -1,4 +1,6 @@
 """Forest training, out-of-bag prediction, and persistence."""
+import json
+
 import numpy as np
 import pytest
 
@@ -137,10 +139,11 @@ def test_training_is_deterministic():
 
 
 def test_worker_count_does_not_change_the_forest():
-    _, serial = small_forest(seed=11, workers=1)
-    _, parallel = small_forest(seed=11, workers=3)
-    assert forest_tree_hashes(serial) == forest_tree_hashes(parallel)
-    assert np.array_equal(serial.in_bag, parallel.in_bag)
+    for task, workers in ((REGRESSION, 3), (CLASSIFICATION, 2)):
+        _, serial = small_forest(task, seed=11, workers=1)
+        _, parallel = small_forest(task, seed=11, workers=workers)
+        assert forest_tree_hashes(serial) == forest_tree_hashes(parallel)
+        assert np.array_equal(serial.in_bag, parallel.in_bag)
 
 
 def test_trees_have_distinct_bootstraps():
@@ -272,6 +275,8 @@ def test_save_load_round_trip(tmp_path):
         ds, forest = small_forest(task=task)
         path = tmp_path / f"{task}.forest.json"
         save_forest(forest, path)
+        dump = json.dumps(forest_to_dict(forest), sort_keys=True, separators=(",", ":")) + "\n"
+        assert path.read_text(encoding="utf-8") == dump
         back = load_forest(path)
         assert isinstance(back, Forest)
         assert forest_hash(back) == forest_hash(forest)
@@ -318,6 +323,15 @@ def _in_bag_row_not_summing_to_sample_size(d):
     d["in_bag"][3][0] += 1
 
 
+def _zero_daughter_sizes(d):
+    first_split(d, "categorical").update(left_size=0, right_size=0)
+
+
+def _left_size_off_by_one(d):
+    split = first_split(d, "ordered")
+    split.update(left_size=split["left_size"] + 1, right_size=split["right_size"] - 1)
+
+
 def _add_third_class_to_one_tree(d):
     tree = d["trees"][1]
     tree["n_classes"] = 3
@@ -344,6 +358,8 @@ def _add_third_class_to_one_tree(d):
         (REGRESSION, _in_bag_row_not_summing_to_sample_size, "summing to sample_size 60"),
         (CLASSIFICATION, lambda d: d["trees"][0]["nodes"][0]["class_counts"].pop(), "class counts"),
         (CLASSIFICATION, _add_third_class_to_one_tree, "differs from the forest"),
+        (REGRESSION, _zero_daughter_sizes, "left_size 0 is below 1"),
+        (CLASSIFICATION, _left_size_off_by_one, "differs from the size"),
     ],
 )
 def test_forest_from_dict_rejects_malformed_dumps(task, corrupt, message):

@@ -26,6 +26,8 @@ from absentrf.splits import (
     RIGHT,
     CandidateSplit,
     CategoricalRule,
+    ColumnTable,
+    NodeBlock,
     OrderedRule,
     best_ordered_split,
     best_ordered_splits,
@@ -36,11 +38,19 @@ from absentrf.splits import (
     gamma_table,
     gini,
     node_mean,
+    ordered_split_batch,
+    pseudo_value_batch,
     pseudo_value_search,
     pseudo_value_split,
     random_bitmasks,
     random_categorical_split,
     split_objective,
+)
+from absentrf.splits import (
+    _class_major_gini_objective,
+    _masked_gini_objective,
+    _row_sums,
+    _sum_in_row_order,
 )
 
 # ---------------------------------------------------------------------------
@@ -259,6 +269,125 @@ def test_batched_ordered_splits_rejects_categorical():
     ds = cat_dataset([1, 2, 1], [0.0, 1.0, 2.0], 2, REGRESSION)
     with pytest.raises(ValueError, match="not ordered"):
         best_ordered_splits(ds, np.arange(3), [0])
+
+
+# ---------------------------------------------------------------------------
+# batched scans over many nodes vs the per-node kernels
+
+
+def batch_instance(seed, task, k=2):
+    """A dataset with numeric and categorical columns of every shape the
+    scans branch on, and nodes with sizes around the 8- and 128-value
+    steps of numpy's pairwise sum, one-row nodes and constant nodes."""
+    rng = np.random.default_rng(seed)
+    n_rows = int(rng.integers(2, 300))
+    columns, schema = [], []
+    for j in range(int(rng.integers(1, 7))):
+        kind = int(rng.integers(0, 5))
+        if kind == 0:
+            col = np.full(n_rows, float(rng.integers(-2, 3)))  # constant
+        elif kind == 1:
+            col = rng.integers(0, 3, size=n_rows).astype(float)  # tie-heavy
+        elif kind == 2:
+            col = np.round(rng.normal(0, 2, size=n_rows), 2)
+        if kind <= 2:
+            columns.append(col)
+            schema.append(ColumnSchema(f"num{j}", NUMERIC))
+            continue
+        q = int(rng.integers(1, 5)) if kind == 3 else int(rng.integers(5, 40))
+        weights = rng.random(q) ** 3  # rare levels
+        columns.append(rng.choice(np.arange(1, q + 1), size=n_rows, p=weights / weights.sum()))
+        schema.append(ColumnSchema(f"cat{j}", CATEGORICAL, tuple(f"L{i}" for i in range(q))))
+    if task == REGRESSION:
+        y = rng.choice([0.0, 1.0, -2.5], size=n_rows) if seed % 3 == 0 else np.round(rng.normal(0, 3, n_rows), 3)
+        response = ResponseSpec(RESPONSE_NUMERIC)
+    else:
+        y = rng.integers(1, k + 1, size=n_rows)
+        response = ResponseSpec(RESPONSE_CLASS, tuple(f"c{i}" for i in range(1, k + 1)))
+    ds = from_arrays(tuple(schema), response, columns, y)
+    nodes = []
+    for _ in range(int(rng.integers(1, 8))):
+        size = int(rng.choice([1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 136, 257, int(rng.integers(1, 400))]))
+        if rng.random() < 0.15:
+            nodes.append(np.full(size, rng.integers(0, n_rows)))  # one row repeated: constant
+        else:
+            nodes.append(rng.integers(0, n_rows, size=size))  # repeated row ids count twice
+    return ds, nodes, rng
+
+
+def assert_same_split(got, want):
+    assert got == want
+    assert repr(got.impurity) == repr(want.impurity)
+    if isinstance(want.rule, OrderedRule):
+        assert repr(got.rule.threshold) == repr(want.rule.threshold)
+    else:
+        assert repr(got.rule.pseudo_split) == repr(want.rule.pseudo_split)
+        assert repr(got.rule.gamma) == repr(want.rule.gamma)
+
+
+@pytest.mark.parametrize("task,k", [(REGRESSION, 0), (CLASSIFICATION, 2), (CLASSIFICATION, 3)])
+@given(seed=st.integers(0, 10**9))
+@settings(max_examples=120, deadline=None)
+def test_ordered_split_batch_equals_per_node_kernel(task, k, seed):
+    ds, nodes, rng = batch_instance(seed, task, k)
+    numeric = [p for p, spec in enumerate(ds.schema) if spec.kind == NUMERIC]
+    if not numeric:
+        return
+    pairs = np.array([(i, p) for i in range(len(nodes)) for p in numeric if rng.random() < 0.8] or [(0, numeric[0])])
+    impurity, found, build = ordered_split_batch(NodeBlock(ColumnTable(ds), nodes), pairs[:, 0], pairs[:, 1])
+    assert len(impurity) == len(found) == len(pairs)
+    for j, (i, p) in enumerate(pairs.tolist()):
+        want = best_ordered_splits(ds, nodes[i], [p])[0]
+        assert found[j] == (want is not None)
+        if want is not None:
+            assert repr(float(impurity[j])) == repr(want.impurity)
+            assert_same_split(build(j), want)
+
+
+@pytest.mark.parametrize("task", [REGRESSION, CLASSIFICATION])
+@given(seed=st.integers(0, 10**9))
+@settings(max_examples=120, deadline=None)
+def test_pseudo_value_batch_equals_per_node_kernel(task, seed):
+    ds, nodes, rng = batch_instance(seed, task)
+    cats = [p for p, spec in enumerate(ds.schema) if spec.kind == CATEGORICAL]
+    if not cats:
+        return
+    pairs = np.array([(i, p) for i in range(len(nodes)) for p in cats if rng.random() < 0.8] or [(0, cats[0])])
+    impurity, found, build = pseudo_value_batch(NodeBlock(ColumnTable(ds), nodes), pairs[:, 0], pairs[:, 1])
+    assert len(impurity) == len(found) == len(pairs)
+    for j, (i, p) in enumerate(pairs.tolist()):
+        want = pseudo_value_search(ds, nodes[i], p)
+        assert found[j] == (want is not None)
+        if want is not None:
+            assert repr(float(impurity[j])) == repr(want.impurity)
+            assert_same_split(build(j), want)
+
+
+def test_batched_scans_reject_wrong_column_kinds():
+    one = [np.arange(3)]
+    zero = np.array([0])
+    ds = cat_dataset([1, 2, 1], [0.0, 1.0, 2.0], 2, REGRESSION)
+    with pytest.raises(ValueError, match="not ordered"):
+        ordered_split_batch(NodeBlock(ColumnTable(ds), one), zero, zero)
+    ds = num_dataset([1, 2, 3], [0.0, 1.0, 2.0])
+    with pytest.raises(ValueError, match="not categorical"):
+        pseudo_value_batch(NodeBlock(ColumnTable(ds), one), zero, zero)
+    ds = cat_dataset([1, 2, 1], [1, 2, 3], 2, CLASSIFICATION, k=3)
+    with pytest.raises(ValueError, match="more than two classes"):
+        pseudo_value_batch(NodeBlock(ColumnTable(ds), one), zero, zero)
+
+
+@given(seed=st.integers(0, 10**9))
+@settings(max_examples=100, deadline=None)
+def test_row_sums_equal_ndarray_sum_of_each_prefix(seed):
+    rng = np.random.default_rng(seed)
+    m, w = int(rng.integers(1, 20)), int(rng.integers(1, 600))
+    mat = rng.normal(size=(m, w)) * 10.0 ** rng.integers(-3, 9, size=(m, w))
+    mat[rng.random((m, w)) < 0.2] = -0.0
+    lengths = rng.integers(1, w + 1, size=m)
+    mat[np.arange(w) >= lengths[:, None]] = 0.0
+    want = np.array([mat[i, : lengths[i]].sum() for i in range(m)])
+    assert _row_sums(mat, lengths).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -560,6 +689,30 @@ def test_random_split_is_valid_and_no_better_than_optimum(seed):
     assert 0 < s.left_size < n
     best, _ = best_bipartition(x, y, CLASSIFICATION, k=3) if len(present) > 1 else (np.inf, [])
     assert s.impurity >= best - 1e-9
+
+
+@given(seed=st.integers(0, 10**9))
+@settings(max_examples=150, deadline=None)
+def test_class_major_objective_equals_masked_objective_on_present_levels(seed):
+    rng = np.random.default_rng(seed)
+    q, k, m = int(rng.integers(1, 50)), int(rng.choice([2, 3, 7, 8, 9, 17, 20])), int(rng.integers(1, 300))
+    counts = rng.integers(0, 6, size=(q, k)) * (rng.random((q, 1)) < 0.6)  # absent levels
+    bits = rng.integers(0, 2, size=(m, q), dtype=np.int64)
+    present = np.flatnonzero(counts.sum(axis=1))
+    want = _masked_gini_objective(bits, counts)
+    got = _class_major_gini_objective(bits[:, present], counts[present])
+    assert got[0].tobytes() == want[0].tobytes()
+    assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+
+
+@given(seed=st.integers(0, 10**9))
+@settings(max_examples=100, deadline=None)
+def test_sum_in_row_order_equals_ndarray_row_sums(seed):
+    rng = np.random.default_rng(seed)
+    m, k = int(rng.integers(1, 10)), int(rng.integers(1, 300))
+    mat = rng.normal(size=(m, k)) * 10.0 ** rng.integers(-3, 9, size=(m, k))
+    got = _sum_in_row_order([mat[:, j].copy() for j in range(k)])
+    assert got.tobytes() == mat.sum(axis=1).tobytes()
 
 
 def test_random_split_single_present_level_is_none():

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from absentrf.data import (
     CATEGORICAL,
@@ -24,6 +26,7 @@ from absentrf.tree import (
     NodeStats,
     Tree,
     grow_tree,
+    grow_trees,
     route,
     structure_hash,
     tree_from_dict,
@@ -197,6 +200,40 @@ def grow(ds, seed=3, mtry=2, min_node_size=5, rows=None):
     cfg = GrowConfig(task=ds.task, mtry=mtry, min_node_size=min_node_size)
     rows = np.arange(ds.n_rows) if rows is None else rows
     return grow_tree(ds, rows, cfg, stream(seed, 0), tree_id=0)
+
+
+def lock_step_dataset(seed, task, k):
+    """Numeric, low- and high-cardinality categorical columns (Q on both
+    sides of the exhaustive limits, with rare levels), so that every split
+    search runs."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(10, 120))
+    sizes = (3, 12) if rng.random() < 0.5 else (8, 11)
+    columns = [np.round(rng.normal(size=n), 1), rng.integers(0, 3, n).astype(float)]
+    schema = [ColumnSchema("num", NUMERIC), ColumnSchema("ties", NUMERIC)]
+    for j, q in enumerate(sizes):
+        weights = rng.random(q) ** 3
+        columns.append(rng.choice(np.arange(1, q + 1), size=n, p=weights / weights.sum()))
+        schema.append(ColumnSchema(f"cat{j}", CATEGORICAL, tuple(f"L{i}" for i in range(q))))
+    if task == REGRESSION:
+        return from_arrays(tuple(schema), ResponseSpec(RESPONSE_NUMERIC), columns, np.round(rng.normal(0, 2, n), 2))
+    classes = tuple(f"c{i}" for i in range(k))
+    return from_arrays(tuple(schema), ResponseSpec(RESPONSE_CLASS, classes), columns, rng.integers(1, k + 1, n))
+
+
+@pytest.mark.parametrize("task,k", [(REGRESSION, 0), (CLASSIFICATION, 2), (CLASSIFICATION, 4)])
+@given(seed=st.integers(0, 10**9), n_trees=st.integers(1, 6), min_node_size=st.sampled_from([1, 5]))
+@settings(max_examples=40, deadline=None)
+def test_lock_step_growth_equals_growing_each_tree_alone(task, k, seed, n_trees, min_node_size):
+    ds = lock_step_dataset(seed, task, k)
+    rng = np.random.default_rng(seed)
+    cfg = GrowConfig(task, int(rng.integers(1, 5)), min_node_size, random_candidates=64)
+    samples = [rng.integers(0, ds.n_rows, size=ds.n_rows) for _ in range(n_trees)]
+    together = grow_trees(ds, samples, cfg, [stream(seed, b) for b in range(n_trees)], list(range(n_trees)))
+    for b, rows in enumerate(samples):
+        alone = grow_tree(ds, rows, cfg, stream(seed, b), tree_id=b)
+        assert together[b].tree_id == b
+        assert structure_hash(together[b]) == structure_hash(alone)
 
 
 def test_growth_is_deterministic():
