@@ -472,7 +472,7 @@ def emulate_zero_imputed_routing(table: GammaTable, pseudo_split: float) -> dict
 # :func:`_row_sums` reproduces that order.
 
 # at most this many padded cells per batch, to bound memory on large nodes
-_BATCH_CELLS = 1 << 18
+_BATCH_CELLS = 1 << 12
 # padding worth one more batch's fixed numpy cost, in cells
 _BATCH_OVERHEAD = 4096
 
@@ -503,9 +503,10 @@ class ColumnTable:
         self.response = np.append(dataset.y, dataset.y.dtype.type(0))
 
     def check(self, pred: np.ndarray, numeric: bool) -> None:
-        wrong = np.flatnonzero(self.numeric[pred] != numeric)
-        if wrong.size:
-            name = self.dataset.schema[int(pred[wrong[0]])].name
+        """Raise ValueError unless every predictor in ``pred`` is of the kind."""
+        kind = self.numeric[pred]
+        if not (kind if numeric else ~kind).all():
+            name = self.dataset.schema[int(pred[np.argmin(kind == numeric)])].name
             raise ValueError(f"column {name!r} is not {'ordered' if numeric else 'categorical'}")
 
 
@@ -514,7 +515,7 @@ class NodeBlock:
 
     ``rows[i, :sizes[i]]`` are node ``i``'s rows in order, padded with the
     table's padding cell, so ``y[i]`` is node ``i``'s response followed by
-    zeros.
+    zeros.  For regression, ``mean[i]`` is node ``i``'s mean response.
     """
 
     def __init__(self, table: ColumnTable, nodes):
@@ -527,6 +528,8 @@ class NodeBlock:
         self.rows = np.full((len(nodes), int(self.sizes.max())), table.dataset.n_rows)
         self.rows[np.arange(self.rows.shape[1]) < self.sizes[:, None]] = self.flat
         self.y = table.response[self.rows]
+        if table.dataset.task == REGRESSION:  # each node's ndarray.mean
+            self.mean = _row_sums(self.y, self.sizes) / self.sizes
 
 
 def _row_sums(mat: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -540,33 +543,31 @@ def _row_sums(mat: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     as the final 0.0 + does anyway.  Longer runs, which numpy splits in
     two, are left to numpy, grouped by length.
     """
-    out = np.empty(lengths.size)
-    small = slice(None)
-    big = lengths > 128
-    if big.any():
+    longest = int(np.maximum.reduce(lengths))
+    if longest > 128:
+        out = np.empty(lengths.size)
+        big = lengths > 128
         for length in set(lengths[big].tolist()):
             same = lengths == length
             out[same] = mat[same, :length].sum(axis=1)
-        small = np.flatnonzero(~big)
-        mat, lengths = mat[small], lengths[small]
-        if not small.size:
-            return out
-    m = lengths.size
+        small = ~big
+        if small.any():
+            out[small] = _row_sums(mat[small], lengths[small])
+        return out
+    m, k = lengths.size, longest // 8 + 1
+    if mat.shape[1] < 8 * k:
+        mat = np.concatenate([mat, np.zeros((m, 8 * k - mat.shape[1]))], axis=1)
     lanes = lengths // 8
-    k = max(int(lanes.max()), 1)
-    vals = np.zeros((m, 8 * k + 8))
-    w = min(mat.shape[1], 8 * k + 8)
-    vals[:, :w] = mat[:, :w]
     at = np.arange(m)
-    r = vals[:, : 8 * k].reshape(m, k, 8).cumsum(axis=1)[at, lanes - 1]
+    # each lane after the row's full blocks, and 0.0 for rows without one
+    r = mat[:, : 8 * k].reshape(m, k, 8).cumsum(axis=1)[at, lanes - 1]
     r[lanes == 0] = 0.0
     r = r[:, 0::2] + r[:, 1::2]
     r = r[:, 0::2] + r[:, 1::2]
     # the lanes' total, then the leftover values in order
-    tail = vals[at[:, None], 8 * lanes[:, None] + np.arange(-1, 7)]
+    tail = mat[at[:, None], 8 * lanes[:, None] + np.arange(-1, 7)]
     tail[:, 0] = r[:, 0] + r[:, 1]
-    out[small] = 0.0 + tail.cumsum(axis=1)[:, -1]
-    return out
+    return 0.0 + tail.cumsum(axis=1)[:, -1]
 
 
 def _batches(widths: np.ndarray, depth: int = 1):
@@ -698,7 +699,7 @@ def pseudo_value_batch(block: NodeBlock, node: np.ndarray, pred: np.ndarray):
         nlc = nl[r, c].astype(np.float64)
         nrc = n[r] - nlc
         if regression:
-            yc = (y - (_row_sums(y, n) / n)[:, None]).ravel()  # the node mean
+            yc = (y - block.mean[node[idx], None]).ravel()
             s_lvl = per_level(weights=yc)[at, order]
             ss_lvl = per_level(weights=yc * yc)[at, order]
             cs, css = s_lvl.cumsum(axis=1), ss_lvl.cumsum(axis=1)

@@ -32,7 +32,6 @@ from .splits import (
     ColumnTable,
     NodeBlock,
     OrderedRule,
-    _row_sums,
     exhaustive_categorical_split,
     ordered_split_batch,
     pseudo_value_batch,
@@ -117,11 +116,10 @@ def _node_stats(block: NodeBlock) -> tuple[list[NodeStats], list[bool]]:
     class, or one response value)."""
     dataset, sizes = block.table.dataset, block.sizes
     if dataset.task == REGRESSION:
-        means = (_row_sums(block.y, sizes) / sizes).tolist()  # each node's ndarray.mean
         y = dataset.y[block.flat]
         starts = np.cumsum(sizes) - sizes
         pure = np.minimum.reduceat(y, starts) == np.maximum.reduceat(y, starts)
-        stats = [NodeStats(size=s, mean=mu) for s, mu in zip(sizes.tolist(), means)]
+        stats = [NodeStats(size=s, mean=mu) for s, mu in zip(sizes.tolist(), block.mean.tolist())]
         return stats, pure.tolist()
     k = dataset.response.n_classes
     bins = block.y + (np.arange(sizes.size) * (k + 1))[:, None]  # padding in class 0
