@@ -66,6 +66,7 @@ from .tree import (
     PredictionTrace,
     Tree,
     grow_tree,
+    grow_trees,
     route,
     structure_hash,
     tree_predict,

@@ -471,10 +471,10 @@ def emulate_zero_imputed_routing(table: GammaTable, pseudo_split: float) -> dict
 # padding; a row's full sum is not, since ndarray.sum adds pairwise, so
 # :func:`_row_sums` reproduces that order.
 
-# at most this many padded cells per batch, to bound memory on large nodes
+# padded cells per batch.  Batches this small ran as fast as one batch per
+# step on the benchmark's workloads, and keep the working arrays at a few
+# hundred kB, where one batch per step raised peak RSS on price by 11%.
 _BATCH_CELLS = 1 << 12
-# padding worth one more batch's fixed numpy cost, in cells
-_BATCH_OVERHEAD = 4096
 
 
 class ColumnTable:
@@ -571,19 +571,12 @@ def _row_sums(mat: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 
 def _batches(widths: np.ndarray, depth: int = 1):
-    """Index arrays covering every pair, widest first.  A batch is as wide
-    as its widest pair; it ends where the padding it would give the pairs
-    left outweighs the cost of one more batch, or at ``_BATCH_CELLS``
-    cells of ``depth`` values (a single pair may exceed that)."""
+    """Index arrays covering every pair, widest first, each of at most
+    ``_BATCH_CELLS`` padded cells of ``depth`` values (or a single pair)."""
     order = np.argsort(-widths, kind="stable")
-    w = widths[order] * depth
     start = 0
     while start < order.size:
-        stop = min(order.size, start + max(1, _BATCH_CELLS // int(w[start])))
-        at = np.arange(start + 1, stop)
-        over = np.flatnonzero((w[start] - w[at]) * (order.size - at) > _BATCH_OVERHEAD)
-        if over.size:
-            stop = int(at[over[0]])
+        stop = start + max(1, _BATCH_CELLS // int(widths[order[start]] * depth))
         yield order[start:stop]
         start = stop
 

@@ -149,16 +149,58 @@ def _search_kinds(dataset: Dataset, cfg: GrowConfig) -> np.ndarray:
 
 
 def _first_best(impurity: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    """Per row, the column that scanning left to right keeps when a valid
+    """Per row, the valid column that a left-to-right scan keeps when a
     candidate replaces the incumbent only if strictly lower: the first
-    minimum, or the first valid candidate if that is NaN (nothing is
-    lower than NaN, and NaN is lower than nothing)."""
+    minimum, unless the first valid candidate is NaN, which nothing is
+    lower than."""
     first = valid.argmax(axis=1)
-    rows = np.arange(len(first))
     usable = valid & ~np.isnan(impurity)
     low = np.where(usable, impurity, np.inf).min(axis=1)
     best = (usable & (impurity == low[:, None])).argmax(axis=1)
-    return np.where(np.isnan(impurity[rows, first]), first, best)
+    return np.where(np.isnan(impurity[np.arange(first.size), first]), first, best)
+
+
+def _best_splits(block: NodeBlock, at: np.ndarray, sampled: np.ndarray, kinds, rngs, cfg: GrowConfig):
+    """The winning split of each node ``at[r]`` of ``block`` over its
+    sampled predictors ``sampled[r]`` (None where none is valid), scanning
+    them in sampled order and keeping the first strictly lowest objective.
+
+    Ordered and pseudo-value pairs are scored in one batched call each,
+    and only their winners are built into splits.  The bitmask searches
+    run node by node in sampled order, the random one drawing from the
+    node's ``rngs[r]``.
+    """
+    dataset = block.table.dataset
+    kind = kinds[sampled]  # row = node, column = sampling rank
+    impurity = np.full(sampled.shape, np.nan)
+    valid = np.zeros(sampled.shape, dtype=bool)
+    pair = np.zeros(sampled.shape, dtype=np.int64)  # index into its scan
+    scans, per_node = {}, {}
+    for search, scan in ((ORDERED, ordered_split_batch), (PSEUDO, pseudo_value_batch)):
+        r, c = (kind == search).nonzero()
+        if r.size:
+            impurity[r, c], valid[r, c], scans[search] = scan(block, at[r], sampled[r, c])
+            pair[r, c] = np.arange(r.size)
+    limit = cfg.exhaustive_max_q_binary if dataset.response.n_classes == 2 else cfg.exhaustive_max_q_multiclass
+    for r, c in np.argwhere(kind >= EXHAUSTIVE).tolist():
+        rows = block.rows[at[r], : block.sizes[at[r]]]
+        predictor = int(sampled[r, c])
+        if kind[r, c] == EXHAUSTIVE:
+            cand = exhaustive_categorical_split(dataset, rows, predictor, limit)
+        else:
+            cand = random_categorical_split(dataset, rows, predictor, rngs[r], cfg.random_candidates)
+        if cand is not None:
+            impurity[r, c], valid[r, c], per_node[r, c] = cand.impurity, True, cand
+
+    out = []
+    for r, (c, has) in enumerate(zip(_first_best(impurity, valid).tolist(), valid.any(axis=1).tolist())):
+        if not has:
+            out.append(None)
+        elif kind[r, c] >= EXHAUSTIVE:
+            out.append(per_node[r, c])
+        else:
+            out.append(scans[kind[r, c]](int(pair[r, c])))
+    return out
 
 
 def grow_trees(
@@ -174,11 +216,9 @@ def grow_trees(
     numbered in preorder (left subtree before right).
 
     The trees grow in lock step, each from its own depth-first stack:
-    every step takes the next node of every tree still growing, and
-    scores all their (node, predictor) pairs of the ordered and the
-    pseudo-value searches in one batched call each.  The bitmask
-    searches run per node in sampled order, so each tree consumes its rng
-    exactly as if it were grown alone.
+    every step takes the next node of every tree still growing and
+    searches all their splits together (see :func:`_best_splits`).  Each
+    tree draws from its rng exactly as if it were grown alone.
     """
     samples = [np.asarray(rows, dtype=np.int64) for rows in samples]
     if any(rows.size == 0 for rows in samples):
@@ -190,12 +230,10 @@ def grow_trees(
         raise ValueError(f"mtry={cfg.mtry} exceeds the {p} available predictors")
     if dataset.y is None:
         raise ValueError("dataset has no response")
-    n_classes = dataset.response.n_classes
     tree_ids = range(len(samples)) if tree_ids is None else tree_ids
-    trees = [Tree(task=cfg.task, n_classes=n_classes, tree_id=b) for b in tree_ids]
+    trees = [Tree(task=cfg.task, n_classes=dataset.response.n_classes, tree_id=b) for b in tree_ids]
     table = ColumnTable(dataset)
     kinds = _search_kinds(dataset, cfg)
-    limit = cfg.exhaustive_max_q_binary if n_classes == 2 else cfg.exhaustive_max_q_multiclass
 
     # explicit stacks (right child pushed first) give preorder ids
     # without recursion-depth limits on deep, min-node-size-1 trees
@@ -203,8 +241,7 @@ def grow_trees(
     while any(stacks):
         popped = [(tree, rng, stack, *stack.pop()) for tree, rng, stack in zip(trees, rngs, stacks) if stack]
         block = NodeBlock(table, [entry[3] for entry in popped])
-        step = []  # (block index, stack, rng, node, rows) of every node to split
-        sampled = []
+        step, sampled = [], []  # the nodes to split: block index, rng, stack, node, rows
         for i, ((tree, rng, stack, node_rows, parent, side), stats, pure) in enumerate(
             zip(popped, *_node_stats(block))
         ):
@@ -217,43 +254,15 @@ def grow_trees(
                     tree.nodes[parent].right = node.id
             if stats.size > cfg.min_node_size and not pure:
                 sampled.append(rng.choice(p, size=cfg.mtry, replace=False))
-                step.append((i, stack, rng, node, node_rows))
+                step.append((i, rng, stack, node, node_rows))
         if not step:
             continue
 
-        # every candidate of the step: row = node, column = sampling rank
-        sampled = np.array(sampled)
-        kind = kinds[sampled]
-        impurity = np.full(sampled.shape, np.nan)
-        valid = np.zeros(sampled.shape, dtype=bool)
-        pair = np.zeros(sampled.shape, dtype=np.int64)  # index into its scan
-        at = np.array([entry[0] for entry in step])
-        scans = {}
-        for search, scan in ((ORDERED, ordered_split_batch), (PSEUDO, pseudo_value_batch)):
-            r, c = (kind == search).nonzero()
-            if r.size:
-                impurity[r, c], valid[r, c], scans[search] = scan(block, at[r], sampled[r, c])
-                pair[r, c] = np.arange(r.size)
-        per_node = {}
-        for r, c in zip(*(kind >= EXHAUSTIVE).nonzero()):  # per node, in sampled order
-            _, _, rng, _, node_rows = step[r]
-            predictor = int(sampled[r, c])
-            if kind[r, c] == EXHAUSTIVE:
-                cand = exhaustive_categorical_split(dataset, node_rows, predictor, limit)
-            else:
-                cand = random_categorical_split(dataset, node_rows, predictor, rng, cfg.random_candidates)
-            if cand is not None:
-                impurity[r, c], valid[r, c], per_node[r, c] = cand.impurity, True, cand
-
-        has = valid.any(axis=1).tolist()
-        for r, c in enumerate(_first_best(impurity, valid).tolist()):
-            if not has[r]:
+        at, rngs_at, _, _, _ = zip(*step)
+        splits = _best_splits(block, np.array(at), np.array(sampled), kinds, rngs_at, cfg)
+        for (_, _, stack, node, node_rows), best in zip(step, splits):
+            if best is None:
                 continue
-            _, stack, _, node, node_rows = step[r]
-            if kind[r, c] >= EXHAUSTIVE:
-                best = per_node[r, c]
-            else:  # only a winner of a batched scan is built into a split
-                best = scans[kind[r, c]](int(pair[r, c]))
             node.predictor = best.predictor
             node.rule = best.rule
             node.left_size = best.left_size

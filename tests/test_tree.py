@@ -34,6 +34,7 @@ from absentrf.tree import (
     tree_to_dict,
     tree_vote,
 )
+from absentrf.tree import _first_best
 
 # ---------------------------------------------------------------------------
 # a tree built by hand: routing semantics are exactly checkable
@@ -234,6 +235,28 @@ def test_lock_step_growth_equals_growing_each_tree_alone(task, k, seed, n_trees,
         alone = grow_tree(ds, rows, cfg, stream(seed, b), tree_id=b)
         assert together[b].tree_id == b
         assert structure_hash(together[b]) == structure_hash(alone)
+
+
+@given(
+    st.lists(
+        st.lists(st.sampled_from([None, 0.0, 0.5, 1.0, 2.0, float("inf"), float("nan")]), min_size=1, max_size=6),
+        min_size=1,
+        max_size=5,
+    ).filter(lambda rows: len({len(row) for row in rows}) == 1)
+)
+def test_first_best_keeps_what_a_strict_scan_keeps(rows):
+    def scan(row):
+        best = None
+        for c, v in enumerate(row):
+            if v is not None and (best is None or v < row[best]):
+                best = c
+        return best
+
+    impurity = np.array([[np.nan if v is None else v for v in row] for row in rows])
+    valid = np.array([[v is not None for v in row] for row in rows])
+    got = _first_best(impurity, valid).tolist()
+    for row, c, ok in zip(rows, got, valid.any(axis=1)):
+        assert (c if ok else None) == scan(row)
 
 
 def test_growth_is_deterministic():
