@@ -203,11 +203,10 @@ def _best_splits(block: NodeBlock, at: np.ndarray, sampled: np.ndarray, kinds, r
     return out
 
 
-def grow_trees(
-    dataset: Dataset, samples, cfg: GrowConfig, rngs, tree_ids=None
-) -> list[Tree]:
+def grow_trees(dataset: Dataset, samples, cfg: GrowConfig, rngs, tree_ids) -> list[Tree]:
     """Grow one tree per row multiset of ``samples`` (indices may repeat;
-    repeats count), tree ``b`` drawing from ``rngs[b]``.
+    repeats count), tree ``b`` drawing from ``rngs[b]`` and numbered
+    ``tree_ids[b]``.
 
     A node is split while it holds more rows than ``min_node_size``, is
     impure, and at least one of ``mtry`` predictors sampled without
@@ -230,7 +229,6 @@ def grow_trees(
         raise ValueError(f"mtry={cfg.mtry} exceeds the {p} available predictors")
     if dataset.y is None:
         raise ValueError("dataset has no response")
-    tree_ids = range(len(samples)) if tree_ids is None else tree_ids
     trees = [Tree(task=cfg.task, n_classes=dataset.response.n_classes, tree_id=b) for b in tree_ids]
     table = ColumnTable(dataset)
     kinds = _search_kinds(dataset, cfg)
