@@ -539,9 +539,11 @@ def _row_sums(mat: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     ndarray.sum adds a run of float64 values to 0.0 pairwise: a run of up
     to 128 values in 8 interleaved lanes of its full blocks of 8, the
     lanes as ((0+1)+(2+3))+((4+5)+(6+7)), then the leftover values one by
-    one.  A zero added after the last value can only turn -0.0 into 0.0,
-    as the final 0.0 + does anyway.  Longer runs, which numpy splits in
-    two, are left to numpy, grouped by length.
+    one.  Here each lane starts from 0.0 and a row's padding zeros are
+    added after its values: an extra zero addend can change only the sign
+    of a zero partial sum, and the final 0.0 + erases that sign anyway.
+    Longer runs, which numpy splits in two, are left to numpy, grouped by
+    length.
     """
     longest = int(np.maximum.reduce(lengths))
     if longest > 128:
@@ -555,17 +557,17 @@ def _row_sums(mat: np.ndarray, lengths: np.ndarray) -> np.ndarray:
             out[small] = _row_sums(mat[small], lengths[small])
         return out
     m, k = lengths.size, longest // 8 + 1
-    if mat.shape[1] < 8 * k:
-        mat = np.concatenate([mat, np.zeros((m, 8 * k - mat.shape[1]))], axis=1)
+    # a zero block, then the rows: a row without a full block reads zero lanes
+    work = np.zeros((m, 8 * k + 8))
+    w = min(mat.shape[1], 8 * k)
+    work[:, 8 : 8 + w] = mat[:, :w]
     lanes = lengths // 8
     at = np.arange(m)
-    # each lane after the row's full blocks, and 0.0 for rows without one
-    r = mat[:, : 8 * k].reshape(m, k, 8).cumsum(axis=1)[at, lanes - 1]
-    r[lanes == 0] = 0.0
+    r = work.reshape(m, k + 1, 8).cumsum(axis=1)[at, lanes]
     r = r[:, 0::2] + r[:, 1::2]
     r = r[:, 0::2] + r[:, 1::2]
     # the lanes' total, then the leftover values in order
-    tail = mat[at[:, None], 8 * lanes[:, None] + np.arange(-1, 7)]
+    tail = work[at[:, None], 8 * lanes[:, None] + np.arange(7, 15)]
     tail[:, 0] = r[:, 0] + r[:, 1]
     return 0.0 + tail.cumsum(axis=1)[:, -1]
 
@@ -660,8 +662,8 @@ def pseudo_value_batch(block: NodeBlock, node: np.ndarray, pred: np.ndarray):
     n_all, q_all = block.sizes[node], table.n_levels[pred]
     impurity, found = np.empty(m), np.zeros(m, dtype=bool)
     where: list = [None] * m
-    for idx in _batches(q_all + 1):
-        nb, width = idx.size, int(q_all[idx[0]]) + 1
+    for idx in _batches(np.maximum(n_all, q_all + 1)):  # row and level cells
+        nb, width = idx.size, int(q_all[idx].max()) + 1
         n = n_all[idx]
         rows = block.rows[node[idx], : int(n.max())]
         y = block.y[node[idx], : rows.shape[1]]

@@ -244,6 +244,7 @@ def test_lock_step_growth_equals_growing_each_tree_alone(task, k, seed, n_trees,
         max_size=5,
     ).filter(lambda rows: len({len(row) for row in rows}) == 1)
 )
+@settings(deadline=None)
 def test_first_best_keeps_what_a_strict_scan_keeps(rows):
     def scan(row):
         best = None
