@@ -128,7 +128,7 @@ def _node_stats(block: NodeBlock) -> tuple[list[NodeStats], list[bool]]:
     return stats, (counts.max(axis=1) == sizes).tolist()
 
 
-# the split search of a predictor, by column kind, task and cardinality
+# the split search of a predictor; the last two run node by node
 ORDERED, PSEUDO, EXHAUSTIVE, RANDOM = range(4)
 
 
