@@ -6,26 +6,33 @@ configuration or model dump, 4 runtime failure inside a computation.
 from __future__ import annotations
 
 import argparse
-import csv
+import dataclasses
 import os
 import sys
 
 from . import __version__
 from .data import (
-    REGRESSION,
     DataError,
     ingest_csv,
     load_schema,
     one_hot_transform,
     save_schema,
     write_csv,
+    write_table,
 )
 from .experiment import ConfigError, load_experiment_config, run_experiment
-from .forest import ForestConfig, load_forest, predict_rows, save_forest, train_forest
+from .forest import (
+    ForestConfig,
+    default_grow_config,
+    load_forest,
+    predict_rows,
+    prediction_columns,
+    save_forest,
+    train_forest,
+)
 from .heuristics import Heuristic, parse_heuristic
 from .seeding import Coins
 from .splits import CategoricalRule
-from .tree import GrowConfig
 
 EXIT_OK = 0
 EXIT_DATA = 3
@@ -44,16 +51,9 @@ def _cmd_train(args) -> int:
     dataset, dropped = ingest_csv(
         args.data, schema, response, missing_token=args.missing_token, skip_header=args.skip_header
     )
-    grow = None
-    if args.mtry is not None or args.min_node_size is not None:
-        from .forest import default_grow_config
-
-        base = default_grow_config(dataset)
-        grow = GrowConfig(
-            task=dataset.task,
-            mtry=args.mtry if args.mtry is not None else base.mtry,
-            min_node_size=args.min_node_size if args.min_node_size is not None else base.min_node_size,
-        )
+    overrides = {"mtry": args.mtry, "min_node_size": args.min_node_size}
+    overrides = {k: v for k, v in overrides.items() if v is not None}
+    grow = dataclasses.replace(default_grow_config(dataset), **overrides) if overrides else None
     cfg = ForestConfig(n_trees=args.trees, sample_size=args.sample_size, seed=args.seed, grow=grow)
     forest = train_forest(dataset, cfg, workers=args.workers)
     save_forest(forest, args.out)
@@ -82,22 +82,10 @@ def _cmd_predict(args) -> int:
     )
     coins = Coins(master=forest.config.seed if args.coin_seed is None else args.coin_seed)
     preds = predict_rows(forest, dataset.matrix(), [policy], coins)[policy]
+    header, columns = prediction_columns(preds, forest.response.classes)
     out = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8", newline="")
     try:
-        writer = csv.writer(out, lineterminator="\n")
-        if forest.task == REGRESSION:
-            writer.writerow(["observation", "prediction", "absent_trees"])
-            for i, (p, absent) in enumerate(zip(preds.predictions, preds.absent_tree_counts)):
-                writer.writerow([i, repr(float(p)), absent])
-        else:
-            labels = forest.response.classes
-            writer.writerow(
-                ["observation", "prediction"] + [f"p_{c}" for c in labels] + ["absent_trees"]
-            )
-            for i, (p, shares, absent) in enumerate(
-                zip(preds.predictions, preds.probabilities, preds.absent_tree_counts)
-            ):
-                writer.writerow([i, labels[p - 1]] + [repr(float(s)) for s in shares] + [absent])
+        write_table(out, header + ["absent_trees"], columns + [preds.absent_tree_counts])
     finally:
         if args.out is not None:
             out.close()
@@ -136,47 +124,43 @@ def _cmd_transform(args) -> int:
 
 def _cmd_inspect(args) -> int:
     forest = load_forest(args.model)
+    rows = []
+    for tree in forest.trees:
+        for node in tree.nodes:
+            if not isinstance(node.rule, CategoricalRule):
+                continue
+            spec, rule = forest.schema[node.predictor], node.rule
+            names = [
+                "|".join(spec.levels[q - 1] for q in sorted(levels))
+                for levels in (rule.present, rule.absent, rule.left_levels)
+            ]
+            rows.append(
+                [
+                    tree.tree_id,
+                    node.id,
+                    spec.name,
+                    *names,
+                    rule.bitmask,
+                    rule.pseudo_split,
+                    node.left_size,
+                    node.right_size,
+                ]
+            )
+    header = [
+        "tree",
+        "node",
+        "predictor",
+        "present_levels",
+        "absent_levels",
+        "left_levels",
+        "bitmask",
+        "pseudo_split",
+        "left_size",
+        "right_size",
+    ]
     out = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8", newline="")
     try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(
-            [
-                "tree",
-                "node",
-                "predictor",
-                "present_levels",
-                "absent_levels",
-                "left_levels",
-                "bitmask",
-                "pseudo_split",
-                "left_size",
-                "right_size",
-            ]
-        )
-        for tree in forest.trees:
-            for node in tree.nodes:
-                if not isinstance(node.rule, CategoricalRule):
-                    continue
-                spec = forest.schema[node.predictor]
-                labels = spec.levels
-
-                def names(levels):
-                    return "|".join(labels[q - 1] for q in sorted(levels))
-
-                writer.writerow(
-                    [
-                        tree.tree_id,
-                        node.id,
-                        spec.name,
-                        names(node.rule.present),
-                        names(node.rule.absent),
-                        names(node.rule.left_levels),
-                        node.rule.bitmask,
-                        "" if node.rule.pseudo_split is None else repr(node.rule.pseudo_split),
-                        node.left_size,
-                        node.right_size,
-                    ]
-                )
+        write_table(out, header, list(zip(*rows)))
     finally:
         if args.out is not None:
             out.close()

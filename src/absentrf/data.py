@@ -345,6 +345,26 @@ def write_csv(dataset: Dataset, path) -> None:
             writer.writerow(record)
 
 
+def _cell(v) -> str:
+    if isinstance(v, np.generic):
+        v = v.item()
+    if v is None or v != v:  # v != v only for NaN
+        return ""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return repr(v) if isinstance(v, float) else str(v)
+
+
+def write_table(fh, header: list[str], columns) -> None:
+    """Write a CSV table column by column.  Each column is formatted once:
+    floats by ``repr`` (shortest round trip), ints and labels by ``str``,
+    NaN and None as empty cells, booleans as ``true``/``false``."""
+    cells = [[_cell(v) for v in (c.tolist() if isinstance(c, np.ndarray) else c)] for c in columns]
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(zip(*cells))
+
+
 # ---------------------------------------------------------------------------
 # transforms and per-level bookkeeping
 

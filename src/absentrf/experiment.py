@@ -11,10 +11,9 @@ regardless of the worker count.
 """
 from __future__ import annotations
 
-import csv
 import dataclasses
+import itertools
 import json
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,7 +21,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import CLASSIFICATION, REGRESSION, Dataset, ingest_csv, load_schema, one_hot_transform
+from .data import (
+    CLASSIFICATION,
+    REGRESSION,
+    Dataset,
+    ingest_csv,
+    load_schema,
+    one_hot_transform,
+    write_table,
+)
 from .forest import (
     ForestConfig,
     OOBPredictionSet,
@@ -31,6 +38,7 @@ from .forest import (
     forest_tree_hashes,
     oob_predict_all,
     pooled_absence_proportions,
+    prediction_columns,
     train_forest,
 )
 from .heuristics import MISSING_DATA_SET, Heuristic, parse_heuristic
@@ -46,7 +54,7 @@ from .metrics import (
     roc_auc,
 )
 from .seeding import REPLICATION, Coins, derive
-from .tree import GrowConfig
+from .splits import EXHAUSTIVE_HARD_LIMIT
 
 
 class ConfigError(ValueError):
@@ -89,6 +97,15 @@ class ExperimentConfig:
             raise ConfigError("workers must be at least 1")
         if not 0 < self.bucket_width <= 1:
             raise ConfigError("bucket_width must lie in (0, 1]")
+        if self.sample_size is not None and self.sample_size < 1:
+            raise ConfigError("sample_size must be at least 1")
+        # unset, it defaults to 1 / (2 * n_trees), which log_loss checks
+        # on the tasks that compute it
+        if self.log_loss_eps is not None and not 0 < self.log_loss_eps < 0.5:
+            raise ConfigError("log_loss_eps must lie in (0, 0.5)")
+        for name in ("exhaustive_max_q_binary", "exhaustive_max_q_multiclass"):
+            if getattr(self, name) > EXHAUSTIVE_HARD_LIMIT:
+                raise ConfigError(f"{name} may not exceed {EXHAUSTIVE_HARD_LIMIT}")
 
     def resolved_baseline(self) -> tuple[Heuristic, ...]:
         if self.baseline is None:
@@ -136,25 +153,9 @@ def load_experiment_config(path) -> ExperimentConfig:
 # deterministic formatting
 
 
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        v = float(v)
-        return "" if math.isnan(v) else repr(v)
-    return str(v)
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, header: list[str], columns) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        write_table(fh, header, columns)
 
 
 def _six_stats(values: np.ndarray) -> list[tuple[str, float]]:
@@ -236,6 +237,23 @@ def _check_paired_invariant(sets: dict[Heuristic, OOBPredictionSet]) -> None:
 
 
 @dataclass
+class _Replication:
+    """What one replication leaves for the aggregate outputs once its
+    prediction sets have been written out and dropped."""
+
+    seed: int
+    tree_hashes: list[str]
+    onehot_tree_hashes: list[str] | None
+    values: dict[str, dict[Heuristic, float]]  # metric -> heuristic -> value
+    relative: dict[str, dict[Heuristic, float]]  # the same, relative to the best baseline
+    kappas: list[tuple[Heuristic, Heuristic, float]]
+    paired: dict[Heuristic, np.ndarray]  # see _paired_values
+    # the first routed policy's set (the one-hot set when none is routed):
+    # every routed policy on the shared forest has the same absence counts
+    flags: OOBPredictionSet
+
+
+@dataclass
 class ExperimentResult:
     config: ExperimentConfig
     output_dir: Path
@@ -270,9 +288,8 @@ def run_experiment_on(
     task = dataset.task
     n_classes = dataset.response.n_classes
     baseline = cfg.resolved_baseline()
-    use_onehot = Heuristic.ONE_HOT in cfg.heuristics
     routed = [h for h in cfg.heuristics if h is not Heuristic.ONE_HOT]
-    onehot_data = one_hot_transform(dataset) if use_onehot else None
+    onehot_data = one_hot_transform(dataset) if Heuristic.ONE_HOT in cfg.heuristics else None
 
     if task == CLASSIFICATION and n_classes == 2:
         label = cfg.positive_class or dataset.response.classes[1]
@@ -284,293 +301,194 @@ def run_experiment_on(
     eps = cfg.log_loss_eps if cfg.log_loss_eps is not None else 1.0 / (2.0 * cfg.n_trees)
     plan = _metric_plan(task, n_classes)
 
-    base = default_grow_config(dataset)
-    grow = GrowConfig(
-        task=task,
-        mtry=cfg.mtry if cfg.mtry is not None else base.mtry,
-        min_node_size=cfg.min_node_size if cfg.min_node_size is not None else base.min_node_size,
+    overrides = {"mtry": cfg.mtry, "min_node_size": cfg.min_node_size}
+    grow = dataclasses.replace(
+        default_grow_config(dataset),
+        **{k: v for k, v in overrides.items() if v is not None},
         exhaustive_max_q_binary=cfg.exhaustive_max_q_binary,
         exhaustive_max_q_multiclass=cfg.exhaustive_max_q_multiclass,
         random_candidates=cfg.random_candidates,
     )
+    if grow.mtry > dataset.n_predictors:
+        raise ConfigError(f"mtry={grow.mtry} exceeds the {dataset.n_predictors} predictors")
 
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_manifest(out, cfg, task, status="running", failed=None, error=None, seeds=[])
+    _write_manifest(out, cfg, task, "running", [])
 
-    rep_seeds: list[int] = []
-    hashes: list[str] = []
-    metric_values: dict[str, dict[Heuristic, list[float]]] = {
-        m: {h: [] for h in cfg.heuristics} for m, _ in plan
-    }
-    relative_values: dict[str, dict[Heuristic, list[float]]] = {
-        m: {h: [] for h in cfg.heuristics} for m, _ in plan
-    }
-    win_counts: dict[str, dict[Heuristic, int]] = {
-        m: {h: 0 for h in baseline} for m, _ in plan
-    }
-    paired: dict[str, list[np.ndarray]] = {h.token: [] for h in cfg.heuristics}
-    pooled_absent = np.zeros(dataset.n_rows, dtype=np.int64)
-    pooled_oob = np.zeros(dataset.n_rows, dtype=np.int64)
-
+    seeds = [derive(cfg.seed, REPLICATION, r) for r in range(cfg.replications)]
+    reps: list[_Replication] = []
     r = -1
     try:
-        for r in range(cfg.replications):
-            seed_r = derive(cfg.seed, REPLICATION, r)
-            rep_seeds.append(seed_r)
-            forest = train_forest(
-                dataset,
-                ForestConfig(cfg.n_trees, cfg.sample_size, seed_r, grow),
-                workers=cfg.workers,
-            )
-            tree_hashes = forest_tree_hashes(forest)
+        for r, seed_r in enumerate(seeds):
+            forest_cfg = ForestConfig(cfg.n_trees, cfg.sample_size, seed_r, grow)
+            forest = train_forest(dataset, forest_cfg, workers=cfg.workers)
             coins = Coins(master=cfg.seed, replication=r)
             sets = oob_predict_all(forest, dataset, routed, coins)
             onehot_tree_hashes = None
-            if use_onehot:
-                onehot_forest = train_forest(
-                    onehot_data,
-                    ForestConfig(cfg.n_trees, cfg.sample_size, seed_r, None),
-                    workers=cfg.workers,
-                )
+            if onehot_data is not None:
+                onehot_cfg = dataclasses.replace(forest_cfg, grow=None)
+                onehot_forest = train_forest(onehot_data, onehot_cfg, workers=cfg.workers)
                 onehot_tree_hashes = forest_tree_hashes(onehot_forest)
                 # no categorical columns remain, so the routing policy is
                 # never consulted; LEFT is an arbitrary stand-in
                 (s,) = oob_predict_all(onehot_forest, onehot_data, [Heuristic.LEFT], coins).values()
                 if s.absent_tree_counts.any():
                     raise RuntimeError("one-hot forest reported absent levels")
-                s = dataclasses.replace(s, heuristic=Heuristic.ONE_HOT.token)
-                sets[Heuristic.ONE_HOT] = s
+                sets[Heuristic.ONE_HOT] = dataclasses.replace(s, heuristic=Heuristic.ONE_HOT.token)
 
-            undefined = [
-                int(i)
-                for h in cfg.heuristics
-                for i in np.flatnonzero(~sets[h].defined)
-            ]
+            undefined = sorted({int(i) for s in sets.values() for i in np.flatnonzero(~s.defined)})
             if undefined:
-                raise RuntimeError(
-                    f"rows {sorted(set(undefined))} were never out of bag; "
-                    "increase n_trees"
-                )
+                raise RuntimeError(f"rows {undefined} were never out of bag; increase n_trees")
             _check_paired_invariant(sets)
 
-            # absence flags are identical across routing heuristics (the
-            # trace is shared up to the first absent-level event), so any
-            # one of them can feed the pooled proportions
-            flag_source = sets[routed[0]] if routed else sets[Heuristic.ONE_HOT]
-            pooled_absent += flag_source.absent_tree_counts
-            pooled_oob += flag_source.oob_tree_counts
-
-            values_per_metric: dict[str, dict[str, float]] = {}
-            for metric, _ in plan:
-                vals = {
-                    h.token: _evaluate_set(metric, sets[h], dataset, positive_idx, eps)
+            values = {
+                metric: {
+                    h: _evaluate_set(metric, sets[h], dataset, positive_idx, eps)
                     for h in cfg.heuristics
                 }
-                values_per_metric[metric] = vals
-                for h in cfg.heuristics:
-                    metric_values[metric][h].append(vals[h.token])
-
-            rel_per_metric: dict[str, dict[str, float]] = {}
-            for metric, orientation in plan:
-                if baseline:
-                    rel = relative_to_best(
-                        values_per_metric[metric], [h.token for h in baseline], orientation
-                    )
-                    rel_per_metric[metric] = rel
-                    for h in cfg.heuristics:
-                        relative_values[metric][h].append(rel[h.token])
-                    # the best baseline member is the first whose distance
-                    # from the best is 0, so ties go to the earlier member
-                    win_counts[metric][next(h for h in baseline if rel[h.token] == 0)] += 1
-
-            kappas: list[tuple[str, str, float]] = []
-            if task == CLASSIFICATION:
-                hs = list(cfg.heuristics)
-                for i in range(len(hs)):
-                    for j in range(i + 1, len(hs)):
-                        k = cohen_kappa(
-                            sets[hs[i]].predictions, sets[hs[j]].predictions, n_classes
-                        )
-                        kappas.append((hs[i].token, hs[j].token, k))
-
-            for h in cfg.heuristics:
-                paired[h.token].append(_paired_values(sets[h], dataset, positive_idx))
-
-            _write_replication(
-                out,
-                r,
-                cfg,
-                dataset,
-                seed_r,
-                tree_hashes,
-                onehot_tree_hashes,
-                sets,
-                values_per_metric,
-                rel_per_metric,
-                kappas,
+                for metric, _ in plan
+            }
+            rep = _Replication(
+                seed=seed_r,
+                tree_hashes=forest_tree_hashes(forest),
+                onehot_tree_hashes=onehot_tree_hashes,
+                values=values,
+                relative={
+                    metric: relative_to_best(values[metric], baseline, orientation)
+                    for metric, orientation in plan
+                    if baseline
+                },
+                kappas=[
+                    (a, b, cohen_kappa(sets[a].predictions, sets[b].predictions, n_classes))
+                    for a, b in itertools.combinations(cfg.heuristics, 2)
+                ]
+                if task == CLASSIFICATION
+                else [],
+                paired={h: _paired_values(sets[h], dataset, positive_idx) for h in cfg.heuristics},
+                flags=sets[routed[0]] if routed else sets[Heuristic.ONE_HOT],
             )
-            hashes.append(combine_tree_hashes(tree_hashes))
+            _write_replication(out, r, dataset, rep, sets)
+            reps.append(rep)
             if verbose:
                 print(f"replication {r} done", file=sys.stderr)
     except Exception as exc:
         _write_manifest(
-            out, cfg, task, status="failed", failed=r, error=str(exc), seeds=rep_seeds
+            out, cfg, task, "failed", seeds[: r + 1], failed_replication=r, error=str(exc)
         )
         raise RuntimeError(f"replication {r} failed: {exc}") from exc
 
-    with np.errstate(invalid="ignore"):
-        absence = np.where(pooled_oob > 0, pooled_absent / np.maximum(pooled_oob, 1), np.nan)
-
-    # ---- aggregate outputs
-    summary_rows: list[tuple] = []
-    for metric, _ in plan:
-        for h in cfg.heuristics:
-            vals = np.asarray(metric_values[metric][h])
-            for stat, v in _six_stats(vals):
-                summary_rows.append(("metric", h.token, metric, stat, v))
-    for metric, _ in plan:
-        if baseline:
-            for h in cfg.heuristics:
-                vals = np.asarray(relative_values[metric][h])
-                for stat, v in _six_stats(vals):
-                    summary_rows.append(("relative", h.token, metric, stat, v))
-    for metric, _ in plan:
-        for h in baseline:
-            summary_rows.append(("wins", h.token, metric, "count", win_counts[metric][h]))
-    defined = ~np.isnan(absence)
-    if defined.any():
-        for stat, v in _six_stats(absence[defined]):
-            summary_rows.append(("absence", "", "proportion", stat, v))
-    _write_csv(out / "summary.csv", ["kind", "heuristic", "metric", "stat", "value"], summary_rows)
-
+    flags = [rep.flags for rep in reps]
+    absence = pooled_absence_proportions(flags)
+    summary_rows = _summary_rows(cfg.heuristics, baseline, reps, absence)
+    _write_csv(
+        out / "summary.csv",
+        ["kind", "heuristic", "metric", "stat", "value"],
+        list(zip(*summary_rows)),
+    )
     _write_csv(
         out / "absence_proportions.csv",
         ["observation", "oob_trees", "absent_trees", "proportion"],
         [
-            (i, int(pooled_oob[i]), int(pooled_absent[i]), float(absence[i]))
-            for i in range(dataset.n_rows)
+            np.arange(dataset.n_rows),
+            sum(f.oob_tree_counts for f in flags),
+            sum(f.absent_tree_counts for f in flags),
+            absence,
         ],
     )
 
-    stacked = {tok: np.vstack(rows) for tok, rows in paired.items()}
+    stacked = {h.token: np.vstack([rep.paired[h] for rep in reps]) for h in cfg.heuristics}
     buckets = paired_difference_summary(stacked, absence, cfg.bucket_width)
+    fields = ["first", "second", "bucket_low", "bucket_high", "count", "mean", "lo95", "hi95"]
     _write_csv(
         out / "paired_differences.csv",
-        ["first", "second", "bucket_low", "bucket_high", "count", "mean_diff", "lo95", "hi95", "excludes_zero"],
-        [
-            (
-                b.first,
-                b.second,
-                b.bucket_low,
-                b.bucket_high,
-                b.count,
-                b.mean,
-                b.lo95,
-                b.hi95,
-                b.excludes_zero,
-            )
-            for b in buckets
-        ],
+        ["mean_diff" if f == "mean" else f for f in fields] + ["excludes_zero"],
+        [[getattr(b, f) for b in buckets] for f in fields] + [[b.excludes_zero for b in buckets]],
     )
 
-    _write_manifest(out, cfg, task, status="complete", failed=None, error=None, seeds=rep_seeds)
+    _write_manifest(out, cfg, task, "complete", seeds)
     return ExperimentResult(
         config=cfg,
         output_dir=out,
         task=task,
-        replication_seeds=rep_seeds,
-        forest_hashes=hashes,
+        replication_seeds=seeds,
+        forest_hashes=[combine_tree_hashes(rep.tree_hashes) for rep in reps],
         summary_rows=summary_rows,
         absence=absence,
     )
 
 
-def _config_echo(cfg: ExperimentConfig) -> dict:
-    obj = dataclasses.asdict(cfg)
-    obj["heuristics"] = [h.token for h in cfg.heuristics]
-    obj["baseline"] = None if cfg.baseline is None else [h.token for h in cfg.baseline]
-    return obj
+def _summary_rows(
+    heuristics: tuple[Heuristic, ...],
+    baseline: tuple[Heuristic, ...],
+    reps: list[_Replication],
+    absence: np.ndarray,
+) -> list[tuple]:
+    """``summary.csv`` rows: six statistics across replications of each
+    metric and relative value per heuristic, how often each baseline
+    member was best (ties to the earlier member, the first at distance 0),
+    and six statistics of the defined pooled absence proportions."""
+    rows: list[tuple] = []
+    for kind, attr in (("metric", "values"), ("relative", "relative")):
+        for metric in getattr(reps[0], attr):
+            for h in heuristics:
+                vals = np.asarray([getattr(rep, attr)[metric][h] for rep in reps])
+                rows += [(kind, h.token, metric, stat, v) for stat, v in _six_stats(vals)]
+    for metric in reps[0].relative:
+        best = [next(h for h in baseline if rep.relative[metric][h] == 0) for rep in reps]
+        rows += [("wins", h.token, metric, "count", best.count(h)) for h in baseline]
+    defined = absence[~np.isnan(absence)]
+    if defined.size:
+        rows += [("absence", "", "proportion", stat, v) for stat, v in _six_stats(defined)]
+    return rows
 
 
-def _write_manifest(out: Path, cfg, task, status, failed, error, seeds) -> None:
-    obj = {
-        "library_version": __version__,
-        "status": status,
-        "task": task,
-        "config": _config_echo(cfg),
-        "replication_seeds": list(seeds),
-    }
-    if failed is not None:
-        obj["failed_replication"] = failed
-    if error is not None:
-        obj["error"] = error
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
+def _write_json(path: Path, obj: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
+def _write_manifest(out: Path, cfg: ExperimentConfig, task: str, status: str, seeds, **outcome):
+    """The run manifest: status, config echo and replication seeds, plus
+    ``outcome`` (the failed replication and its error) after a failure."""
+    config = dataclasses.asdict(cfg)
+    config["heuristics"] = [h.token for h in cfg.heuristics]
+    config["baseline"] = None if cfg.baseline is None else [h.token for h in cfg.baseline]
+    obj = {"library_version": __version__, "status": status, "task": task, "config": config}
+    _write_json(out / "manifest.json", {**obj, "replication_seeds": list(seeds), **outcome})
+
+
 def _write_replication(
-    out: Path,
-    r: int,
-    cfg: ExperimentConfig,
-    dataset: Dataset,
-    seed_r: int,
-    tree_hashes: list[str],
-    onehot_tree_hashes: list[str] | None,
-    sets: dict[Heuristic, OOBPredictionSet],
-    values_per_metric: dict[str, dict[str, float]],
-    rel_per_metric: dict[str, dict[str, float]],
-    kappas: list[tuple[str, str, float]],
+    out: Path, r: int, dataset: Dataset, rep: _Replication, sets: dict[Heuristic, OOBPredictionSet]
 ) -> None:
     rep_dir = out / f"replication_{r}"
     rep_dir.mkdir(parents=True, exist_ok=True)
 
-    rows: list[tuple] = []
-    for metric in values_per_metric:
-        for h in cfg.heuristics:
-            rows.append((r, h.token, metric, values_per_metric[metric][h.token]))
-    for metric in rel_per_metric:
-        for h in cfg.heuristics:
-            rows.append((r, h.token, f"{metric}_rel", rel_per_metric[metric][h.token]))
-    for h1, h2, k in kappas:
-        rows.append((r, f"{h1}|{h2}", "kappa", k))
-    _write_csv(rep_dir / "metrics.csv", ["replication", "heuristic", "metric", "value"], rows)
+    rows = [(h.token, m, v) for m, per_h in rep.values.items() for h, v in per_h.items()]
+    rows += [(h.token, f"{m}_rel", v) for m, per_h in rep.relative.items() for h, v in per_h.items()]
+    rows += [(f"{a.token}|{b.token}", "kappa", k) for a, b, k in rep.kappas]
+    _write_csv(
+        rep_dir / "metrics.csv",
+        ["replication", "heuristic", "metric", "value"],
+        [[r] * len(rows), *zip(*rows)],
+    )
 
-    for h in cfg.heuristics:
-        s = sets[h]
-        if dataset.task == REGRESSION:
-            header = ["observation", "prediction", "oob_trees", "absent_trees"]
-            body = [
-                (i, float(s.predictions[i]), int(s.oob_tree_counts[i]), int(s.absent_tree_counts[i]))
-                for i in range(dataset.n_rows)
-            ]
-        else:
-            labels = dataset.response.classes
-            header = (
-                ["observation", "prediction"]
-                + [f"p_{c}" for c in labels]
-                + ["oob_trees", "absent_trees"]
-            )
-            body = []
-            for i in range(dataset.n_rows):
-                pred = int(s.predictions[i])
-                body.append(
-                    (i, labels[pred - 1] if pred else "")
-                    + tuple(float(p) for p in s.probabilities[i])
-                    + (int(s.oob_tree_counts[i]), int(s.absent_tree_counts[i]))
-                )
-        _write_csv(rep_dir / f"oob_{h.token}.csv", header, body)
+    for h, s in sets.items():
+        header, columns = prediction_columns(s, dataset.response.classes)
+        _write_csv(
+            rep_dir / f"oob_{h.token}.csv",
+            header + ["oob_trees", "absent_trees"],
+            columns + [s.oob_tree_counts, s.absent_tree_counts],
+        )
 
     manifest = {
         "replication": r,
-        "seed": seed_r,
-        "forest_hash": combine_tree_hashes(tree_hashes),
-        "tree_hashes": tree_hashes,
+        "seed": rep.seed,
+        "forest_hash": combine_tree_hashes(rep.tree_hashes),
+        "tree_hashes": rep.tree_hashes,
     }
-    if onehot_tree_hashes is not None:
-        manifest["onehot_forest_hash"] = combine_tree_hashes(onehot_tree_hashes)
-        manifest["onehot_tree_hashes"] = onehot_tree_hashes
-    with open(rep_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    if rep.onehot_tree_hashes is not None:
+        manifest["onehot_forest_hash"] = combine_tree_hashes(rep.onehot_tree_hashes)
+        manifest["onehot_tree_hashes"] = rep.onehot_tree_hashes
+    _write_json(rep_dir / "manifest.json", manifest)

@@ -351,6 +351,18 @@ def predict_rows(
     return out
 
 
+def prediction_columns(s: OOBPredictionSet, labels) -> tuple[list[str], list]:
+    """Header and columns of a prediction table: ``observation``,
+    ``prediction`` (a class label, empty where undefined) and, for
+    classification, one ``p_<label>`` vote-share column per class."""
+    rows = np.arange(s.predictions.size)
+    if s.probabilities is None:
+        return ["observation", "prediction"], [rows, s.predictions]
+    predicted = [labels[p - 1] if p else "" for p in s.predictions.tolist()]
+    header = ["observation", "prediction"] + [f"p_{c}" for c in labels]
+    return header, [rows, predicted, *s.probabilities.T]
+
+
 def oob_predict_all(
     forest: Forest, dataset: Dataset, policies: list[Heuristic], coins: Coins | None = None
 ) -> dict[Heuristic, OOBPredictionSet]:

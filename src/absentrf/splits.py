@@ -40,8 +40,6 @@ RIGHT = "right"
 # callers are expected to fall back to random_categorical_split.
 EXHAUSTIVE_HARD_LIMIT = 16
 
-_ENUM_CHUNK = 1 << 15
-
 
 @dataclass(frozen=True)
 class OrderedRule:
@@ -781,10 +779,10 @@ def exhaustive_categorical_split(
 ) -> CandidateSplit | None:
     """Enumerate every level bipartition of a categorical predictor.
 
-    Classification only.  Encodings ``1 .. 2**(Q-1) - 1`` are scanned in
-    increasing order and the incumbent is replaced only on strict
-    improvement, so among tied optima the smallest encoding wins --
-    which is the one sending every absent level (and level ``Q``) right.
+    Classification only.  Encodings ``1 .. 2**(Q-1) - 1`` are scored in
+    increasing order and the first minimum wins, so among tied optima
+    the smallest encoding wins -- which is the one sending every absent
+    level (and level ``Q``) right.
     Raises when ``Q`` exceeds ``limit``; use the random search instead.
     """
     spec = dataset.schema[predictor]
@@ -803,23 +801,16 @@ def exhaustive_categorical_split(
     x, y = _mother_arrays(dataset, rows, predictor)
     k = dataset.response.n_classes
     lvl_cc = _level_class_counts(x, y, q, k)
-    shifts = np.arange(q, dtype=np.int64)
-
-    best_obj = np.inf
-    best = None  # (bitmask, left_n, right_n)
-    top = 1 << (q - 1)
-    for start in range(1, top, _ENUM_CHUNK):
-        masks = np.arange(start, min(start + _ENUM_CHUNK, top), dtype=np.int64)
-        bits = (masks[:, None] >> shifts[None, :]) & 1
-        obj, ln, rn = _masked_gini_objective(bits, lvl_cc)
-        i = int(np.argmin(obj))
-        if obj[i] < best_obj:  # strict: earlier chunks keep ties
-            best_obj = float(obj[i])
-            best = (int(masks[i]), int(ln[i]), int(rn[i]))
-    if best is None or not np.isfinite(best_obj):
+    # Q <= EXHAUSTIVE_HARD_LIMIT: at most 2**15 - 1 masks, scored in one call
+    masks = np.arange(1, 1 << (q - 1), dtype=np.int64)
+    bits = (masks[:, None] >> np.arange(q, dtype=np.int64)[None, :]) & 1
+    obj, ln, rn = _masked_gini_objective(bits, lvl_cc)
+    i = int(np.argmin(obj))  # the first of tied optima: the smallest encoding
+    if not np.isfinite(obj[i]):
         return None
-    counts_per_level = lvl_cc.sum(axis=1)
-    return _finish_bitmask_split(predictor, best[0], best_obj, best[1], best[2], counts_per_level)
+    return _finish_bitmask_split(
+        predictor, int(masks[i]), obj[i], int(ln[i]), int(rn[i]), lvl_cc.sum(axis=1)
+    )
 
 
 def random_bitmasks(rng: np.random.Generator, n_candidates: int, n_levels: int) -> np.ndarray:

@@ -370,6 +370,39 @@ def test_experiment_failure_exit_code(tmp_path, capsys):
     assert "failed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("log_loss_eps", 0.7),
+        ("log_loss_eps", 0.0),
+        ("sample_size", 0),
+        ("mtry", 99),
+        ("exhaustive_max_q_binary", 60),
+        ("exhaustive_max_q_multiclass", 17),
+    ],
+)
+def test_experiment_rejects_bad_config_before_training(tmp_path, capsys, field, value):
+    _, data, spec = classification_inputs(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "dataset_path": data,
+                "schema_path": spec,
+                "output_dir": str(tmp_path / "out"),
+                "heuristics": ["left", "dbi"],
+                "replications": 1,
+                "n_trees": 20,
+                field: value,
+            }
+        )
+    )
+    code = main(["experiment", "--config", str(cfg)])
+    assert code == EXIT_DATA
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "out" / "replication_0").exists()
+
+
 def test_missing_files_exit_cleanly(tmp_path, capsys):
     code = main(
         ["train", "--data", str(tmp_path / "nope.csv"), "--schema", str(tmp_path / "nope.json"),
