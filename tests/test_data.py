@@ -1,4 +1,6 @@
 """Dataset construction, CSV ingestion, schema files, transforms."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from absentrf.data import (
     save_schema,
     write_csv,
 )
+from absentrf import synth
 
 SCHEMA = (
     ColumnSchema("size", NUMERIC),
@@ -197,6 +200,28 @@ def test_write_round_trip_exotic_floats(tmp_path):
     write_csv(ds, path)
     back, _ = ingest_csv(path, SCHEMA, NUM_RESP)
     assert back.fingerprint() == ds.fingerprint()  # repr round-trips exactly
+
+
+def test_write_round_trip_nan(tmp_path):
+    ds = from_arrays(SCHEMA, NUM_RESP, [[np.nan, 1.0, -np.inf], [1, 2, 3]], [np.nan, 0.0, np.inf])
+    path = tmp_path / "out.csv"
+    write_csv(ds, path)
+    back, _ = ingest_csv(path, SCHEMA, NUM_RESP)
+    assert back.fingerprint() == ds.fingerprint()
+
+
+GOLDEN_WRITE_CSV = {
+    "bridge_multiclass": "a4e4fbc991542e77292df9272698fbea7e0f4000d89b443e2268f647eb22b46b",
+    "price_regression": "f8972dd01a5ef7b38db10c975353524df1f70dcc9e3879dd132efcedb00a0f4e",
+    "rollcall_binary": "6bbe72455441786f29283de11d9e78b4bca450aeb23250f265340dc44d60052b",
+}
+
+
+@pytest.mark.parametrize("generator", sorted(GOLDEN_WRITE_CSV))
+def test_write_csv_bytes_are_unchanged(generator, tmp_path):
+    path = tmp_path / "out.csv"
+    write_csv(getattr(synth, generator)(0), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_WRITE_CSV[generator]
 
 
 # ---------------------------------------------------------------------------

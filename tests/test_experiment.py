@@ -21,16 +21,18 @@ from absentrf.data import (
     save_schema,
     write_csv,
 )
+from absentrf import experiment
 from absentrf.experiment import (
     ConfigError,
     ExperimentConfig,
     load_experiment_config,
     run_experiment,
+    run_experiment_on,
 )
 from absentrf.forest import ForestConfig, forest_hash, forest_tree_hashes, train_forest
 from absentrf.heuristics import Heuristic
 from absentrf.metrics import cohen_kappa, log_loss
-from absentrf.synth import bridge_multiclass
+from absentrf.synth import bridge_multiclass, rollcall_binary
 
 ALL = (
     Heuristic.LEFT,
@@ -323,6 +325,33 @@ def test_onehot_only_run(tmp_path):
     rows = read_rows(out / "summary.csv")
     assert not [r for r in rows if r["kind"] in ("relative", "wins")]  # no baseline
     assert read_rows(out / "paired_differences.csv") == []
+
+
+def test_onehot_forest_follows_the_config_growth_settings(tmp_path, monkeypatch):
+    dataset = rollcall_binary(0)
+    onehot_forests = []
+
+    def train_and_keep(data, config, workers=1):
+        forest = train_forest(data, config, workers=workers)
+        if data is not dataset:
+            onehot_forests.append(forest)
+        return forest
+
+    monkeypatch.setattr(experiment, "train_forest", train_and_keep)
+    base = dict(
+        dataset_path="data.csv",
+        schema_path="schema.json",
+        heuristics=(Heuristic.LEFT, Heuristic.ONE_HOT),
+        replications=1,
+        n_trees=20,
+        seed=11,
+    )
+    run_experiment_on(ExperimentConfig(output_dir=str(tmp_path / "unset"), **base), dataset)
+    run_experiment_on(ExperimentConfig(output_dir=str(tmp_path / "set"), min_node_size=40, **base), dataset)
+    split_sizes = [node.stats.size for tree in onehot_forests[1].trees for node in tree.nodes if not node.is_leaf]
+    assert split_sizes and min(split_sizes) > 40
+    name = "replication_0/oob_onehot.csv"
+    assert (tmp_path / "unset" / name).read_bytes() != (tmp_path / "set" / name).read_bytes()
 
 
 # ---------------------------------------------------------------------------

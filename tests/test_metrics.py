@@ -22,6 +22,7 @@ from absentrf.metrics import (
     rmse,
     roc_auc,
 )
+from absentrf.metrics import _midranks
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -238,3 +239,34 @@ def test_paired_difference_skips_undefined_rows():
     absence = np.array([0.5, np.nan])
     out = paired_difference_summary(values, absence, bucket_width=0.5)
     assert sum(b.count for b in out) == 1
+
+
+# ---------------------------------------------------------------------------
+# midranks against the loop it replaced
+
+
+def midranks_loop(values):
+    """Average 1-based ranks, one run of equal sorted values at a time."""
+    order = np.argsort(values, kind="stable")
+    sorted_vals = values[order]
+    ranks = np.empty(values.size, dtype=np.float64)
+    i = 0
+    while i < values.size:
+        j = i
+        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+@given(
+    st.lists(
+        st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, np.nan, np.inf, -np.inf]), st.floats()),
+        max_size=80,
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_midranks_equals_the_loop(values):
+    values = np.array(values, dtype=np.float64)
+    assert _midranks(values).tobytes() == midranks_loop(values).tobytes()

@@ -729,3 +729,94 @@ def test_random_split_covers_optimum_with_enough_draws():
     s = random_categorical_split(ds, np.arange(8), 0, np.random.default_rng(3), 512)
     assert s.impurity == 0.0
     assert s.rule.left_levels in (frozenset({1, 3}), frozenset({2, 4}))
+
+
+# ---------------------------------------------------------------------------
+# both bitmask searches against independent replays
+
+
+def bitmask_instance(rng, q, k, max_n=40):
+    """A node drawn from a random subset of ``q`` levels (so levels are
+    often absent), with repeated rows as in a bootstrap."""
+    pool = rng.choice(np.arange(1, q + 1), size=int(rng.integers(1, q + 1)), replace=False)
+    n = int(rng.integers(1, max_n + 1))
+    x = rng.choice(pool, size=n)
+    y = rng.integers(1, k + 1, size=n)
+    rows = rng.integers(0, n, size=int(rng.integers(1, 2 * n + 1)))
+    return cat_dataset(x, y, q, CLASSIFICATION, k=k), rows, x[rows], y[rows]
+
+
+def encode(bits_row) -> int:
+    return sum(1 << j for j, b in enumerate(bits_row.tolist()) if b)
+
+
+@given(st.integers(0, 10**9))
+@settings(max_examples=150, deadline=None)
+def test_random_search_equals_replay_scored_by_masked_objective(seed):
+    rng = np.random.default_rng(seed)
+    q, k = int(rng.integers(1, 70)), int(rng.choice([2, 3, 7]))
+    ds, rows, x, y = bitmask_instance(rng, q, k)
+    m = int(rng.integers(1, 300))
+    got_rng, want_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    s = random_categorical_split(ds, rows, 0, got_rng, m)
+
+    bits = random_bitmasks(want_rng, m, q)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    counts = np.zeros((q, k), dtype=np.int64)
+    np.add.at(counts, (x - 1, y - 1), 1)
+    obj, ln, rn = _masked_gini_objective(bits, counts)
+    best = None
+    for i, v in enumerate(obj.tolist()):  # first strict optimum in draw order
+        if v < np.inf and (best is None or v < obj[best]):
+            best = i
+    if best is None:
+        assert s is None
+        return
+    present = frozenset(x.tolist())
+    assert s.impurity == float(obj[best])
+    assert s.rule.left_levels == frozenset(lv for lv in present if bits[best, lv - 1])
+    assert s.rule.bitmask == encode(bits[best])  # absent-level bits included
+    assert s.rule.present == present
+    assert s.rule.absent == frozenset(range(1, q + 1)) - present
+    assert (s.left_size, s.right_size) == (int(ln[best]), int(rn[best]))
+
+
+def scan_every_encoding(x, y, q, k):
+    """(objective, encoding, left rows, right rows) of the first strict
+    optimum over encodings ``1 .. 2**(Q-1) - 1`` in increasing order, each
+    scored from the rows it sends left and right, or None."""
+    best = None
+    for e in range(1, 1 << (q - 1)):
+        left = np.isin(x, [lv for lv in range(1, q + 1) if e >> (lv - 1) & 1])
+        lc = np.bincount(y[left], minlength=k + 1)[1:]
+        rc = np.bincount(y[~left], minlength=k + 1)[1:]
+        ln, rn = int(lc.sum()), int(rc.sum())
+        if ln == 0 or rn == 0:
+            continue
+        gl = 1.0 - ((lc / ln) ** 2).sum()
+        gr = 1.0 - ((rc / rn) ** 2).sum()
+        obj = (ln * gl + rn * gr) / float(x.size)
+        if best is None or obj < best[0]:
+            best = (obj, e, ln, rn)
+    return best
+
+
+@pytest.mark.parametrize("k", [2, 3, 7])
+@pytest.mark.parametrize("q", range(2, 11))
+def test_exhaustive_search_equals_a_scan_of_every_encoding(q, k):
+    rng = np.random.default_rng(100 * q + k)
+    for _ in range(4):
+        ds, rows, x, y = bitmask_instance(rng, q, k)
+        s = exhaustive_categorical_split(ds, rows, 0)
+        want = scan_every_encoding(x, y, q, k)
+        if want is None:
+            assert s is None
+            continue
+        obj, e, ln, rn = want
+        present = frozenset(x.tolist())
+        assert s.impurity == obj
+        assert s.rule.bitmask == e
+        assert s.rule.left_levels == frozenset(lv for lv in present if e >> (lv - 1) & 1)
+        assert s.rule.present == present
+        assert s.rule.absent == frozenset(range(1, q + 1)) - present
+        assert (s.left_size, s.right_size) == (ln, rn)
