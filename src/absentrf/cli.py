@@ -6,7 +6,6 @@ configuration or model dump, 4 runtime failure inside a computation.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
@@ -23,7 +22,7 @@ from .data import (
 from .experiment import ConfigError, load_experiment_config, run_experiment
 from .forest import (
     ForestConfig,
-    default_grow_config,
+    _grow_settings,
     load_forest,
     predict_rows,
     prediction_columns,
@@ -46,14 +45,30 @@ def _add_data_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--skip-header", action="store_true", help="ignore the first CSV row")
 
 
-def _cmd_train(args) -> int:
-    schema, response = load_schema(args.schema)
-    dataset, dropped = ingest_csv(
-        args.data, schema, response, missing_token=args.missing_token, skip_header=args.skip_header
+def _read_data(args, schema, response, require_response: bool):
+    """The ``--data`` CSV read against a schema: (dataset, dropped rows)."""
+    return ingest_csv(
+        args.data,
+        schema,
+        response,
+        missing_token=args.missing_token,
+        skip_header=args.skip_header,
+        require_response=require_response,
     )
-    overrides = {"mtry": args.mtry, "min_node_size": args.min_node_size}
-    overrides = {k: v for k, v in overrides.items() if v is not None}
-    grow = dataclasses.replace(default_grow_config(dataset), **overrides) if overrides else None
+
+
+def _write_out(args, header: list[str], columns) -> None:
+    """Write a table to ``--out``, or to stdout when it is not given."""
+    if args.out is None:
+        write_table(sys.stdout, header, columns)
+        return
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        write_table(fh, header, columns)
+
+
+def _cmd_train(args) -> int:
+    dataset, dropped = _read_data(args, *load_schema(args.schema), require_response=True)
+    grow = _grow_settings(dataset, {"mtry": args.mtry, "min_node_size": args.min_node_size})
     cfg = ForestConfig(n_trees=args.trees, sample_size=args.sample_size, seed=args.seed, grow=grow)
     forest = train_forest(dataset, cfg, workers=args.workers)
     save_forest(forest, args.out)
@@ -72,23 +87,11 @@ def _cmd_predict(args) -> int:
         raise DataError(
             "onehot cannot route observations; train a model on transformed data instead"
         )
-    dataset, dropped = ingest_csv(
-        args.data,
-        forest.schema,
-        forest.response,
-        missing_token=args.missing_token,
-        skip_header=args.skip_header,
-        require_response=False,
-    )
+    dataset, dropped = _read_data(args, forest.schema, forest.response, require_response=False)
     coins = Coins(master=forest.config.seed if args.coin_seed is None else args.coin_seed)
     preds = predict_rows(forest, dataset.matrix(), [policy], coins)[policy]
     header, columns = prediction_columns(preds, forest.response.classes)
-    out = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8", newline="")
-    try:
-        write_table(out, header + ["absent_trees"], columns + [preds.absent_tree_counts])
-    finally:
-        if args.out is not None:
-            out.close()
+    _write_out(args, header + ["absent_trees"], columns + [preds.absent_tree_counts])
     if dropped:
         print(f"dropped {dropped} rows containing the missing token", file=sys.stderr)
     return EXIT_OK
@@ -102,15 +105,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_transform(args) -> int:
-    schema, response = load_schema(args.schema)
-    dataset, dropped = ingest_csv(
-        args.data,
-        schema,
-        response,
-        missing_token=args.missing_token,
-        skip_header=args.skip_header,
-        require_response=False,
-    )
+    dataset, dropped = _read_data(args, *load_schema(args.schema), require_response=False)
     onehot = one_hot_transform(dataset)
     write_csv(onehot, args.out_data)
     save_schema(args.out_schema, onehot.schema, onehot.response)
@@ -158,12 +153,7 @@ def _cmd_inspect(args) -> int:
         "left_size",
         "right_size",
     ]
-    out = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8", newline="")
-    try:
-        write_table(out, header, list(zip(*rows)))
-    finally:
-        if args.out is not None:
-            out.close()
+    _write_out(args, header, list(zip(*rows)))
     return EXIT_OK
 
 

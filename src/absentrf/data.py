@@ -327,22 +327,18 @@ def ingest_csv(
 def write_csv(dataset: Dataset, path) -> None:
     """Write a dataset back out as CSV (predictors in schema order, then
     the response when present).  Categorical cells are written as their
-    level labels, so the file round-trips through :func:`ingest_csv`."""
+    level labels and numeric ones by ``repr`` (NaN as ``nan``), so the
+    file round-trips through :func:`ingest_csv`."""
+    # only categorical columns and class responses declare labels
+    named = [(spec.levels, col) for spec, col in zip(dataset.schema, dataset.columns)]
+    if dataset.y is not None:
+        named.append((dataset.response.classes, dataset.y))
+    columns = [
+        np.asarray(labels, dtype=object)[values - 1] if labels else list(map(repr, values.tolist()))
+        for labels, values in named
+    ]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        for i in range(dataset.n_rows):
-            record = []
-            for spec, col in zip(dataset.schema, dataset.columns):
-                if spec.kind == CATEGORICAL:
-                    record.append(spec.levels[int(col[i]) - 1])
-                else:
-                    record.append(repr(float(col[i])))
-            if dataset.y is not None:
-                if dataset.response.kind == RESPONSE_CLASS:
-                    record.append(dataset.response.classes[int(dataset.y[i]) - 1])
-                else:
-                    record.append(repr(float(dataset.y[i])))
-            writer.writerow(record)
+        csv.writer(fh, lineterminator="\n").writerows(_rows(columns))
 
 
 def _cell(v) -> str:
@@ -355,14 +351,18 @@ def _cell(v) -> str:
     return repr(v) if isinstance(v, float) else str(v)
 
 
+def _rows(columns):
+    """The rows of a table given column by column, each column formatted
+    once: floats by ``repr`` (shortest round trip), ints and labels by
+    ``str``, NaN and None as empty cells, booleans as ``true``/``false``."""
+    return zip(*[[_cell(v) for v in (c.tolist() if isinstance(c, np.ndarray) else c)] for c in columns])
+
+
 def write_table(fh, header: list[str], columns) -> None:
-    """Write a CSV table column by column.  Each column is formatted once:
-    floats by ``repr`` (shortest round trip), ints and labels by ``str``,
-    NaN and None as empty cells, booleans as ``true``/``false``."""
-    cells = [[_cell(v) for v in (c.tolist() if isinstance(c, np.ndarray) else c)] for c in columns]
+    """Write a CSV table: ``header``, then the cells of :func:`_rows`."""
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(zip(*cells))
+    writer.writerows(_rows(columns))
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,8 @@ from .data import (
 from .forest import (
     ForestConfig,
     OOBPredictionSet,
+    _grow_settings,
     combine_tree_hashes,
-    default_grow_config,
     forest_tree_hashes,
     oob_predict_all,
     pooled_absence_proportions,
@@ -301,14 +301,15 @@ def run_experiment_on(
     eps = cfg.log_loss_eps if cfg.log_loss_eps is not None else 1.0 / (2.0 * cfg.n_trees)
     plan = _metric_plan(task, n_classes)
 
-    overrides = {"mtry": cfg.mtry, "min_node_size": cfg.min_node_size}
-    grow = dataclasses.replace(
-        default_grow_config(dataset),
-        **{k: v for k, v in overrides.items() if v is not None},
-        exhaustive_max_q_binary=cfg.exhaustive_max_q_binary,
-        exhaustive_max_q_multiclass=cfg.exhaustive_max_q_multiclass,
-        random_candidates=cfg.random_candidates,
-    )
+    # a setting the config leaves unset defaults from each forest's own predictors
+    settings = {
+        "mtry": cfg.mtry,
+        "min_node_size": cfg.min_node_size,
+        "exhaustive_max_q_binary": cfg.exhaustive_max_q_binary,
+        "exhaustive_max_q_multiclass": cfg.exhaustive_max_q_multiclass,
+        "random_candidates": cfg.random_candidates,
+    }
+    grow = _grow_settings(dataset, settings)
     if grow.mtry > dataset.n_predictors:
         raise ConfigError(f"mtry={grow.mtry} exceeds the {dataset.n_predictors} predictors")
 
@@ -327,7 +328,7 @@ def run_experiment_on(
             sets = oob_predict_all(forest, dataset, routed, coins)
             onehot_tree_hashes = None
             if onehot_data is not None:
-                onehot_cfg = dataclasses.replace(forest_cfg, grow=None)
+                onehot_cfg = dataclasses.replace(forest_cfg, grow=_grow_settings(onehot_data, settings))
                 onehot_forest = train_forest(onehot_data, onehot_cfg, workers=cfg.workers)
                 onehot_tree_hashes = forest_tree_hashes(onehot_forest)
                 # no categorical columns remain, so the routing policy is

@@ -8,6 +8,7 @@ grown serially or across any number of worker processes.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -65,6 +66,15 @@ def default_grow_config(dataset: Dataset) -> GrowConfig:
     return GrowConfig(task=CLASSIFICATION, mtry=max(1, int(math.isqrt(p))), min_node_size=1)
 
 
+def _grow_settings(dataset: Dataset, settings: dict) -> GrowConfig:
+    """:func:`default_grow_config` of ``dataset`` with every setting in
+    ``settings`` that is not None put in: a value that was set holds for
+    any dataset, an unset one defaults from that dataset's predictors."""
+    return dataclasses.replace(
+        default_grow_config(dataset), **{k: v for k, v in settings.items() if v is not None}
+    )
+
+
 def bootstrap_sample(n_rows: int, sample_size: int, rng: np.random.Generator) -> np.ndarray:
     """``sample_size`` draws with replacement from ``0..n_rows-1``."""
     if n_rows < 1 or sample_size < 1:
@@ -88,23 +98,13 @@ class Forest:
         return len(self.trees)
 
 
-# module-level state for worker processes (set once per worker by the
-# pool initializer; fork start method shares the parent's copy anyway)
-_WORKER_DATASET: Dataset | None = None
-_WORKER_GROW: GrowConfig | None = None
-
-
-def _init_worker(dataset: Dataset, grow_cfg: GrowConfig) -> None:
-    global _WORKER_DATASET, _WORKER_GROW
-    _WORKER_DATASET = dataset
-    _WORKER_GROW = grow_cfg
-
-
-def _grow_task(chunk: list[tuple[int, int, np.ndarray]]) -> list[Tree]:
+def _grow_task(
+    dataset: Dataset, grow_cfg: GrowConfig, chunk: list[tuple[int, int, np.ndarray]]
+) -> list[Tree]:
     """Grow a chunk of (tree id, growth seed, bootstrap counts) in lock step."""
     samples = [np.repeat(np.arange(counts.size), counts) for _, _, counts in chunk]
     rngs = [np.random.default_rng(seed) for _, seed, _ in chunk]
-    return grow_trees(_WORKER_DATASET, samples, _WORKER_GROW, rngs, [b for b, _, _ in chunk])
+    return grow_trees(dataset, samples, grow_cfg, rngs, [b for b, _, _ in chunk])
 
 
 def train_forest(dataset: Dataset, config: ForestConfig, workers: int = 1) -> Forest:
@@ -130,16 +130,15 @@ def train_forest(dataset: Dataset, config: ForestConfig, workers: int = 1) -> Fo
         in_bag[b] = np.bincount(draws, minlength=n)
         tasks.append((b, derive(config.seed, TREE, b), in_bag[b]))
 
+    grow = functools.partial(_grow_task, dataset, grow_cfg)
     if workers <= 1:
-        _init_worker(dataset, grow_cfg)
-        trees = _grow_task(tasks)
+        trees = grow(tasks)
     else:
-        size = -(-len(tasks) // workers)  # one contiguous chunk of trees per worker
+        # one contiguous chunk of trees, so one pickled dataset, per worker
+        size = -(-len(tasks) // workers)
         chunks = [tasks[k : k + size] for k in range(0, len(tasks), size)]
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(dataset, grow_cfg)
-        ) as pool:
-            trees = [tree for grown in pool.map(_grow_task, chunks) for tree in grown]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            trees = [tree for grown in pool.map(grow, chunks) for tree in grown]
 
     return Forest(
         trees=trees,

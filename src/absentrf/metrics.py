@@ -7,6 +7,7 @@ clipped log loss, and bucketed paired-difference summaries.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -77,15 +78,12 @@ def _binary_masks(labels, positive) -> tuple[np.ndarray, np.ndarray]:
 def _midranks(values: np.ndarray) -> np.ndarray:
     """Average ranks (1-based) with tied values sharing their midrank."""
     order = np.argsort(values, kind="stable")
-    sorted_vals = values[order]
+    s = values[order]
+    new = np.concatenate(([True], s[1:] != s[:-1]))  # a run of equal values starts
+    start = np.flatnonzero(new)
+    end = np.append(start[1:], s.size) - 1
     ranks = np.empty(values.size, dtype=np.float64)
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    ranks[order] = ((start + end) / 2.0 + 1.0)[np.cumsum(new) - 1]
     return ranks
 
 
@@ -160,9 +158,9 @@ def paired_difference_summary(
     values: Mapping[str, np.ndarray],
     absence: np.ndarray,
     bucket_width: float = 0.05,
-    pairs: Sequence[tuple[str, str]] | None = None,
 ) -> list[PairedBucket]:
-    """Bucketed paired differences ``first - second``.
+    """Bucketed paired differences ``first - second`` for every pair of
+    heuristics, in the order of ``values``.
 
     ``values[h]`` is an (R, N) array of per-observation quantities for
     heuristic ``h`` over R replications; every (replication, row) pair
@@ -174,16 +172,13 @@ def paired_difference_summary(
     if not 0 < bucket_width <= 1:
         raise ValueError("bucket_width must lie in (0, 1]")
     absence = np.asarray(absence, dtype=np.float64)
-    names = list(values)
-    if pairs is None:
-        pairs = [(names[i], names[j]) for i in range(len(names)) for j in range(i + 1, len(names))]
     n_buckets = int(np.ceil(1.0 / bucket_width))
     edges = np.minimum(np.arange(n_buckets + 1) * bucket_width, 1.0)
     usable = ~np.isnan(absence)
     idx = np.minimum((absence[usable] / bucket_width).astype(np.int64), n_buckets - 1)
 
     out: list[PairedBucket] = []
-    for first, second in pairs:
+    for first, second in itertools.combinations(values, 2):
         a = np.asarray(values[first], dtype=np.float64)
         b = np.asarray(values[second], dtype=np.float64)
         if a.shape != b.shape or a.ndim != 2 or a.shape[1] != absence.size:
@@ -191,22 +186,8 @@ def paired_difference_summary(
         diffs = (a - b)[:, usable]
         for k in range(n_buckets):
             sel = diffs[:, idx == k].ravel()
-            if sel.size == 0:
-                out.append(
-                    PairedBucket(first, second, float(edges[k]), float(edges[k + 1]), 0, None, None, None)
-                )
-            else:
-                lo, hi = np.percentile(sel, [2.5, 97.5])
-                out.append(
-                    PairedBucket(
-                        first,
-                        second,
-                        float(edges[k]),
-                        float(edges[k + 1]),
-                        int(sel.size),
-                        float(sel.mean()),
-                        float(lo),
-                        float(hi),
-                    )
-                )
+            stats = [None] * 3  # mean, lo95, hi95 of an empty bucket
+            if sel.size:
+                stats = [float(v) for v in (sel.mean(), *np.percentile(sel, [2.5, 97.5]))]
+            out.append(PairedBucket(first, second, float(edges[k]), float(edges[k + 1]), int(sel.size), *stats))
     return out

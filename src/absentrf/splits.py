@@ -233,6 +233,11 @@ def _class_major_gini_objective(
     return np.where(valid, obj, np.inf), ln, rn
 
 
+def _encode(levels) -> int:
+    """Little-endian bitmask of a level set: bit ``q-1`` on for level ``q``."""
+    return sum(1 << (q - 1) for q in levels)
+
+
 def _mother_arrays(dataset: Dataset, rows, predictor: int) -> tuple[np.ndarray, np.ndarray]:
     rows = np.asarray(rows, dtype=np.int64)
     if rows.size == 0:
@@ -432,14 +437,11 @@ def _pseudo_scan(dataset: Dataset, x, y, counts, levels, gam, table: GammaTable)
     c = int(cuts[i])
     pseudo_split = float(gam_sorted[c])
     left = frozenset(int(v) for v in levels_sorted[: c + 1])
-    bitmask = 0
-    for q_ in left:
-        bitmask |= 1 << (q_ - 1)
     rule = CategoricalRule(
         left_levels=left,
         present=table.present,
         absent=table.absent,
-        bitmask=bitmask,
+        bitmask=_encode(left),
         pseudo_split=pseudo_split,
         gamma=table.values,
     )
@@ -722,14 +724,11 @@ def pseudo_value_batch(block: NodeBlock, node: np.ndarray, pred: np.ndarray):
         (gam, present, order, gs, nl), a, c = where[j]
         levels = np.flatnonzero(present[a]) + 1
         left = frozenset((order[a, : c + 1] + 1).tolist())
-        bitmask = 0
-        for q_ in left:
-            bitmask |= 1 << (q_ - 1)
         rule = CategoricalRule(
             left_levels=left,
             present=frozenset(levels.tolist()),
             absent=frozenset(range(1, int(q_all[j]) + 1)) - frozenset(levels.tolist()),
-            bitmask=bitmask,
+            bitmask=_encode(left),
             pseudo_split=float(gs[a, c]),
             gamma=tuple(zip(levels.tolist(), gam[a, levels - 1].tolist())),
         )
@@ -750,28 +749,39 @@ def count_partitions(n_levels: int) -> int:
     return (1 << (n_levels - 1)) - 1
 
 
-def _level_class_counts(x: np.ndarray, y: np.ndarray, q: int, k: int) -> np.ndarray:
-    mat = np.zeros((q + 1, k + 1), dtype=np.int64)
-    np.add.at(mat, (x, y), 1)
-    return mat[1:, 1:]
-
-
-def _finish_bitmask_split(
-    predictor: int,
-    bitmask: int,
-    impurity: float,
-    left_n: int,
-    right_n: int,
-    counts_per_level: np.ndarray,
-) -> CandidateSplit:
-    q = counts_per_level.size
-    present = frozenset(int(v) + 1 for v in np.flatnonzero(counts_per_level > 0))
-    absent = frozenset(range(1, q + 1)) - present
-    left = frozenset(q_ for q_ in present if bitmask >> (q_ - 1) & 1)
+def _bitmask_split(
+    dataset: Dataset, rows, predictor: int, search: str, draw, objective
+) -> CandidateSplit | None:
+    """The search behind both bitmask front ends: check the column and the
+    rows, score the (M, Q) 0/1 candidates ``draw(Q)`` on the present
+    levels with ``objective``, and keep the first strict optimum in row
+    order.  The rule's bitmask is the winning row, absent-level bits
+    included."""
+    spec = dataset.schema[predictor]
+    if spec.kind != CATEGORICAL:
+        raise ValueError(f"column {spec.name!r} is not categorical")
+    if dataset.task != CLASSIFICATION:
+        raise ValueError(f"{search} bitmask search applies to classification splits")
+    x, y = _mother_arrays(dataset, rows, predictor)
+    q, k = spec.n_levels, dataset.response.n_classes
+    bits = draw(q)
+    counts = np.bincount(x * (k + 1) + y, minlength=(q + 1) * (k + 1)).reshape(q + 1, k + 1)[1:, 1:]
+    present = np.flatnonzero(counts.sum(axis=1))
+    if present.size < 2:
+        return None  # every candidate leaves a daughter empty
+    # absent levels hold no rows, so their bits change no candidate's score
+    obj, ln, rn = objective(bits[:, present], counts[present])
+    i = int(np.argmin(obj))
+    if not np.isfinite(obj[i]):
+        return None
+    levels = frozenset((present + 1).tolist())
     rule = CategoricalRule(
-        left_levels=left, present=present, absent=absent, bitmask=int(bitmask)
+        left_levels=frozenset((present[bits[i, present] == 1] + 1).tolist()),
+        present=levels,
+        absent=frozenset(range(1, q + 1)) - levels,
+        bitmask=_encode((np.flatnonzero(bits[i]) + 1).tolist()),
     )
-    return CandidateSplit(predictor, rule, float(impurity), int(left_n), int(right_n))
+    return CandidateSplit(predictor, rule, float(obj[i]), int(ln[i]), int(rn[i]))
 
 
 def exhaustive_categorical_split(
@@ -785,32 +795,18 @@ def exhaustive_categorical_split(
     level (and level ``Q``) right.
     Raises when ``Q`` exceeds ``limit``; use the random search instead.
     """
-    spec = dataset.schema[predictor]
-    if spec.kind != CATEGORICAL:
-        raise ValueError(f"column {spec.name!r} is not categorical")
-    if dataset.task != CLASSIFICATION:
-        raise ValueError("exhaustive bitmask search applies to classification splits")
-    q = spec.n_levels
-    if q > limit or q > EXHAUSTIVE_HARD_LIMIT:
-        raise ValueError(
-            f"{count_partitions(q)} bipartitions of {q} levels exceed the exhaustive "
-            f"limit ({min(limit, EXHAUSTIVE_HARD_LIMIT)} levels); use random_categorical_split"
-        )
-    if q < 2:
-        return None
-    x, y = _mother_arrays(dataset, rows, predictor)
-    k = dataset.response.n_classes
-    lvl_cc = _level_class_counts(x, y, q, k)
-    # Q <= EXHAUSTIVE_HARD_LIMIT: at most 2**15 - 1 masks, scored in one call
-    masks = np.arange(1, 1 << (q - 1), dtype=np.int64)
-    bits = (masks[:, None] >> np.arange(q, dtype=np.int64)[None, :]) & 1
-    obj, ln, rn = _masked_gini_objective(bits, lvl_cc)
-    i = int(np.argmin(obj))  # the first of tied optima: the smallest encoding
-    if not np.isfinite(obj[i]):
-        return None
-    return _finish_bitmask_split(
-        predictor, int(masks[i]), obj[i], int(ln[i]), int(rn[i]), lvl_cc.sum(axis=1)
-    )
+
+    def every_encoding(q: int) -> np.ndarray:
+        if q > limit or q > EXHAUSTIVE_HARD_LIMIT:
+            raise ValueError(
+                f"{count_partitions(q)} bipartitions of {q} levels exceed the exhaustive "
+                f"limit ({min(limit, EXHAUSTIVE_HARD_LIMIT)} levels); use random_categorical_split"
+            )
+        # at most 2**15 - 1 masks, scored in one call
+        masks = np.arange(1, 1 << (q - 1), dtype=np.int64)
+        return (masks[:, None] >> np.arange(q, dtype=np.int64)) & 1
+
+    return _bitmask_split(dataset, rows, predictor, "exhaustive", every_encoding, _masked_gini_objective)
 
 
 def random_bitmasks(rng: np.random.Generator, n_candidates: int, n_levels: int) -> np.ndarray:
@@ -830,27 +826,8 @@ def random_categorical_split(
     leave a present-level daughter empty, and keeps the first strict
     optimum in draw order.  Returns None when no draw is valid.
     """
-    spec = dataset.schema[predictor]
-    if spec.kind != CATEGORICAL:
-        raise ValueError(f"column {spec.name!r} is not categorical")
-    if dataset.task != CLASSIFICATION:
-        raise ValueError("random bitmask search applies to classification splits")
-    x, y = _mother_arrays(dataset, rows, predictor)
-    q = spec.n_levels
-    k = dataset.response.n_classes
-    bits = random_bitmasks(rng, n_candidates, q)
-    lvl_cc = _level_class_counts(x, y, q, k)
-    # absent levels hold no rows, so their bits change no candidate's score
-    present = np.flatnonzero(lvl_cc.sum(axis=1))
-    obj, ln, rn = _class_major_gini_objective(bits[:, present], lvl_cc[present])
-    i = int(np.argmin(obj))
-    if not np.isfinite(obj[i]):
-        return None
-    bitmask = 0
-    for q_ in range(q):
-        if bits[i, q_]:
-            bitmask |= 1 << q_
-    counts_per_level = lvl_cc.sum(axis=1)
-    return _finish_bitmask_split(
-        predictor, bitmask, float(obj[i]), int(ln[i]), int(rn[i]), counts_per_level
-    )
+
+    def draw(q: int) -> np.ndarray:
+        return random_bitmasks(rng, n_candidates, q)
+
+    return _bitmask_split(dataset, rows, predictor, "random", draw, _class_major_gini_objective)
