@@ -433,6 +433,7 @@ def _check_splits(tree: Tree, schema: tuple[ColumnSchema, ...]) -> None:
     """Raise ValueError unless every split of ``tree`` fits ``schema``:
     the predictor exists, the rule kind matches the column kind, and a
     categorical split's present and absent levels cover 1..Q."""
+    levels = [frozenset(range(1, spec.n_levels + 1)) if spec.kind == CATEGORICAL else None for spec in schema]
     for node in tree.nodes:
         if node.is_leaf:
             continue
@@ -442,9 +443,7 @@ def _check_splits(tree: Tree, schema: tuple[ColumnSchema, ...]) -> None:
         spec = schema[node.predictor]
         if isinstance(node.rule, OrderedRule) != (spec.kind == NUMERIC):
             raise ValueError(f"{where}: rule does not fit {spec.kind} column {spec.name!r}")
-        if spec.kind == CATEGORICAL and (
-            node.rule.present | node.rule.absent != frozenset(range(1, spec.n_levels + 1))
-        ):
+        if spec.kind == CATEGORICAL and node.rule.present | node.rule.absent != levels[node.predictor]:
             raise ValueError(
                 f"{where}: present and absent levels do not cover "
                 f"1..{spec.n_levels} of {spec.name!r}"

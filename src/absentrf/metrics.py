@@ -176,6 +176,7 @@ def paired_difference_summary(
     edges = np.minimum(np.arange(n_buckets + 1) * bucket_width, 1.0)
     usable = ~np.isnan(absence)
     idx = np.minimum((absence[usable] / bucket_width).astype(np.int64), n_buckets - 1)
+    columns = [np.flatnonzero(idx == k) for k in range(n_buckets)]
 
     out: list[PairedBucket] = []
     for first, second in itertools.combinations(values, 2):
@@ -184,10 +185,46 @@ def paired_difference_summary(
         if a.shape != b.shape or a.ndim != 2 or a.shape[1] != absence.size:
             raise ValueError("value arrays must share an (R, N) shape matching absence")
         diffs = (a - b)[:, usable]
-        for k in range(n_buckets):
-            sel = diffs[:, idx == k].ravel()
+        bounds = _bucket_percentiles(diffs.ravel(), np.tile(idx, diffs.shape[0]), n_buckets).tolist()
+        for k, cols in enumerate(columns):
+            sel = diffs[:, cols].ravel()
             stats = [None] * 3  # mean, lo95, hi95 of an empty bucket
             if sel.size:
-                stats = [float(v) for v in (sel.mean(), *np.percentile(sel, [2.5, 97.5]))]
+                stats = [float(sel.mean()), *bounds[k]]
             out.append(PairedBucket(first, second, float(edges[k]), float(edges[k + 1]), int(sel.size), *stats))
+    return out
+
+
+# the 95% interval's ends as fractions, divided as np.percentile divides
+_INTERVAL = np.true_divide([2.5, 97.5], 100)
+
+
+def _bucket_percentiles(values: np.ndarray, bucket: np.ndarray, n_buckets: int) -> np.ndarray:
+    """``np.percentile(values[bucket == k], [2.5, 97.5])`` for every bucket
+    ``k``, bit for bit, from one sort; rows of empty buckets are NaN.
+
+    numpy's linear method reads the sorted values at index ``(n-1) * q``:
+    ``a + (b - a) * g`` from the value ``a`` below and ``b`` above, with
+    ``g`` the index's fraction, or ``b - (b - a) * (1 - g)`` once ``g`` is
+    at least 0.5.  At the last index both are the last value, with
+    ``g = (n-1) * q + 1``.  A bucket holding NaN gets its last sorted value,
+    a NaN.  (When a bucket holds both 0.0 and -0.0, which of the two a
+    quantile lands on may differ from numpy's partition.)
+    """
+    ordered = values[np.lexsort((values, bucket))]
+    n = np.bincount(bucket, minlength=n_buckets)
+    out = np.full((n_buckets, _INTERVAL.size), np.nan)
+    full = np.flatnonzero(n)
+    n, last = n[full, None], (np.cumsum(n) - 1)[full, None]
+    index = (n - 1) * _INTERVAL
+    below = np.floor(index)
+    top = index >= n - 1
+    below[top] = -1
+    gamma = index - below
+    lo = np.where(top, last, last - (n - 1) + below.astype(np.int64))
+    a, b = ordered[lo], ordered[np.where(top, last, lo + 1)]
+    diff = b - a
+    res = np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)
+    end = ordered[last]
+    out[full] = np.where(np.isnan(end), end, res)
     return out

@@ -189,8 +189,9 @@ def _masked_gini_objective(
     return obj, ln, rn
 
 
-def _sum_in_row_order(terms: list[np.ndarray]) -> np.ndarray:
-    """Elementwise sum of ``terms`` in the order ndarray.sum adds a row of
+def _sum_in_row_order(terms) -> np.ndarray:
+    """Elementwise sum of ``terms`` (a list of arrays, or one array whose
+    first axis indexes them) in the order ndarray.sum adds a row of
     ``len(terms)`` values (see :func:`_row_sums`): from 0.0, pairwise."""
 
     def pairwise(ts):
@@ -218,18 +219,27 @@ def _class_major_gini_objective(
     bits: np.ndarray, level_class_counts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`_masked_gini_objective`, bit for bit, on float64 counts
-    from one BLAS product, laid out class by class.  Counts are integers
-    far below 2**53, so the product is exact; the squared shares are
-    added over classes in the order of the row sums there."""
+    from one BLAS product, laid out class by class (see
+    :func:`_gini_by_class`)."""
     cc = level_class_counts.astype(np.float64)
-    lc = cc.T @ bits.astype(np.float64).T  # (K, M)
-    rc = cc.sum(axis=0)[:, None] - lc
+    return _gini_by_class(cc.T @ bits.astype(np.float64).T, cc.sum(axis=0)[:, None])
+
+
+def _gini_by_class(lc: np.ndarray, totals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weighted-Gini objective, left and right sizes of candidates whose
+    left class counts are ``lc[k]`` (class first, any shape after it),
+    given the class totals ``totals[k]`` broadcast against them.  Counts
+    are integers far below 2**53, so every product and sum of them is
+    exact; the squared shares are added over classes in the order of the
+    row sums of :func:`_masked_gini_objective`, which this equals bit for
+    bit."""
+    rc = totals - lc
     ln, rn = lc.sum(axis=0), rc.sum(axis=0)
     valid = (ln > 0) & (rn > 0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        gl = 1.0 - _sum_in_row_order([(row / ln) ** 2 for row in lc])
-        gr = 1.0 - _sum_in_row_order([(row / rn) ** 2 for row in rc])
-        obj = (ln * gl + rn * gr) / float(cc.sum())
+        gl = 1.0 - _sum_in_row_order((lc / ln) ** 2)
+        gr = 1.0 - _sum_in_row_order((rc / rn) ** 2)
+        obj = (ln * gl + rn * gr) / totals.sum(axis=0)
     return np.where(valid, obj, np.inf), ln, rn
 
 
@@ -831,3 +841,233 @@ def random_categorical_split(
         return random_bitmasks(rng, n_candidates, q)
 
     return _bitmask_split(dataset, rows, predictor, "random", draw, _class_major_gini_objective)
+
+
+# ---------------------------------------------------------------------------
+# both bitmask searches over the (node, predictor) pairs of many nodes
+
+# cells of eight bytes in a bitmask chunk's working arrays: candidates ×
+# classes for the objective, the kept bytes of random draws.  Chunks of
+# 32 to 512 kB grew bridge forests equally fast; keeping a whole step's
+# 1024 × Q int64 draws instead holds megabytes at once.
+_BITMASK_CELLS = 1 << 14
+
+# every encoding of Q levels, for the Q whose encodings one product scores
+_ENCODINGS: dict[int, np.ndarray] = {}
+
+
+def _encodings(q: int, lo: int, hi: int) -> np.ndarray:
+    """(hi - lo, Q) float 0/1 rows of encodings ``lo+1 .. hi``: column
+    ``q-1`` holds bit ``q-1``, which sends level ``q`` left."""
+    whole = lo == 0 and hi == count_partitions(q)
+    if whole and q in _ENCODINGS:
+        return _ENCODINGS[q]
+    masks = np.arange(lo + 1, hi + 1, dtype=np.int64)
+    bits = ((masks[:, None] >> np.arange(q)) & 1).astype(np.float64)
+    if whole:
+        _ENCODINGS[q] = bits
+    return bits
+
+
+def _runs(widths: np.ndarray):
+    """Consecutive slices of ``widths``, each of at most ``_BITMASK_CELLS``
+    cells when every entry counts as the widest of its slice (or a single
+    entry)."""
+    start, widths = 0, widths.tolist()
+    while start < len(widths):
+        stop, wide = start + 1, widths[start]
+        while stop < len(widths) and (stop - start + 1) * max(wide, widths[stop]) <= _BITMASK_CELLS:
+            wide = max(wide, widths[stop])
+            stop += 1
+        yield slice(start, stop)
+        start = stop
+
+
+def _level_class_counts(block: NodeBlock, node: np.ndarray, pred: np.ndarray, k: int) -> np.ndarray:
+    """(pairs, Q, K) level × class counts of every (node, predictor) pair,
+    Q the most levels among them, from one bincount over the block's
+    cells; the padding bins in level 0 and class 0, which are dropped."""
+    table = block.table
+    rows = block.rows[node, : int(block.sizes[node].max())]
+    width = (int(table.n_levels[pred].max()) + 1) * (k + 1)
+    bins = table.levels[table.row[pred][:, None], rows] * (k + 1) + block.y[node, : rows.shape[1]]
+    bins += (np.arange(node.size) * width)[:, None]
+    counts = np.bincount(bins.ravel(), minlength=node.size * width)
+    return counts.reshape(node.size, -1, k + 1)[:, 1:, 1:]
+
+
+def _encoding_scores(cc: np.ndarray, bits: np.ndarray):
+    """Objective, left and right sizes, each (pairs, candidates), of the
+    (candidates, Q) 0/1 rows ``bits`` on every pair's level counts, laid
+    out class by class in ``cc`` (K, pairs, Q), from one product."""
+    k, m, q = cc.shape
+    lc = (cc.reshape(-1, q) @ bits.T).reshape(k, m, -1)
+    return _gini_by_class(lc, cc.sum(axis=2)[:, :, None])
+
+
+def _exhaustive_scores(counts: np.ndarray):
+    """The best objective, its row of bits, and its left and right sizes
+    for every pair of ``counts`` (see :func:`_encoding_scores`): the first
+    strict optimum over encodings ``1 .. 2**(Q-1) - 1``, each product
+    scoring at most ``_BITMASK_CELLS`` cells."""
+    m, q, k = counts.shape
+    cc = counts.transpose(2, 0, 1).astype(np.float64)
+    total = count_partitions(q)
+    span = min(total, max(1, _BITMASK_CELLS // max(k, q)))  # encodings per product
+    best, rows = np.full(m, np.inf), np.zeros((m, q))
+    ln_best, rn_best = np.zeros(m), np.zeros(m)
+    per = max(1, _BITMASK_CELLS // (span * k))  # pairs per product
+    for start in range(0, m, per):
+        pairs = np.arange(start, min(start + per, m))
+        at = np.arange(pairs.size)
+        for lo in range(0, total, span):
+            bits = _encodings(q, lo, min(lo + span, total))
+            obj, ln, rn = _encoding_scores(cc[:, pairs], bits)
+            i = obj.argmin(axis=1)
+            better = obj[at, i] < best[pairs]
+            win = pairs[better]
+            best[win], rows[win] = obj[at, i][better], bits[i[better]]
+            ln_best[win], rn_best[win] = ln[at, i][better], rn[at, i][better]
+    return best, rows, ln_best, rn_best
+
+
+def _random_scores(counts: np.ndarray, present: np.ndarray, q_all: np.ndarray, rngs, n_candidates: int):
+    """:func:`_exhaustive_scores` for the random search: pair ``a`` has
+    ``q_all[a]`` levels, of which ``present[a]`` occur, and draws its
+    candidates from ``rngs[a]``, in pair order.
+
+    A draw's objective depends only on its bits at the present levels.
+    Where those P levels have at most ``n_candidates`` patterns, every
+    pattern is scored before the draw (as the encodings of P + 1 levels,
+    the last one empty), each draw reads its pattern's score, and only
+    the winning row is kept.  Otherwise each draw's left class counts
+    come from a product with the pair's counts (absent levels count
+    zero), its bits are kept as bytes, and one objective scores all such
+    pairs of a chunk.
+    """
+    m, q, k = counts.shape
+    n_present = present.sum(axis=1)
+    small = n_present < n_candidates.bit_length()  # 2**P <= n_candidates
+    best, rows = np.full(m, np.inf), np.zeros((m, q), dtype=np.int64)
+    ln_best, rn_best = np.zeros(m), np.zeros(m)
+    patterns = 1 << np.where(small, n_present, 0)  # 2**P where small
+    # cells of a pair: its pattern scores, or its draws' class counts and bytes
+    width = np.where(small, (k + 3) * patterns, n_candidates * (k + 1 + q_all // 8))
+    for run in _runs(width):
+        chunk = np.arange(m)[run]
+        tables = {}  # pair -> score, left and right size of each pattern
+        by_size = chunk[small[chunk]][np.argsort(n_present[chunk][small[chunk]], kind="stable")]
+        for sub in _runs(width[by_size]):
+            sel = by_size[sub]
+            p = int(n_present[sel].max())
+            # each pair's present levels first, then empty ones up to p + 1
+            cc = np.zeros((k, sel.size, p + 1))
+            pair, level = present[sel].nonzero()
+            cc[:, pair, (present[sel].cumsum(axis=1) - 1)[pair, level]] = counts[sel][pair, level].T
+            # pattern c at column c - 1; pattern 0 leaves the left daughter empty
+            obj, ln, rn = (
+                np.hstack((np.full((sel.size, 1), v), score))
+                for v, score in zip((np.inf, 0.0, 0.0), _encoding_scores(cc, _encodings(p + 1, 0, (1 << p) - 1)))
+            )
+            for b, a in enumerate(sel.tolist()):
+                tables[a] = obj[b], ln[b], rn[b]
+        big = chunk[~small[chunk]]
+        lc = np.empty((k, big.size, n_candidates))
+        drawn = np.zeros((big.size, n_candidates, q), dtype=np.uint8)
+        for a in chunk.tolist():
+            draw = random_bitmasks(rngs[a], n_candidates, int(q_all[a]))
+            if small[a]:
+                levels = np.flatnonzero(present[a])
+                code = draw[:, levels] @ (1 << np.arange(levels.size))
+                obj, ln, rn = tables[a]
+                i = int(obj[code].argmin())  # the first strict optimum in draw order
+                best[a], ln_best[a], rn_best[a] = obj[code[i]], ln[code[i]], rn[code[i]]
+                rows[a, : draw.shape[1]] = draw[i]
+            else:
+                b = int(np.searchsorted(big, a))
+                cc = counts[a, : draw.shape[1]].T.astype(np.float64)
+                # the draw as floats a block of rows at a time: a float copy
+                # of the whole draw cost more than the product itself
+                for lo in range(0, n_candidates, 128):
+                    lc[:, b, lo : lo + 128] = cc @ draw[lo : lo + 128].astype(np.float64).T
+                drawn[b, :, : draw.shape[1]] = draw
+            del draw  # before the next draw allocates
+        if big.size:
+            obj, ln, rn = _gini_by_class(lc, counts[big].sum(axis=1).T[:, :, None].astype(np.float64))
+            at = np.arange(big.size)
+            i = obj.argmin(axis=1)  # the first strict optimum in draw order
+            best[big], rows[big] = obj[at, i], drawn[at, i]
+            ln_best[big], rn_best[big] = ln[at, i], rn[at, i]
+    return best, rows, ln_best, rn_best
+
+
+def bitmask_batch(
+    block: NodeBlock,
+    node: np.ndarray,
+    pred: np.ndarray,
+    rngs=None,
+    n_candidates: int = 1024,
+    limit: int = EXHAUSTIVE_HARD_LIMIT,
+):
+    """Bitmask search of every (node, categorical predictor) pair: the
+    exhaustive one, or the random one when ``rngs[j]`` is pair ``j``'s
+    generator.
+
+    Arguments and results as for :func:`ordered_split_batch`; they equal
+    :func:`exhaustive_categorical_split` with ``limit``, or
+    :func:`random_categorical_split` with ``n_candidates``, on that node
+    and predictor bit for bit.  Pairs draw in index order, each with one
+    :func:`random_bitmasks` call, so every generator ends where those
+    calls would leave it.  One bincount counts each chunk of pairs, and a
+    chunk's working arrays stay within ``_BITMASK_CELLS`` cells of eight
+    bytes unless one pair alone needs more.
+    """
+    table = block.table
+    dataset = table.dataset
+    table.check(pred, numeric=False)
+    search = "exhaustive" if rngs is None else "random"
+    if dataset.task != CLASSIFICATION:
+        raise ValueError(f"{search} bitmask search applies to classification splits")
+    k = dataset.response.n_classes
+    m = node.size
+    n_all, q_all = block.sizes[node], table.n_levels[pred]
+    if rngs is None and q_all.max() > min(limit, EXHAUSTIVE_HARD_LIMIT):
+        q = int(q_all.max())
+        raise ValueError(
+            f"{count_partitions(q)} bipartitions of {q} levels exceed the exhaustive "
+            f"limit ({min(limit, EXHAUSTIVE_HARD_LIMIT)} levels); use the random search"
+        )
+    impurity, sizes = np.full(m, np.inf), np.zeros((m, 2), dtype=np.int64)
+    winner: list = [None] * m  # (present levels, winning row of bits)
+    # the random search draws in pair order; the exhaustive one scores
+    # the pairs of one Q together
+    order = np.arange(m) if rngs is not None else np.argsort(q_all, kind="stable")
+    for run in _runs(np.maximum(n_all, (q_all + 1) * (k + 1))[order]):
+        idx = order[run]
+        counts = _level_class_counts(block, node[idx], pred[idx], k)
+        present = counts.any(axis=2)
+        if rngs is None:
+            sels = [np.flatnonzero(q_all[idx] == q) for q in np.unique(q_all[idx]).tolist()]
+            parts = [(sel, _exhaustive_scores(counts[sel, : q_all[idx[sel[0]]]])) for sel in sels]
+        else:
+            draws = [rngs[j] for j in idx.tolist()]
+            parts = [(np.arange(idx.size), _random_scores(counts, present, q_all[idx], draws, n_candidates))]
+        for sel, (best, rows, ln, rn) in parts:
+            found = np.flatnonzero(best < np.inf)
+            impurity[idx[sel[found]]] = best[found]
+            sizes[idx[sel[found]]] = np.stack((ln[found], rn[found]), axis=1)
+            for b in found.tolist():
+                winner[idx[sel[b]]] = (present[sel[b]], rows[b])
+
+    def build(j: int) -> CandidateSplit:
+        present, row = winner[j]
+        levels, bits = (np.flatnonzero(present) + 1).tolist(), row.tolist()
+        rule = CategoricalRule(
+            left_levels=frozenset(q for q in levels if bits[q - 1]),
+            present=frozenset(levels),
+            absent=frozenset(range(1, int(q_all[j]) + 1)).difference(levels),
+            bitmask=_encode(q for q, bit in enumerate(bits, 1) if bit),
+        )
+        return CandidateSplit(int(pred[j]), rule, float(impurity[j]), int(sizes[j, 0]), int(sizes[j, 1]))
+
+    return impurity, np.isfinite(impurity), build

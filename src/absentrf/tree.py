@@ -28,14 +28,14 @@ from .data import CATEGORICAL, CLASSIFICATION, NUMERIC, REGRESSION, Dataset
 from .heuristics import Heuristic, RoutingContext, resolve
 from .seeding import Coins
 from .splits import (
+    EXHAUSTIVE_HARD_LIMIT,
     CategoricalRule,
     ColumnTable,
     NodeBlock,
     OrderedRule,
-    exhaustive_categorical_split,
+    bitmask_batch,
     ordered_split_batch,
     pseudo_value_batch,
-    random_categorical_split,
 )
 
 
@@ -59,6 +59,9 @@ class GrowConfig:
             raise ValueError("min_node_size must be at least 1")
         if self.random_candidates < 1:
             raise ValueError("random_candidates must be at least 1")
+        for name in ("exhaustive_max_q_binary", "exhaustive_max_q_multiclass"):
+            if getattr(self, name) > EXHAUSTIVE_HARD_LIMIT:
+                raise ValueError(f"{name} may not exceed {EXHAUSTIVE_HARD_LIMIT}")
 
 
 @dataclass(frozen=True)
@@ -128,7 +131,7 @@ def _node_stats(block: NodeBlock) -> tuple[list[NodeStats], list[bool]]:
     return stats, (counts.max(axis=1) == sizes).tolist()
 
 
-# the split search of a predictor; the last two run node by node
+# the split search of a predictor
 ORDERED, PSEUDO, EXHAUSTIVE, RANDOM = range(4)
 
 
@@ -165,41 +168,37 @@ def _best_splits(block: NodeBlock, at: np.ndarray, sampled: np.ndarray, kinds, r
     sampled predictors ``sampled[r]`` (None where none is valid), scanning
     them in sampled order and keeping the first strictly lowest objective.
 
-    Ordered and pseudo-value pairs are scored in one batched call each,
-    and only their winners are built into splits.  The bitmask searches
-    run node by node in sampled order, the random one drawing from the
-    node's ``rngs[r]``.
+    The pairs of each search kind are scored in one batched call, and only
+    the winners are built into splits.  The random search takes its pairs
+    in (node, sampled rank) order, each drawing from its node's
+    ``rngs[r]``.
     """
     dataset = block.table.dataset
+    limit = cfg.exhaustive_max_q_binary if dataset.response.n_classes == 2 else cfg.exhaustive_max_q_multiclass
     kind = kinds[sampled]  # row = node, column = sampling rank
     impurity = np.full(sampled.shape, np.nan)
     valid = np.zeros(sampled.shape, dtype=bool)
     pair = np.zeros(sampled.shape, dtype=np.int64)  # index into its scan
-    scans, per_node = {}, {}
-    for search, scan in ((ORDERED, ordered_split_batch), (PSEUDO, pseudo_value_batch)):
-        r, c = (kind == search).nonzero()
-        if r.size:
-            impurity[r, c], valid[r, c], scans[search] = scan(block, at[r], sampled[r, c])
-            pair[r, c] = np.arange(r.size)
-    limit = cfg.exhaustive_max_q_binary if dataset.response.n_classes == 2 else cfg.exhaustive_max_q_multiclass
-    for r, c in np.argwhere(kind >= EXHAUSTIVE).tolist():
-        rows = block.rows[at[r], : block.sizes[at[r]]]
-        predictor = int(sampled[r, c])
-        if kind[r, c] == EXHAUSTIVE:
-            cand = exhaustive_categorical_split(dataset, rows, predictor, limit)
+    scans = {}
+    for search in (ORDERED, PSEUDO, EXHAUSTIVE, RANDOM):
+        r, c = (kind == search).nonzero()  # row-major: (node, rank) order
+        if not r.size:
+            continue
+        node, pred = at[r], sampled[r, c]
+        if search == ORDERED:
+            scan = ordered_split_batch(block, node, pred)
+        elif search == PSEUDO:
+            scan = pseudo_value_batch(block, node, pred)
+        elif search == EXHAUSTIVE:
+            scan = bitmask_batch(block, node, pred, limit=limit)
         else:
-            cand = random_categorical_split(dataset, rows, predictor, rngs[r], cfg.random_candidates)
-        if cand is not None:
-            impurity[r, c], valid[r, c], per_node[r, c] = cand.impurity, True, cand
+            scan = bitmask_batch(block, node, pred, [rngs[i] for i in r.tolist()], cfg.random_candidates)
+        impurity[r, c], valid[r, c], scans[search] = scan
+        pair[r, c] = np.arange(r.size)
 
     out = []
     for r, (c, has) in enumerate(zip(_first_best(impurity, valid).tolist(), valid.any(axis=1).tolist())):
-        if not has:
-            out.append(None)
-        elif kind[r, c] >= EXHAUSTIVE:
-            out.append(per_node[r, c])
-        else:
-            out.append(scans[kind[r, c]](int(pair[r, c])))
+        out.append(scans[kind[r, c]](int(pair[r, c])) if has else None)
     return out
 
 
@@ -450,7 +449,7 @@ def tree_from_dict(obj: dict) -> Tree:
         else:
             stats = NodeStats(
                 size=int(entry["size"]),
-                class_counts=tuple(int(c) for c in entry["class_counts"]),
+                class_counts=tuple(map(int, entry["class_counts"])),
             )
             if len(stats.class_counts) != tree.n_classes:
                 raise ValueError(
@@ -477,9 +476,9 @@ def tree_from_dict(obj: dict) -> Tree:
                 node.rule = OrderedRule(threshold=float(split["threshold"]))
             elif split["kind"] == "categorical":
                 node.rule = CategoricalRule(
-                    left_levels=frozenset(int(q) for q in split["left_levels"]),
-                    present=frozenset(int(q) for q in split["present"]),
-                    absent=frozenset(int(q) for q in split["absent"]),
+                    left_levels=frozenset(map(int, split["left_levels"])),
+                    present=frozenset(map(int, split["present"])),
+                    absent=frozenset(map(int, split["absent"])),
                     bitmask=int(split["bitmask"]),
                     pseudo_split=None
                     if split["pseudo_split"] is None

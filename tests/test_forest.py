@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from absentrf import splits, synth
 from absentrf.data import (
     CATEGORICAL,
     CLASSIFICATION,
@@ -368,3 +369,12 @@ def test_forest_from_dict_rejects_malformed_dumps(task, corrupt, message):
     corrupt(dump)
     with pytest.raises(ValueError, match=message):
         forest_from_dict(dump)
+
+
+def test_tiny_bitmask_chunks_grow_the_golden_bridge_forest(monkeypatch):
+    # chunks of a few cells split every node's bitmask pairs, and every
+    # exhaustive pair's encodings, across chunks
+    monkeypatch.setattr(splits, "_BITMASK_CELLS", 8)
+    forest = train_forest(synth.bridge_multiclass(0), ForestConfig(n_trees=10, seed=11))
+    # the hash tests/test_golden.py pins for this forest
+    assert forest_hash(forest) == "3c0baf3529da435d9199463a39976b01b919106b9af431fb4029f5c87a31e035"

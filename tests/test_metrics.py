@@ -22,7 +22,7 @@ from absentrf.metrics import (
     rmse,
     roc_auc,
 )
-from absentrf.metrics import _midranks
+from absentrf.metrics import _bucket_percentiles, _midranks
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -239,6 +239,40 @@ def test_paired_difference_skips_undefined_rows():
     absence = np.array([0.5, np.nan])
     out = paired_difference_summary(values, absence, bucket_width=0.5)
     assert sum(b.count for b in out) == 1
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 3),
+            # quarters: ties, but never -0.0 (see _bucket_percentiles)
+            st.one_of(st.integers(-8, 8).map(lambda v: v / 4), st.sampled_from([np.nan, np.inf, -np.inf])),
+        ),
+        max_size=40,
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_bucket_percentiles_equal_np_percentile(cells):
+    bucket = np.array([b for b, _ in cells], dtype=np.int64)
+    values = np.array([v for _, v in cells], dtype=np.float64)
+    with np.errstate(invalid="ignore"):  # inf - inf, as in np.percentile
+        got = _bucket_percentiles(values, bucket, 4)
+        for k in range(4):
+            sel = values[bucket == k]
+            if sel.size == 0:
+                assert np.isnan(got[k]).all()
+                continue
+            want = np.percentile(sel, [2.5, 97.5])
+            assert np.array_equal(np.isnan(got[k]), np.isnan(want))
+            assert got[k][~np.isnan(want)].tobytes() == want[~np.isnan(want)].tobytes()
+
+
+@pytest.mark.parametrize("bucket_values", [[1.5], [2.0, -1.0], [0.5, 0.5], [3.0, 3.0, 3.0, -1.0]])
+def test_paired_difference_interval_of_small_and_tied_buckets(bucket_values):
+    values = {"a": np.array([bucket_values]), "b": np.zeros((1, len(bucket_values)))}
+    out = paired_difference_summary(values, np.full(len(bucket_values), 0.5), bucket_width=0.5)
+    want = np.percentile(np.array(bucket_values), [2.5, 97.5])
+    assert (out[1].lo95, out[1].hi95) == (float(want[0]), float(want[1]))
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,14 @@ level pinned right so each partition appears once) and recomputes the
 objective from first principles, independent of the vectorised kernels
 under test.
 """
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from absentrf import splits
 from absentrf.data import (
     CATEGORICAL,
     CLASSIFICATION,
@@ -31,6 +34,7 @@ from absentrf.splits import (
     OrderedRule,
     best_ordered_split,
     best_ordered_splits,
+    bitmask_batch,
     class_proportions,
     count_partitions,
     emulate_zero_imputed_routing,
@@ -820,3 +824,109 @@ def test_exhaustive_search_equals_a_scan_of_every_encoding(q, k):
         assert s.rule.present == present
         assert s.rule.absent == frozenset(range(1, q + 1)) - present
         assert (s.left_size, s.right_size) == (ln, rn)
+
+
+# ---------------------------------------------------------------------------
+# the batched bitmask searches vs the per-node searches
+
+
+def bitmask_batch_instance(rng, k, max_q):
+    """Categorical columns of 2 .. ``max_q`` levels, drawn from random
+    subsets of their levels so that levels are often absent, and nodes of
+    one repeated row (one present level), of a few rows of few classes
+    (exact objective ties) and of many rows."""
+    n_rows = int(rng.integers(2, 120))
+    qs = [int(q) for q in rng.integers(2, max_q + 1, size=int(rng.integers(1, 5)))]
+    columns = []
+    for q in qs:
+        pool = rng.choice(np.arange(1, q + 1), size=int(rng.integers(1, q + 1)), replace=False)
+        columns.append(rng.choice(pool, size=n_rows))
+    schema = tuple(ColumnSchema(f"cat{j}", CATEGORICAL, tuple(f"L{i}" for i in range(q))) for j, q in enumerate(qs))
+    response = ResponseSpec(RESPONSE_CLASS, tuple(f"c{i}" for i in range(1, k + 1)))
+    y = rng.integers(1, int(rng.integers(1, k + 1)) + 1, size=n_rows)
+    ds = from_arrays(schema, response, columns, y)
+    nodes = []
+    for _ in range(int(rng.integers(1, 7))):
+        shape = int(rng.integers(0, 3))
+        if shape == 0:
+            nodes.append(np.full(int(rng.integers(1, 5)), rng.integers(0, n_rows)))
+        else:
+            nodes.append(rng.integers(0, n_rows, size=int(rng.integers(1, 6 if shape == 1 else 200))))
+    pairs = np.array([(i, p) for i in range(len(nodes)) for p in range(len(qs)) if rng.random() < 0.8] or [(0, 0)])
+    return ds, nodes, pairs
+
+
+@contextlib.contextmanager
+def chunk_cells(cells):
+    """Bitmask chunks of at most ``cells`` cells inside the block (None:
+    the default size)."""
+    with pytest.MonkeyPatch.context() as mp:
+        if cells is not None:
+            mp.setattr(splits, "_BITMASK_CELLS", cells)
+        yield
+
+
+def assert_same_bitmask_split(impurity, found, build, j, want):
+    assert found[j] == (want is not None)
+    if want is not None:
+        got = build(j)
+        assert got == want  # rule (levels, bitmask), impurity and daughter sizes
+        assert repr(float(impurity[j])) == repr(want.impurity)
+
+
+@pytest.mark.parametrize("cells", [None, 1000])  # default chunks, and chunks that split pairs and masks
+@pytest.mark.parametrize("k", [2, 3, 7])
+@given(seed=st.integers(0, 10**9), max_q=st.sampled_from([2, 3, 9, 10, 16]))
+@settings(max_examples=40, deadline=None)
+def test_exhaustive_bitmask_batch_equals_per_node_search(cells, k, seed, max_q):
+    ds, nodes, pairs = bitmask_batch_instance(np.random.default_rng(seed), k, max_q)
+    with chunk_cells(cells):
+        impurity, found, build = bitmask_batch(NodeBlock(ColumnTable(ds), nodes), pairs[:, 0], pairs[:, 1], limit=max_q)
+    assert len(impurity) == len(found) == len(pairs)
+    for j, (i, p) in enumerate(pairs.tolist()):
+        assert_same_bitmask_split(impurity, found, build, j, exhaustive_categorical_split(ds, nodes[i], p, max_q))
+
+
+def test_exhaustive_bitmask_batch_keeps_the_first_of_tied_encodings():
+    # levels 1 and 2 hold class 1 and level 3 class 2, so encodings 3
+    # ({1, 2} left) and 4 ({3} left) both split perfectly; the smaller wins
+    ds = cat_dataset([1, 2, 3, 3], [1, 1, 2, 2], 4, CLASSIFICATION, k=2)
+    nodes = [np.arange(4), np.array([2, 3])]
+    want = [exhaustive_categorical_split(ds, rows, 0) for rows in nodes]
+    impurity, found, build = bitmask_batch(NodeBlock(ColumnTable(ds), nodes), np.array([0, 1]), np.array([0, 0]))
+    assert want[0].impurity == 0.0 and want[0].rule.bitmask == 3
+    assert_same_bitmask_split(impurity, found, build, 0, want[0])
+    assert want[1] is None and not found[1]  # one present level
+
+
+@pytest.mark.parametrize("cells", [None, 1000])
+@given(seed=st.integers(0, 10**9), k=st.sampled_from([2, 3, 7]), m=st.sampled_from([1, 4, 33, 256, 1024]))
+@settings(max_examples=60, deadline=None)
+def test_random_bitmask_batch_equals_sequential_per_node_searches(cells, seed, k, m):
+    rng = np.random.default_rng(seed)
+    ds, nodes, pairs = bitmask_batch_instance(rng, k, 69)
+    got_rngs = [np.random.default_rng(seed + 1 + i) for i in range(len(nodes))]
+    want_rngs = [np.random.default_rng(seed + 1 + i) for i in range(len(nodes))]
+    draw_from = [got_rngs[i] for i in pairs[:, 0].tolist()]
+    with chunk_cells(cells):
+        impurity, found, build = bitmask_batch(NodeBlock(ColumnTable(ds), nodes), pairs[:, 0], pairs[:, 1], draw_from, m)
+    for j, (i, p) in enumerate(pairs.tolist()):  # in pair order, as the batch draws
+        want = random_categorical_split(ds, nodes[i], p, want_rngs[i], m)
+        assert_same_bitmask_split(impurity, found, build, j, want)
+    for got_rng, want_rng in zip(got_rngs, want_rngs):
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_bitmask_batch_rejections():
+    one, zero = [np.arange(3)], np.array([0])
+    ds = cat_dataset([1, 2, 1], [0.0, 1.0, 2.0], 2, REGRESSION)
+    with pytest.raises(ValueError, match="classification"):
+        bitmask_batch(NodeBlock(ColumnTable(ds), one), zero, zero)
+    ds = num_dataset([1, 2, 3], [0.0, 1.0, 2.0])
+    with pytest.raises(ValueError, match="not categorical"):
+        bitmask_batch(NodeBlock(ColumnTable(ds), one), zero, zero, [np.random.default_rng(0)])
+    ds = cat_dataset([1, 2, 1], [1, 2, 1], 17, CLASSIFICATION)
+    with pytest.raises(ValueError, match="exceed the exhaustive limit"):
+        bitmask_batch(NodeBlock(ColumnTable(ds), one), zero, zero)
+    with pytest.raises(ValueError, match="exceed the exhaustive limit"):
+        bitmask_batch(NodeBlock(ColumnTable(cat_dataset([1, 2, 1], [1, 2, 1], 4, CLASSIFICATION)), one), zero, zero, limit=3)

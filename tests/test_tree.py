@@ -334,6 +334,10 @@ def test_grow_config_validation():
         GrowConfig(REGRESSION, 0, 5)
     with pytest.raises(ValueError):
         GrowConfig(REGRESSION, 1, 0)
+    GrowConfig(CLASSIFICATION, 2, 1, exhaustive_max_q_binary=16, exhaustive_max_q_multiclass=16)
+    for name in ("exhaustive_max_q_binary", "exhaustive_max_q_multiclass"):
+        with pytest.raises(ValueError, match=f"{name} may not exceed 16"):
+            GrowConfig(CLASSIFICATION, 2, 1, **{name: 50})
 
 
 def test_grown_tree_routes_like_training_partition():
