@@ -224,7 +224,8 @@ def _bucket_percentiles(values: np.ndarray, bucket: np.ndarray, n_buckets: int) 
     lo = np.where(top, last, last - (n - 1) + below.astype(np.int64))
     a, b = ordered[lo], ordered[np.where(top, last, lo + 1)]
     diff = b - a
-    res = np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)
+    res = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=res, where=gamma >= 0.5)
     end = ordered[last]
     out[full] = np.where(np.isnan(end), end, res)
     return out

@@ -909,13 +909,16 @@ def _exhaustive_scores(counts: np.ndarray):
     """The best objective, its row of bits, and its left and right sizes
     for every pair of ``counts`` (see :func:`_encoding_scores`): the first
     strict optimum over encodings ``1 .. 2**(Q-1) - 1``, each product
-    scoring at most ``_BITMASK_CELLS`` cells."""
+    scoring at most ``_BITMASK_CELLS`` cells.  One level has no
+    encodings, so its pairs find nothing."""
     m, q, k = counts.shape
-    cc = counts.transpose(2, 0, 1).astype(np.float64)
-    total = count_partitions(q)
-    span = min(total, max(1, _BITMASK_CELLS // max(k, q)))  # encodings per product
     best, rows = np.full(m, np.inf), np.zeros((m, q))
     ln_best, rn_best = np.zeros(m), np.zeros(m)
+    total = count_partitions(q)
+    if not total:
+        return best, rows, ln_best, rn_best
+    cc = counts.transpose(2, 0, 1).astype(np.float64)
+    span = min(total, max(1, _BITMASK_CELLS // max(k, q)))  # encodings per product
     per = max(1, _BITMASK_CELLS // (span * k))  # pairs per product
     for start in range(0, m, per):
         pairs = np.arange(start, min(start + per, m))
@@ -1001,17 +1004,10 @@ def _random_scores(counts: np.ndarray, present: np.ndarray, q_all: np.ndarray, r
     return best, rows, ln_best, rn_best
 
 
-def bitmask_batch(
-    block: NodeBlock,
-    node: np.ndarray,
-    pred: np.ndarray,
-    rngs=None,
-    n_candidates: int = 1024,
-    limit: int = EXHAUSTIVE_HARD_LIMIT,
-):
+def bitmask_batch(block: NodeBlock, node: np.ndarray, pred: np.ndarray, rngs, n_candidates: int, limit: int):
     """Bitmask search of every (node, categorical predictor) pair: the
-    exhaustive one, or the random one when ``rngs[j]`` is pair ``j``'s
-    generator.
+    exhaustive one when ``rngs`` is None, else the random one with
+    ``rngs[j]`` pair ``j``'s generator.
 
     Arguments and results as for :func:`ordered_split_batch`; they equal
     :func:`exhaustive_categorical_split` with ``limit``, or

@@ -189,10 +189,9 @@ def _best_splits(block: NodeBlock, at: np.ndarray, sampled: np.ndarray, kinds, r
             scan = ordered_split_batch(block, node, pred)
         elif search == PSEUDO:
             scan = pseudo_value_batch(block, node, pred)
-        elif search == EXHAUSTIVE:
-            scan = bitmask_batch(block, node, pred, limit=limit)
         else:
-            scan = bitmask_batch(block, node, pred, [rngs[i] for i in r.tolist()], cfg.random_candidates)
+            draw_from = [rngs[i] for i in r.tolist()] if search == RANDOM else None
+            scan = bitmask_batch(block, node, pred, draw_from, cfg.random_candidates, limit)
         impurity[r, c], valid[r, c], scans[search] = scan
         pair[r, c] = np.arange(r.size)
 

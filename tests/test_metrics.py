@@ -5,6 +5,8 @@ comparison AUC, a per-threshold recount for average precision, the
 agreement formula for kappa written with explicit loops -- so that the
 vectorised implementations are checked by a genuinely separate route.
 """
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -255,8 +257,12 @@ def test_paired_difference_skips_undefined_rows():
 def test_bucket_percentiles_equal_np_percentile(cells):
     bucket = np.array([b for b, _ in cells], dtype=np.int64)
     values = np.array([v for _, v in cells], dtype=np.float64)
-    with np.errstate(invalid="ignore"):  # inf - inf, as in np.percentile
+    # inf - inf warns as it does in np.percentile, and only where it does
+    with warnings.catch_warnings(record=True) as ours:
+        warnings.simplefilter("always")
         got = _bucket_percentiles(values, bucket, 4)
+    with warnings.catch_warnings(record=True) as theirs:
+        warnings.simplefilter("always")
         for k in range(4):
             sel = values[bucket == k]
             if sel.size == 0:
@@ -265,6 +271,7 @@ def test_bucket_percentiles_equal_np_percentile(cells):
             want = np.percentile(sel, [2.5, 97.5])
             assert np.array_equal(np.isnan(got[k]), np.isnan(want))
             assert got[k][~np.isnan(want)].tobytes() == want[~np.isnan(want)].tobytes()
+    assert bool(ours) <= bool(theirs)
 
 
 @pytest.mark.parametrize("bucket_values", [[1.5], [2.0, -1.0], [0.5, 0.5], [3.0, 3.0, 3.0, -1.0]])

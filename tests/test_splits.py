@@ -25,6 +25,7 @@ from absentrf.data import (
     from_arrays,
 )
 from absentrf.splits import (
+    EXHAUSTIVE_HARD_LIMIT,
     LEFT,
     RIGHT,
     CandidateSplit,
@@ -831,12 +832,12 @@ def test_exhaustive_search_equals_a_scan_of_every_encoding(q, k):
 
 
 def bitmask_batch_instance(rng, k, max_q):
-    """Categorical columns of 2 .. ``max_q`` levels, drawn from random
+    """Categorical columns of 1 .. ``max_q`` levels, drawn from random
     subsets of their levels so that levels are often absent, and nodes of
     one repeated row (one present level), of a few rows of few classes
     (exact objective ties) and of many rows."""
     n_rows = int(rng.integers(2, 120))
-    qs = [int(q) for q in rng.integers(2, max_q + 1, size=int(rng.integers(1, 5)))]
+    qs = [int(q) for q in rng.integers(1, max_q + 1, size=int(rng.integers(1, 5)))]
     columns = []
     for q in qs:
         pool = rng.choice(np.arange(1, q + 1), size=int(rng.integers(1, q + 1)), replace=False)
@@ -881,7 +882,8 @@ def assert_same_bitmask_split(impurity, found, build, j, want):
 def test_exhaustive_bitmask_batch_equals_per_node_search(cells, k, seed, max_q):
     ds, nodes, pairs = bitmask_batch_instance(np.random.default_rng(seed), k, max_q)
     with chunk_cells(cells):
-        impurity, found, build = bitmask_batch(NodeBlock(ColumnTable(ds), nodes), pairs[:, 0], pairs[:, 1], limit=max_q)
+        block = NodeBlock(ColumnTable(ds), nodes)
+        impurity, found, build = bitmask_batch(block, pairs[:, 0], pairs[:, 1], None, 1024, max_q)
     assert len(impurity) == len(found) == len(pairs)
     for j, (i, p) in enumerate(pairs.tolist()):
         assert_same_bitmask_split(impurity, found, build, j, exhaustive_categorical_split(ds, nodes[i], p, max_q))
@@ -893,7 +895,8 @@ def test_exhaustive_bitmask_batch_keeps_the_first_of_tied_encodings():
     ds = cat_dataset([1, 2, 3, 3], [1, 1, 2, 2], 4, CLASSIFICATION, k=2)
     nodes = [np.arange(4), np.array([2, 3])]
     want = [exhaustive_categorical_split(ds, rows, 0) for rows in nodes]
-    impurity, found, build = bitmask_batch(NodeBlock(ColumnTable(ds), nodes), np.array([0, 1]), np.array([0, 0]))
+    block = NodeBlock(ColumnTable(ds), nodes)
+    impurity, found, build = bitmask_batch(block, np.array([0, 1]), np.array([0, 0]), None, 1024, EXHAUSTIVE_HARD_LIMIT)
     assert want[0].impurity == 0.0 and want[0].rule.bitmask == 3
     assert_same_bitmask_split(impurity, found, build, 0, want[0])
     assert want[1] is None and not found[1]  # one present level
@@ -909,7 +912,8 @@ def test_random_bitmask_batch_equals_sequential_per_node_searches(cells, seed, k
     want_rngs = [np.random.default_rng(seed + 1 + i) for i in range(len(nodes))]
     draw_from = [got_rngs[i] for i in pairs[:, 0].tolist()]
     with chunk_cells(cells):
-        impurity, found, build = bitmask_batch(NodeBlock(ColumnTable(ds), nodes), pairs[:, 0], pairs[:, 1], draw_from, m)
+        block = NodeBlock(ColumnTable(ds), nodes)
+        impurity, found, build = bitmask_batch(block, pairs[:, 0], pairs[:, 1], draw_from, m, EXHAUSTIVE_HARD_LIMIT)
     for j, (i, p) in enumerate(pairs.tolist()):  # in pair order, as the batch draws
         want = random_categorical_split(ds, nodes[i], p, want_rngs[i], m)
         assert_same_bitmask_split(impurity, found, build, j, want)
@@ -919,14 +923,15 @@ def test_random_bitmask_batch_equals_sequential_per_node_searches(cells, seed, k
 
 def test_bitmask_batch_rejections():
     one, zero = [np.arange(3)], np.array([0])
-    ds = cat_dataset([1, 2, 1], [0.0, 1.0, 2.0], 2, REGRESSION)
+
+    def search(ds, rngs=None, limit=EXHAUSTIVE_HARD_LIMIT):
+        return bitmask_batch(NodeBlock(ColumnTable(ds), one), zero, zero, rngs, 1024, limit)
+
     with pytest.raises(ValueError, match="classification"):
-        bitmask_batch(NodeBlock(ColumnTable(ds), one), zero, zero)
-    ds = num_dataset([1, 2, 3], [0.0, 1.0, 2.0])
+        search(cat_dataset([1, 2, 1], [0.0, 1.0, 2.0], 2, REGRESSION))
     with pytest.raises(ValueError, match="not categorical"):
-        bitmask_batch(NodeBlock(ColumnTable(ds), one), zero, zero, [np.random.default_rng(0)])
-    ds = cat_dataset([1, 2, 1], [1, 2, 1], 17, CLASSIFICATION)
+        search(num_dataset([1, 2, 3], [0.0, 1.0, 2.0]), [np.random.default_rng(0)])
     with pytest.raises(ValueError, match="exceed the exhaustive limit"):
-        bitmask_batch(NodeBlock(ColumnTable(ds), one), zero, zero)
+        search(cat_dataset([1, 2, 1], [1, 2, 1], 17, CLASSIFICATION))
     with pytest.raises(ValueError, match="exceed the exhaustive limit"):
-        bitmask_batch(NodeBlock(ColumnTable(cat_dataset([1, 2, 1], [1, 2, 1], 4, CLASSIFICATION)), one), zero, zero, limit=3)
+        search(cat_dataset([1, 2, 1], [1, 2, 1], 4, CLASSIFICATION), limit=3)

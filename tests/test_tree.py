@@ -324,6 +324,20 @@ def test_mtry_one_still_grows():
     assert len(t.nodes) > 1
 
 
+@pytest.mark.parametrize("max_q", [10, 0])  # the one level searched exhaustively, or at random
+def test_growth_passes_over_a_one_level_column(max_q):
+    # one level has no bipartition, so every split falls to the numeric column
+    rng = np.random.default_rng(0)
+    n = 40
+    schema = (ColumnSchema("num", NUMERIC), ColumnSchema("one", CATEGORICAL, ("a",)))
+    columns = [np.round(rng.normal(size=n), 2), np.ones(n, dtype=np.int64)]
+    ds = from_arrays(schema, ResponseSpec(RESPONSE_CLASS, ("lo", "hi")), columns, rng.integers(1, 3, n))
+    cfg = GrowConfig(CLASSIFICATION, 2, 1, exhaustive_max_q_binary=max_q)
+    t = grow_tree(ds, np.arange(n), cfg, stream(0, 0))
+    inner = [node for node in t.nodes if not node.is_leaf]
+    assert inner and all(node.predictor == 0 for node in inner)
+
+
 def test_grow_config_validation():
     ds = mixed_dataset()
     with pytest.raises(ValueError, match="exceeds"):
