@@ -48,16 +48,12 @@ from .splits import (
     GammaTable,
     OrderedRule,
     best_ordered_split,
-    class_proportions,
     count_partitions,
     emulate_zero_imputed_routing,
     exhaustive_categorical_split,
     gamma_table,
-    gini,
-    node_mean,
     pseudo_value_split,
     random_categorical_split,
-    split_objective,
 )
 from .tree import (
     GrowConfig,
@@ -69,6 +65,4 @@ from .tree import (
     grow_trees,
     route,
     structure_hash,
-    tree_predict,
-    tree_vote,
 )

@@ -322,7 +322,8 @@ def predict_rows(
     regression averages the tree predictions, classification returns the
     vote shares and the most-voted class (ties to the lowest index).  The
     forest is compiled into arrays once for all ``policies``; the results
-    equal summing ``route`` with ``tree_predict``/``tree_vote`` bit for bit.
+    equal summing ``route`` with the tests' ``tree_predict``/``tree_vote``
+    (``tests/reference.py``) bit for bit.
     """
     n = len(xmat)
     if uses is None:

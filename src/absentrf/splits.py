@@ -1,4 +1,4 @@
-"""Impurity criteria and best-split search for ordered and categorical predictors.
+"""Best-split search for ordered and categorical predictors.
 
 Three categorical strategies are implemented, mirroring the classical
 CART toolbox:
@@ -24,6 +24,11 @@ All searches resolve objective ties by keeping the first candidate in
 scan order, and comparisons are exact ``<`` on float64 -- both choices
 are deliberate, because downstream behaviour for unseen levels depends
 on them.
+
+Each search has one implementation: a batched scan over the (node,
+predictor) pairs of many nodes, which tree growth calls once per step.
+The per-node functions run it on one pair.  The tests check every scan
+against a plain per-node form of its search in ``tests/reference.py``.
 """
 from __future__ import annotations
 
@@ -101,92 +106,7 @@ class CandidateSplit:
 
 
 # ---------------------------------------------------------------------------
-# node summaries
-
-
-def node_mean(values) -> float:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("mean of an empty node is undefined")
-    return float(arr.mean())
-
-
-def class_proportions(values, n_classes: int) -> np.ndarray:
-    """Class share vector (index 0 = class 1) for int labels ``1..K``."""
-    arr = np.asarray(values, dtype=np.int64)
-    if arr.size == 0:
-        raise ValueError("class proportions of an empty node are undefined")
-    if arr.min() < 1 or arr.max() > n_classes:
-        raise ValueError(f"class index outside 1..{n_classes}")
-    counts = np.bincount(arr, minlength=n_classes + 1)[1:]
-    return counts / arr.size
-
-
-def gini(proportions) -> float:
-    """Gini impurity ``sum_k p_k * (1 - p_k)`` of a proportion vector."""
-    p = np.asarray(proportions, dtype=np.float64)
-    if p.size == 0:
-        raise ValueError("empty proportion vector")
-    if np.any(p < -1e-12) or np.any(p > 1 + 1e-12):
-        raise ValueError("proportions must lie in [0, 1]")
-    if abs(float(p.sum()) - 1.0) > 1e-9:
-        raise ValueError("proportions must sum to 1")
-    return float(np.sum(p * (1.0 - p)))
-
-
-def split_objective(task: str, left_values, right_values, n_classes: int | None = None) -> float:
-    """Criterion minimised by every split search.
-
-    Regression: total within-daughter sum of squared deviations from the
-    daughter means.  Classification: daughter Gini impurities weighted
-    by daughter size, divided by the mother size.
-    """
-    left = np.asarray(left_values)
-    right = np.asarray(right_values)
-    if left.size == 0 or right.size == 0:
-        raise ValueError("both daughters must be non-empty")
-    if task == REGRESSION:
-        l = left.astype(np.float64)
-        r = right.astype(np.float64)
-        return float(((l - l.mean()) ** 2).sum() + ((r - r.mean()) ** 2).sum())
-    if task == CLASSIFICATION:
-        if not n_classes:
-            raise ValueError("classification objective needs n_classes")
-        gl = gini(class_proportions(left, n_classes))
-        gr = gini(class_proportions(right, n_classes))
-        n = left.size + right.size
-        return float((left.size * gl + right.size * gr) / n)
-    raise ValueError(f"unknown task {task!r}")
-
-
-# ---------------------------------------------------------------------------
 # vectorised objective kernels (private)
-
-
-def _masked_gini_objective(
-    bits: np.ndarray, level_class_counts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Weighted-Gini objective for a batch of level bitmasks.
-
-    ``bits`` is (M, Q) 0/1, ``level_class_counts`` is (Q, K) ints.
-    Returns (objective, left_n, right_n) with ``inf`` objective where a
-    present-level daughter would be empty.
-    """
-    lc = bits @ level_class_counts  # (M, K) ints
-    tc = level_class_counts.sum(axis=0)
-    rc = tc[None, :] - lc
-    ln = lc.sum(axis=1)
-    rn = rc.sum(axis=1)
-    n = float(tc.sum())
-    valid = (ln > 0) & (rn > 0)
-    lnf = ln.astype(np.float64)
-    rnf = rn.astype(np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gl = 1.0 - ((lc / lnf[:, None]) ** 2).sum(axis=1)
-        gr = 1.0 - ((rc / rnf[:, None]) ** 2).sum(axis=1)
-        obj = (lnf * gl + rnf * gr) / n
-    obj = np.where(valid, obj, np.inf)
-    return obj, ln, rn
 
 
 def _sum_in_row_order(terms) -> np.ndarray:
@@ -215,24 +135,14 @@ def _sum_in_row_order(terms) -> np.ndarray:
     return 0.0 + pairwise(terms)
 
 
-def _class_major_gini_objective(
-    bits: np.ndarray, level_class_counts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_masked_gini_objective`, bit for bit, on float64 counts
-    from one BLAS product, laid out class by class (see
-    :func:`_gini_by_class`)."""
-    cc = level_class_counts.astype(np.float64)
-    return _gini_by_class(cc.T @ bits.astype(np.float64).T, cc.sum(axis=0)[:, None])
-
-
 def _gini_by_class(lc: np.ndarray, totals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Weighted-Gini objective, left and right sizes of candidates whose
     left class counts are ``lc[k]`` (class first, any shape after it),
     given the class totals ``totals[k]`` broadcast against them.  Counts
     are integers far below 2**53, so every product and sum of them is
-    exact; the squared shares are added over classes in the order of the
-    row sums of :func:`_masked_gini_objective`, which this equals bit for
-    bit."""
+    exact; the squared shares are added over classes in the order
+    ndarray.sum adds a row, so this equals the integer-count objective
+    ``_masked_gini_objective`` of ``tests/reference.py`` bit for bit."""
     rc = totals - lc
     ln, rn = lc.sum(axis=0), rc.sum(axis=0)
     valid = (ln > 0) & (rn > 0)
@@ -248,116 +158,8 @@ def _encode(levels) -> int:
     return sum(1 << (q - 1) for q in levels)
 
 
-def _mother_arrays(dataset: Dataset, rows, predictor: int) -> tuple[np.ndarray, np.ndarray]:
-    rows = np.asarray(rows, dtype=np.int64)
-    if rows.size == 0:
-        raise ValueError("empty mother node")
-    if dataset.y is None:
-        raise ValueError("dataset has no response")
-    return dataset.columns[predictor][rows], dataset.y[rows]
-
-
 # ---------------------------------------------------------------------------
-# ordered predictors
-
-
-def best_ordered_splits(dataset: Dataset, rows, predictors) -> list[CandidateSplit | None]:
-    """Best threshold split of each ordered predictor, scored in one batch.
-
-    Row ``j`` of the (m, n) working arrays is ``predictors[j]`` stably
-    sorted; the objective is evaluated only where the sorted value changes
-    (cut ``c`` = left block of sorted positions 0..c).  Entry ``j`` is None
-    if every value of that predictor is identical.  Ties on the objective
-    keep the lowest threshold.  Regression values are centred on the
-    mother mean: the objective is shift-invariant and centring keeps the
-    cumulative-sum formula well conditioned.
-    """
-    if len(predictors) == 0:
-        return []
-    for p in predictors:
-        spec = dataset.schema[p]
-        if spec.kind != NUMERIC:
-            raise ValueError(f"column {spec.name!r} is not ordered")
-    rows = np.asarray(rows, dtype=np.int64)
-    if rows.size == 0:
-        raise ValueError("empty mother node")
-    if dataset.y is None:
-        raise ValueError("dataset has no response")
-    n = int(rows.size)
-    if n < 2:
-        return [None] * len(predictors)
-    xs = np.array([dataset.columns[p][rows] for p in predictors])
-    order = xs.argsort(axis=1, kind="stable")
-    xs.sort(axis=1, kind="stable")  # a stable sort of the values lands them in ``order``
-    ys = dataset.y[rows][order]
-    r, c = (xs[:, :-1] != xs[:, 1:]).nonzero()
-    nl = c + 1.0
-    nr = n - nl
-    if dataset.task == REGRESSION:
-        # sum / n is the division ndarray.mean performs, row by row
-        yc = ys - ys.sum(axis=1, keepdims=True) / n
-        cs = yc.cumsum(axis=1)
-        css = (yc * yc).cumsum(axis=1)
-        sl, ssl = cs[r, c], css[r, c]
-        st, sst = cs[:, -1][r], css[:, -1][r]
-        sse_l = ssl - sl * sl / nl
-        sse_r = (sst - ssl) - (st - sl) ** 2 / nr
-        # tiny negatives are cancellation noise
-        obj = np.maximum(sse_l, 0.0) + np.maximum(sse_r, 0.0)
-    else:
-        classes = np.arange(1, dataset.response.n_classes + 1)
-        # (m, K, n) counts; lc rows are contiguous, so the sum over K adds
-        # in the same order as a one-predictor scan would
-        cum = (ys[:, None, :] == classes[:, None]).cumsum(axis=2)
-        lc = cum[r, :, c].astype(np.float64)
-        rc = cum[:, :, -1][r].astype(np.float64) - lc
-        gl = 1.0 - ((lc / nl[:, None]) ** 2).sum(axis=1)
-        gr = 1.0 - ((rc / nr[:, None]) ** 2).sum(axis=1)
-        obj = (nl * gl + nr * gr) / n
-    full = np.full(xs.shape, np.inf)
-    full[r, c] = obj
-    best = full.argmin(axis=1).tolist()
-    found = (xs[:, 0] != xs[:, -1]).tolist()  # a sorted row has a cut iff its ends differ
-    return [
-        CandidateSplit(int(p), OrderedRule(float(xs[j, k])), float(full[j, k]), k + 1, n - k - 1)
-        if found[j]
-        else None
-        for j, (p, k) in enumerate(zip(predictors, best))
-    ]
-
-
-def best_ordered_split(dataset: Dataset, rows, predictor: int) -> CandidateSplit | None:
-    """Best threshold split of one ordered predictor; see
-    :func:`best_ordered_splits`."""
-    return best_ordered_splits(dataset, rows, [predictor])[0]
-
-
-# ---------------------------------------------------------------------------
-# categorical predictors: pseudo-value route
-
-
-def _gamma_pass(dataset: Dataset, rows, predictor: int):
-    """One counting pass over a node: its predictor and response values,
-    the count of every level, the present levels (ascending), their
-    pseudo values, and the same as a :class:`GammaTable`."""
-    spec = dataset.schema[predictor]
-    if spec.kind != CATEGORICAL:
-        raise ValueError(f"column {spec.name!r} is not categorical")
-    x, y = _mother_arrays(dataset, rows, predictor)
-    q = spec.n_levels
-    counts = np.bincount(x, minlength=q + 1)[1:]
-    levels = np.flatnonzero(counts) + 1
-    if dataset.task == REGRESSION:
-        sums = np.bincount(x, weights=y.astype(np.float64), minlength=q + 1)[1:]
-    else:
-        if dataset.response.n_classes != 2:
-            raise ValueError("pseudo values are undefined for more than two classes")
-        sums = np.bincount(x[y == 1], minlength=q + 1)[1:].astype(np.float64)
-    gam = sums[levels - 1] / counts[levels - 1]
-    present = frozenset(levels.tolist())
-    values = tuple(zip(levels.tolist(), gam.tolist()))
-    table = GammaTable(predictor, values, present, frozenset(range(1, q + 1)) - present)
-    return x, y, counts, levels, gam, table
+# categorical predictors: pseudo values
 
 
 def gamma_table(dataset: Dataset, rows, predictor: int) -> GammaTable:
@@ -367,101 +169,27 @@ def gamma_table(dataset: Dataset, rows, predictor: int) -> GammaTable:
     classification: each present level's proportion of class 1.
     Undefined for more than two classes.
     """
-    return _gamma_pass(dataset, rows, predictor)[-1]
-
-
-def pseudo_value_search(dataset: Dataset, rows, predictor: int) -> CandidateSplit | None:
-    """:func:`gamma_table` followed by :func:`pseudo_value_split`, with
-    one counting pass over the node instead of two."""
-    return _pseudo_scan(dataset, *_gamma_pass(dataset, rows, predictor))
-
-
-def pseudo_value_split(
-    dataset: Dataset, rows, predictor: int, table: GammaTable
-) -> CandidateSplit | None:
-    """Ordered scan over per-level pseudo values.
-
-    Levels are sorted by pseudo value and every boundary between
-    distinct values is a candidate threshold; the returned split stores
-    the winning threshold and sends exactly the levels with pseudo value
-    at or below it to the left.  Returns None when fewer than two
-    distinct pseudo values exist.
-    """
     spec = dataset.schema[predictor]
     if spec.kind != CATEGORICAL:
         raise ValueError(f"column {spec.name!r} is not categorical")
-    if table.predictor != predictor:
-        raise ValueError("pseudo-value table belongs to a different predictor")
-    x, y = _mother_arrays(dataset, rows, predictor)
-    counts = np.bincount(x, minlength=spec.n_levels + 1)[1:]
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.size == 0:
+        raise ValueError("empty mother node")
+    if dataset.y is None:
+        raise ValueError("dataset has no response")
+    x, y = dataset.columns[predictor][rows], dataset.y[rows]
+    q = spec.n_levels
+    counts = np.bincount(x, minlength=q + 1)[1:]
     levels = np.flatnonzero(counts) + 1
-    if frozenset(levels.tolist()) != table.present:
-        raise ValueError("pseudo-value table is inconsistent with the node rows")
-    by_level = dict(table.values)
-    gam = np.array([by_level[q_] for q_ in levels.tolist()], dtype=np.float64)
-    return _pseudo_scan(dataset, x, y, counts, levels, gam, table)
-
-
-def _pseudo_scan(dataset: Dataset, x, y, counts, levels, gam, table: GammaTable) -> CandidateSplit | None:
-    """The scan behind :func:`pseudo_value_split`, given the node's level
-    counts and the pseudo values ``gam`` of its present ``levels``."""
-    if levels.size < 2:
-        return None
-    q = counts.size
-    order = np.argsort(gam, kind="stable")
-    levels_sorted = levels[order]
-    gam_sorted = gam[order]
-    cuts = np.flatnonzero(gam_sorted[:-1] != gam_sorted[1:])
-    if cuts.size == 0:
-        return None  # all pseudo values equal: no bipartition can improve
-
-    n_lvl = counts[levels_sorted - 1].astype(np.int64)
-    nl = np.cumsum(n_lvl)
     if dataset.task == REGRESSION:
-        yc = y - y.mean()
-        s_lvl = np.bincount(x, weights=yc, minlength=q + 1)[1:][levels_sorted - 1]
-        ss_lvl = np.bincount(x, weights=yc * yc, minlength=q + 1)[1:][levels_sorted - 1]
-        sl = np.cumsum(s_lvl)[cuts]
-        ssl = np.cumsum(ss_lvl)[cuts]
-        nlc = nl[cuts].astype(np.float64)
-        nrc = x.size - nlc
-        st, sst = float(np.sum(s_lvl)), float(np.sum(ss_lvl))
-        sse_l = ssl - sl * sl / nlc
-        sse_r = (sst - ssl) - (st - sl) ** 2 / nrc
-        obj = np.maximum(sse_l, 0.0) + np.maximum(sse_r, 0.0)
+        sums = np.bincount(x, weights=y.astype(np.float64), minlength=q + 1)[1:]
     else:
-        k = dataset.response.n_classes
-        lvl_cc = np.zeros((q + 1, k + 1), dtype=np.int64)
-        np.add.at(lvl_cc, (x, y), 1)
-        cc_sorted = lvl_cc[levels_sorted, 1:]
-        cum = np.cumsum(cc_sorted, axis=0).astype(np.float64)
-        lc = cum[cuts]
-        rc = cum[-1][None, :] - lc
-        nlc = nl[cuts].astype(np.float64)
-        nrc = x.size - nlc
-        gl = 1.0 - ((lc / nlc[:, None]) ** 2).sum(axis=1)
-        gr = 1.0 - ((rc / nrc[:, None]) ** 2).sum(axis=1)
-        obj = (nlc * gl + nrc * gr) / x.size
-
-    i = int(np.argmin(obj))
-    c = int(cuts[i])
-    pseudo_split = float(gam_sorted[c])
-    left = frozenset(int(v) for v in levels_sorted[: c + 1])
-    rule = CategoricalRule(
-        left_levels=left,
-        present=table.present,
-        absent=table.absent,
-        bitmask=_encode(left),
-        pseudo_split=pseudo_split,
-        gamma=table.values,
-    )
-    return CandidateSplit(
-        predictor=table.predictor,
-        rule=rule,
-        impurity=float(obj[i]),
-        left_size=int(nl[c]),
-        right_size=int(x.size - nl[c]),
-    )
+        if dataset.response.n_classes != 2:
+            raise ValueError("pseudo values are undefined for more than two classes")
+        sums = np.bincount(x[y == 1], minlength=q + 1)[1:].astype(np.float64)
+    present = frozenset(levels.tolist())
+    values = tuple(zip(levels.tolist(), (sums[levels - 1] / counts[levels - 1]).tolist()))
+    return GammaTable(predictor, values, present, frozenset(range(1, q + 1)) - present)
 
 
 def emulate_zero_imputed_routing(table: GammaTable, pseudo_split: float) -> dict[int, str]:
@@ -475,7 +203,7 @@ def emulate_zero_imputed_routing(table: GammaTable, pseudo_split: float) -> dict
 # ---------------------------------------------------------------------------
 # batched scans over the (node, predictor) pairs of many nodes
 #
-# Both batched scans equal their per-node kernel bit for bit.  The rows
+# Each batched scan equals its per-node reference bit for bit.  The rows
 # of the nodes are right-padded to a common width, and padded cells sort
 # or bin after every real one.  Prefix sums along a row are exact under
 # padding; a row's full sum is not, since ndarray.sum adds pairwise, so
@@ -599,8 +327,8 @@ def ordered_split_batch(block: NodeBlock, node: np.ndarray, pred: np.ndarray):
     Pair ``j`` is node ``node[j]`` of ``block`` and predictor ``pred[j]``.
     Returns the best objective of each pair, whether the pair has a split
     at all, and a function that builds pair ``j``'s
-    :class:`CandidateSplit`.  They equal :func:`best_ordered_splits` on
-    that node and predictor bit for bit.
+    :class:`CandidateSplit`.  They equal ``best_ordered_splits`` of
+    ``tests/reference.py`` on that node and predictor bit for bit.
     """
     table = block.table
     dataset = table.dataset
@@ -660,7 +388,8 @@ def pseudo_value_batch(block: NodeBlock, node: np.ndarray, pred: np.ndarray):
     """Pseudo-value search of every (node, categorical predictor) pair.
 
     Arguments and results as for :func:`ordered_split_batch`; they equal
-    :func:`pseudo_value_search` on that node and predictor bit for bit.
+    ``pseudo_value_search`` of ``tests/reference.py`` on that node and
+    predictor bit for bit.
     """
     table = block.table
     dataset = table.dataset
@@ -759,88 +488,11 @@ def count_partitions(n_levels: int) -> int:
     return (1 << (n_levels - 1)) - 1
 
 
-def _bitmask_split(
-    dataset: Dataset, rows, predictor: int, search: str, draw, objective
-) -> CandidateSplit | None:
-    """The search behind both bitmask front ends: check the column and the
-    rows, score the (M, Q) 0/1 candidates ``draw(Q)`` on the present
-    levels with ``objective``, and keep the first strict optimum in row
-    order.  The rule's bitmask is the winning row, absent-level bits
-    included."""
-    spec = dataset.schema[predictor]
-    if spec.kind != CATEGORICAL:
-        raise ValueError(f"column {spec.name!r} is not categorical")
-    if dataset.task != CLASSIFICATION:
-        raise ValueError(f"{search} bitmask search applies to classification splits")
-    x, y = _mother_arrays(dataset, rows, predictor)
-    q, k = spec.n_levels, dataset.response.n_classes
-    bits = draw(q)
-    counts = np.bincount(x * (k + 1) + y, minlength=(q + 1) * (k + 1)).reshape(q + 1, k + 1)[1:, 1:]
-    present = np.flatnonzero(counts.sum(axis=1))
-    if present.size < 2:
-        return None  # every candidate leaves a daughter empty
-    # absent levels hold no rows, so their bits change no candidate's score
-    obj, ln, rn = objective(bits[:, present], counts[present])
-    i = int(np.argmin(obj))
-    if not np.isfinite(obj[i]):
-        return None
-    levels = frozenset((present + 1).tolist())
-    rule = CategoricalRule(
-        left_levels=frozenset((present[bits[i, present] == 1] + 1).tolist()),
-        present=levels,
-        absent=frozenset(range(1, q + 1)) - levels,
-        bitmask=_encode((np.flatnonzero(bits[i]) + 1).tolist()),
-    )
-    return CandidateSplit(predictor, rule, float(obj[i]), int(ln[i]), int(rn[i]))
-
-
-def exhaustive_categorical_split(
-    dataset: Dataset, rows, predictor: int, limit: int = EXHAUSTIVE_HARD_LIMIT
-) -> CandidateSplit | None:
-    """Enumerate every level bipartition of a categorical predictor.
-
-    Classification only.  Encodings ``1 .. 2**(Q-1) - 1`` are scored in
-    increasing order and the first minimum wins, so among tied optima
-    the smallest encoding wins -- which is the one sending every absent
-    level (and level ``Q``) right.
-    Raises when ``Q`` exceeds ``limit``; use the random search instead.
-    """
-
-    def every_encoding(q: int) -> np.ndarray:
-        if q > limit or q > EXHAUSTIVE_HARD_LIMIT:
-            raise ValueError(
-                f"{count_partitions(q)} bipartitions of {q} levels exceed the exhaustive "
-                f"limit ({min(limit, EXHAUSTIVE_HARD_LIMIT)} levels); use random_categorical_split"
-            )
-        # at most 2**15 - 1 masks, scored in one call
-        masks = np.arange(1, 1 << (q - 1), dtype=np.int64)
-        return (masks[:, None] >> np.arange(q, dtype=np.int64)) & 1
-
-    return _bitmask_split(dataset, rows, predictor, "exhaustive", every_encoding, _masked_gini_objective)
-
-
 def random_bitmasks(rng: np.random.Generator, n_candidates: int, n_levels: int) -> np.ndarray:
     """(n_candidates, n_levels) matrix of independent fair-coin bits."""
     if n_candidates < 1:
         raise ValueError("need at least one candidate")
     return rng.integers(0, 2, size=(n_candidates, n_levels), dtype=np.int64)
-
-
-def random_categorical_split(
-    dataset: Dataset, rows, predictor: int, rng: np.random.Generator, n_candidates: int = 1024
-) -> CandidateSplit | None:
-    """Random bitmask search for high-cardinality categorical predictors.
-
-    Draws ``n_candidates`` masks with every one of the ``Q`` bits an
-    independent fair coin (absent levels included), discards draws that
-    leave a present-level daughter empty, and keeps the first strict
-    optimum in draw order.  Returns None when no draw is valid.
-    """
-
-    def draw(q: int) -> np.ndarray:
-        return random_bitmasks(rng, n_candidates, q)
-
-    return _bitmask_split(dataset, rows, predictor, "random", draw, _class_major_gini_objective)
 
 
 # ---------------------------------------------------------------------------
@@ -1010,13 +662,14 @@ def bitmask_batch(block: NodeBlock, node: np.ndarray, pred: np.ndarray, rngs, n_
     ``rngs[j]`` pair ``j``'s generator.
 
     Arguments and results as for :func:`ordered_split_batch`; they equal
-    :func:`exhaustive_categorical_split` with ``limit``, or
-    :func:`random_categorical_split` with ``n_candidates``, on that node
-    and predictor bit for bit.  Pairs draw in index order, each with one
-    :func:`random_bitmasks` call, so every generator ends where those
-    calls would leave it.  One bincount counts each chunk of pairs, and a
-    chunk's working arrays stay within ``_BITMASK_CELLS`` cells of eight
-    bytes unless one pair alone needs more.
+    the per-node ``exhaustive_categorical_split`` with ``limit``, or
+    ``random_categorical_split`` with ``n_candidates``, of
+    ``tests/reference.py`` on that node and predictor bit for bit.  Pairs
+    draw in index order, each with one :func:`random_bitmasks` call, so
+    every generator ends where those calls would leave it.  One bincount
+    counts each chunk of pairs, and a chunk's working arrays stay within
+    ``_BITMASK_CELLS`` cells of eight bytes unless one pair alone needs
+    more.
     """
     table = block.table
     dataset = table.dataset
@@ -1031,7 +684,7 @@ def bitmask_batch(block: NodeBlock, node: np.ndarray, pred: np.ndarray, rngs, n_
         q = int(q_all.max())
         raise ValueError(
             f"{count_partitions(q)} bipartitions of {q} levels exceed the exhaustive "
-            f"limit ({min(limit, EXHAUSTIVE_HARD_LIMIT)} levels); use the random search"
+            f"limit ({min(limit, EXHAUSTIVE_HARD_LIMIT)} levels); use random_categorical_split"
         )
     impurity, sizes = np.full(m, np.inf), np.zeros((m, 2), dtype=np.int64)
     winner: list = [None] * m  # (present levels, winning row of bits)
@@ -1067,3 +720,71 @@ def bitmask_batch(block: NodeBlock, node: np.ndarray, pred: np.ndarray, rngs, n_
         return CandidateSplit(int(pred[j]), rule, float(impurity[j]), int(sizes[j, 0]), int(sizes[j, 1]))
 
     return impurity, np.isfinite(impurity), build
+
+
+# ---------------------------------------------------------------------------
+# the search of one (node, predictor) pair: its batched scan on one pair
+
+
+def _one_pair(scan, dataset: Dataset, rows, predictor: int, *args) -> CandidateSplit | None:
+    """``scan(block, node, pred, *args)`` on the one pair of ``rows`` and
+    ``predictor``: its split, or None where the scan found none."""
+    node = np.zeros(1, dtype=np.int64)
+    _, found, build = scan(NodeBlock(ColumnTable(dataset), [rows]), node, node + predictor, *args)
+    return build(0) if found[0] else None
+
+
+def best_ordered_split(dataset: Dataset, rows, predictor: int) -> CandidateSplit | None:
+    """Best threshold split of one ordered predictor, or None if all its
+    values in the node are equal; see :func:`ordered_split_batch`."""
+    return _one_pair(ordered_split_batch, dataset, rows, predictor)
+
+
+def pseudo_value_split(
+    dataset: Dataset, rows, predictor: int, table: GammaTable
+) -> CandidateSplit | None:
+    """Ordered scan over per-level pseudo values.
+
+    ``table`` must be :func:`gamma_table` of these rows.  Levels are
+    sorted by pseudo value and every boundary between distinct values is
+    a candidate threshold; the returned split stores the winning
+    threshold and sends exactly the levels with pseudo value at or below
+    it to the left.  Returns None when fewer than two distinct pseudo
+    values exist.  See :func:`pseudo_value_batch`.
+    """
+
+    def comparable(t: GammaTable) -> tuple:  # a NaN response gives NaN pseudo values
+        return t.predictor, t.present, t.absent, tuple((q, "nan" if g != g else g) for q, g in t.values)
+
+    if comparable(table) != comparable(gamma_table(dataset, rows, predictor)):
+        raise ValueError("pseudo-value table is inconsistent with the node rows")
+    return _one_pair(pseudo_value_batch, dataset, rows, predictor)
+
+
+def exhaustive_categorical_split(
+    dataset: Dataset, rows, predictor: int, limit: int = EXHAUSTIVE_HARD_LIMIT
+) -> CandidateSplit | None:
+    """Enumerate every level bipartition of a categorical predictor.
+
+    Classification only.  Encodings ``1 .. 2**(Q-1) - 1`` are scored in
+    increasing order and the first minimum wins, so among tied optima
+    the smallest encoding wins -- which is the one sending every absent
+    level (and level ``Q``) right.
+    Raises when ``Q`` exceeds ``limit``; use the random search instead.
+    See :func:`bitmask_batch`.
+    """
+    return _one_pair(bitmask_batch, dataset, rows, predictor, None, 1024, limit)
+
+
+def random_categorical_split(
+    dataset: Dataset, rows, predictor: int, rng: np.random.Generator, n_candidates: int = 1024
+) -> CandidateSplit | None:
+    """Random bitmask search for high-cardinality categorical predictors.
+
+    Draws ``n_candidates`` masks with every one of the ``Q`` bits an
+    independent fair coin (absent levels included), discards draws that
+    leave a present-level daughter empty, and keeps the first strict
+    optimum in draw order.  Returns None when no draw is valid.  See
+    :func:`bitmask_batch`.
+    """
+    return _one_pair(bitmask_batch, dataset, rows, predictor, [rng], n_candidates, EXHAUSTIVE_HARD_LIMIT)

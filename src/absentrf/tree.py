@@ -365,24 +365,6 @@ def route(
     return PredictionTrace(tuple(entries), absent, tuple(resolutions))
 
 
-def tree_predict(trace: PredictionTrace, tree: Tree):
-    """Collapse a trace into a prediction: the weight-averaged node mean
-    for regression, or the weight-averaged class-share vector for
-    classification."""
-    if tree.task == REGRESSION:
-        return float(sum(w * tree.nodes[nid].stats.mean for nid, w in trace.entries))
-    scores = np.zeros(tree.n_classes)
-    for nid, w in trace.entries:
-        scores += w * tree.nodes[nid].stats.proportions
-    return scores
-
-
-def tree_vote(trace: PredictionTrace, tree: Tree) -> int:
-    """The tree's single-class vote (1-based; ties to the lowest class)."""
-    scores = tree_predict(trace, tree)
-    return int(np.argmax(scores)) + 1
-
-
 # ---------------------------------------------------------------------------
 # serialization and hashing
 

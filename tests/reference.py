@@ -1,0 +1,402 @@
+"""Reference implementations that the fast paths are tested against.
+
+Growth scores its split candidates with the batched scans of
+``absentrf.splits`` and prediction routes through the compiled arrays of
+``absentrf.forest.predict_rows``.  The plain per-node searches and the
+per-tree prediction here compute the same results one node, one
+predictor or one tree at a time, and only the tests call them.
+``absentrf.tree.route`` is the routing oracle; it stays in the package.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from absentrf.data import CATEGORICAL, CLASSIFICATION, NUMERIC, REGRESSION, Dataset
+from absentrf.splits import (
+    EXHAUSTIVE_HARD_LIMIT,
+    CandidateSplit,
+    CategoricalRule,
+    GammaTable,
+    OrderedRule,
+    _encode,
+    _gini_by_class,
+    count_partitions,
+    random_bitmasks,
+)
+from absentrf.tree import PredictionTrace, Tree
+
+
+# ---------------------------------------------------------------------------
+# node summaries
+
+
+def node_mean(values) -> float:
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.size == 0:
+        raise ValueError("mean of an empty node is undefined")
+    return float(arr.mean())
+
+
+def class_proportions(values, n_classes: int) -> np.ndarray:
+    """Class share vector (index 0 = class 1) for int labels ``1..K``."""
+    arr = np.asarray(values, dtype=np.int64)
+    if arr.size == 0:
+        raise ValueError("class proportions of an empty node are undefined")
+    if arr.min() < 1 or arr.max() > n_classes:
+        raise ValueError(f"class index outside 1..{n_classes}")
+    counts = np.bincount(arr, minlength=n_classes + 1)[1:]
+    return counts / arr.size
+
+
+def gini(proportions) -> float:
+    """Gini impurity ``sum_k p_k * (1 - p_k)`` of a proportion vector."""
+    p = np.asarray(proportions, dtype=np.float64)
+    if p.size == 0:
+        raise ValueError("empty proportion vector")
+    if np.any(p < -1e-12) or np.any(p > 1 + 1e-12):
+        raise ValueError("proportions must lie in [0, 1]")
+    if abs(float(p.sum()) - 1.0) > 1e-9:
+        raise ValueError("proportions must sum to 1")
+    return float(np.sum(p * (1.0 - p)))
+
+
+def split_objective(task: str, left_values, right_values, n_classes: int | None = None) -> float:
+    """Criterion minimised by every split search.
+
+    Regression: total within-daughter sum of squared deviations from the
+    daughter means.  Classification: daughter Gini impurities weighted
+    by daughter size, divided by the mother size.
+    """
+    left = np.asarray(left_values)
+    right = np.asarray(right_values)
+    if left.size == 0 or right.size == 0:
+        raise ValueError("both daughters must be non-empty")
+    if task == REGRESSION:
+        l = left.astype(np.float64)
+        r = right.astype(np.float64)
+        return float(((l - l.mean()) ** 2).sum() + ((r - r.mean()) ** 2).sum())
+    if task == CLASSIFICATION:
+        if not n_classes:
+            raise ValueError("classification objective needs n_classes")
+        gl = gini(class_proportions(left, n_classes))
+        gr = gini(class_proportions(right, n_classes))
+        n = left.size + right.size
+        return float((left.size * gl + right.size * gr) / n)
+    raise ValueError(f"unknown task {task!r}")
+
+
+# ---------------------------------------------------------------------------
+# vectorised objective kernels (private)
+
+
+def _masked_gini_objective(
+    bits: np.ndarray, level_class_counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weighted-Gini objective for a batch of level bitmasks.
+
+    ``bits`` is (M, Q) 0/1, ``level_class_counts`` is (Q, K) ints.
+    Returns (objective, left_n, right_n) with ``inf`` objective where a
+    present-level daughter would be empty.
+    """
+    lc = bits @ level_class_counts  # (M, K) ints
+    tc = level_class_counts.sum(axis=0)
+    rc = tc[None, :] - lc
+    ln = lc.sum(axis=1)
+    rn = rc.sum(axis=1)
+    n = float(tc.sum())
+    valid = (ln > 0) & (rn > 0)
+    lnf = ln.astype(np.float64)
+    rnf = rn.astype(np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gl = 1.0 - ((lc / lnf[:, None]) ** 2).sum(axis=1)
+        gr = 1.0 - ((rc / rnf[:, None]) ** 2).sum(axis=1)
+        obj = (lnf * gl + rnf * gr) / n
+    obj = np.where(valid, obj, np.inf)
+    return obj, ln, rn
+
+
+def _class_major_gini_objective(
+    bits: np.ndarray, level_class_counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_masked_gini_objective`, bit for bit, on float64 counts
+    from one BLAS product, laid out class by class (see
+    :func:`_gini_by_class`)."""
+    cc = level_class_counts.astype(np.float64)
+    return _gini_by_class(cc.T @ bits.astype(np.float64).T, cc.sum(axis=0)[:, None])
+
+
+def _mother_arrays(dataset: Dataset, rows, predictor: int) -> tuple[np.ndarray, np.ndarray]:
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.size == 0:
+        raise ValueError("empty mother node")
+    if dataset.y is None:
+        raise ValueError("dataset has no response")
+    return dataset.columns[predictor][rows], dataset.y[rows]
+
+
+# ---------------------------------------------------------------------------
+# ordered predictors
+
+
+def best_ordered_splits(dataset: Dataset, rows, predictors) -> list[CandidateSplit | None]:
+    """Best threshold split of each ordered predictor, scored in one batch.
+
+    Row ``j`` of the (m, n) working arrays is ``predictors[j]`` stably
+    sorted; the objective is evaluated only where the sorted value changes
+    (cut ``c`` = left block of sorted positions 0..c).  Entry ``j`` is None
+    if every value of that predictor is identical.  Ties on the objective
+    keep the lowest threshold.  Regression values are centred on the
+    mother mean: the objective is shift-invariant and centring keeps the
+    cumulative-sum formula well conditioned.
+    """
+    if len(predictors) == 0:
+        return []
+    for p in predictors:
+        spec = dataset.schema[p]
+        if spec.kind != NUMERIC:
+            raise ValueError(f"column {spec.name!r} is not ordered")
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.size == 0:
+        raise ValueError("empty mother node")
+    if dataset.y is None:
+        raise ValueError("dataset has no response")
+    n = int(rows.size)
+    if n < 2:
+        return [None] * len(predictors)
+    xs = np.array([dataset.columns[p][rows] for p in predictors])
+    order = xs.argsort(axis=1, kind="stable")
+    xs.sort(axis=1, kind="stable")  # a stable sort of the values lands them in ``order``
+    ys = dataset.y[rows][order]
+    r, c = (xs[:, :-1] != xs[:, 1:]).nonzero()
+    nl = c + 1.0
+    nr = n - nl
+    if dataset.task == REGRESSION:
+        # sum / n is the division ndarray.mean performs, row by row
+        yc = ys - ys.sum(axis=1, keepdims=True) / n
+        cs = yc.cumsum(axis=1)
+        css = (yc * yc).cumsum(axis=1)
+        sl, ssl = cs[r, c], css[r, c]
+        st, sst = cs[:, -1][r], css[:, -1][r]
+        sse_l = ssl - sl * sl / nl
+        sse_r = (sst - ssl) - (st - sl) ** 2 / nr
+        # tiny negatives are cancellation noise
+        obj = np.maximum(sse_l, 0.0) + np.maximum(sse_r, 0.0)
+    else:
+        classes = np.arange(1, dataset.response.n_classes + 1)
+        # (m, K, n) counts; lc rows are contiguous, so the sum over K adds
+        # in the same order as a one-predictor scan would
+        cum = (ys[:, None, :] == classes[:, None]).cumsum(axis=2)
+        lc = cum[r, :, c].astype(np.float64)
+        rc = cum[:, :, -1][r].astype(np.float64) - lc
+        gl = 1.0 - ((lc / nl[:, None]) ** 2).sum(axis=1)
+        gr = 1.0 - ((rc / nr[:, None]) ** 2).sum(axis=1)
+        obj = (nl * gl + nr * gr) / n
+    full = np.full(xs.shape, np.inf)
+    full[r, c] = obj
+    best = full.argmin(axis=1).tolist()
+    found = (xs[:, 0] != xs[:, -1]).tolist()  # a sorted row has a cut iff its ends differ
+    return [
+        CandidateSplit(int(p), OrderedRule(float(xs[j, k])), float(full[j, k]), k + 1, n - k - 1)
+        if found[j]
+        else None
+        for j, (p, k) in enumerate(zip(predictors, best))
+    ]
+
+
+# ---------------------------------------------------------------------------
+# categorical predictors: pseudo-value route
+
+
+def _gamma_pass(dataset: Dataset, rows, predictor: int):
+    """One counting pass over a node: its predictor and response values,
+    the count of every level, the present levels (ascending), their
+    pseudo values, and the same as a :class:`GammaTable`."""
+    spec = dataset.schema[predictor]
+    if spec.kind != CATEGORICAL:
+        raise ValueError(f"column {spec.name!r} is not categorical")
+    x, y = _mother_arrays(dataset, rows, predictor)
+    q = spec.n_levels
+    counts = np.bincount(x, minlength=q + 1)[1:]
+    levels = np.flatnonzero(counts) + 1
+    if dataset.task == REGRESSION:
+        sums = np.bincount(x, weights=y.astype(np.float64), minlength=q + 1)[1:]
+    else:
+        if dataset.response.n_classes != 2:
+            raise ValueError("pseudo values are undefined for more than two classes")
+        sums = np.bincount(x[y == 1], minlength=q + 1)[1:].astype(np.float64)
+    gam = sums[levels - 1] / counts[levels - 1]
+    present = frozenset(levels.tolist())
+    values = tuple(zip(levels.tolist(), gam.tolist()))
+    table = GammaTable(predictor, values, present, frozenset(range(1, q + 1)) - present)
+    return x, y, counts, levels, gam, table
+
+
+def pseudo_value_search(dataset: Dataset, rows, predictor: int) -> CandidateSplit | None:
+    """:func:`gamma_table` followed by :func:`pseudo_value_split`, with
+    one counting pass over the node instead of two."""
+    return _pseudo_scan(dataset, *_gamma_pass(dataset, rows, predictor))
+
+
+def _pseudo_scan(dataset: Dataset, x, y, counts, levels, gam, table: GammaTable) -> CandidateSplit | None:
+    """The scan behind :func:`pseudo_value_split`, given the node's level
+    counts and the pseudo values ``gam`` of its present ``levels``."""
+    if levels.size < 2:
+        return None
+    q = counts.size
+    order = np.argsort(gam, kind="stable")
+    levels_sorted = levels[order]
+    gam_sorted = gam[order]
+    cuts = np.flatnonzero(gam_sorted[:-1] != gam_sorted[1:])
+    if cuts.size == 0:
+        return None  # all pseudo values equal: no bipartition can improve
+
+    n_lvl = counts[levels_sorted - 1].astype(np.int64)
+    nl = np.cumsum(n_lvl)
+    if dataset.task == REGRESSION:
+        yc = y - y.mean()
+        s_lvl = np.bincount(x, weights=yc, minlength=q + 1)[1:][levels_sorted - 1]
+        ss_lvl = np.bincount(x, weights=yc * yc, minlength=q + 1)[1:][levels_sorted - 1]
+        sl = np.cumsum(s_lvl)[cuts]
+        ssl = np.cumsum(ss_lvl)[cuts]
+        nlc = nl[cuts].astype(np.float64)
+        nrc = x.size - nlc
+        st, sst = float(np.sum(s_lvl)), float(np.sum(ss_lvl))
+        sse_l = ssl - sl * sl / nlc
+        sse_r = (sst - ssl) - (st - sl) ** 2 / nrc
+        obj = np.maximum(sse_l, 0.0) + np.maximum(sse_r, 0.0)
+    else:
+        k = dataset.response.n_classes
+        lvl_cc = np.zeros((q + 1, k + 1), dtype=np.int64)
+        np.add.at(lvl_cc, (x, y), 1)
+        cc_sorted = lvl_cc[levels_sorted, 1:]
+        cum = np.cumsum(cc_sorted, axis=0).astype(np.float64)
+        lc = cum[cuts]
+        rc = cum[-1][None, :] - lc
+        nlc = nl[cuts].astype(np.float64)
+        nrc = x.size - nlc
+        gl = 1.0 - ((lc / nlc[:, None]) ** 2).sum(axis=1)
+        gr = 1.0 - ((rc / nrc[:, None]) ** 2).sum(axis=1)
+        obj = (nlc * gl + nrc * gr) / x.size
+
+    i = int(np.argmin(obj))
+    c = int(cuts[i])
+    pseudo_split = float(gam_sorted[c])
+    left = frozenset(int(v) for v in levels_sorted[: c + 1])
+    rule = CategoricalRule(
+        left_levels=left,
+        present=table.present,
+        absent=table.absent,
+        bitmask=_encode(left),
+        pseudo_split=pseudo_split,
+        gamma=table.values,
+    )
+    return CandidateSplit(
+        predictor=table.predictor,
+        rule=rule,
+        impurity=float(obj[i]),
+        left_size=int(nl[c]),
+        right_size=int(x.size - nl[c]),
+    )
+
+
+# ---------------------------------------------------------------------------
+# categorical predictors: bitmask routes
+
+
+def _bitmask_split(
+    dataset: Dataset, rows, predictor: int, search: str, draw, objective
+) -> CandidateSplit | None:
+    """The search behind both bitmask front ends: check the column and the
+    rows, score the (M, Q) 0/1 candidates ``draw(Q)`` on the present
+    levels with ``objective``, and keep the first strict optimum in row
+    order.  The rule's bitmask is the winning row, absent-level bits
+    included."""
+    spec = dataset.schema[predictor]
+    if spec.kind != CATEGORICAL:
+        raise ValueError(f"column {spec.name!r} is not categorical")
+    if dataset.task != CLASSIFICATION:
+        raise ValueError(f"{search} bitmask search applies to classification splits")
+    x, y = _mother_arrays(dataset, rows, predictor)
+    q, k = spec.n_levels, dataset.response.n_classes
+    bits = draw(q)
+    counts = np.bincount(x * (k + 1) + y, minlength=(q + 1) * (k + 1)).reshape(q + 1, k + 1)[1:, 1:]
+    present = np.flatnonzero(counts.sum(axis=1))
+    if present.size < 2:
+        return None  # every candidate leaves a daughter empty
+    # absent levels hold no rows, so their bits change no candidate's score
+    obj, ln, rn = objective(bits[:, present], counts[present])
+    i = int(np.argmin(obj))
+    if not np.isfinite(obj[i]):
+        return None
+    levels = frozenset((present + 1).tolist())
+    rule = CategoricalRule(
+        left_levels=frozenset((present[bits[i, present] == 1] + 1).tolist()),
+        present=levels,
+        absent=frozenset(range(1, q + 1)) - levels,
+        bitmask=_encode((np.flatnonzero(bits[i]) + 1).tolist()),
+    )
+    return CandidateSplit(predictor, rule, float(obj[i]), int(ln[i]), int(rn[i]))
+
+
+def exhaustive_categorical_split(
+    dataset: Dataset, rows, predictor: int, limit: int = EXHAUSTIVE_HARD_LIMIT
+) -> CandidateSplit | None:
+    """Enumerate every level bipartition of a categorical predictor.
+
+    Classification only.  Encodings ``1 .. 2**(Q-1) - 1`` are scored in
+    increasing order and the first minimum wins, so among tied optima
+    the smallest encoding wins -- which is the one sending every absent
+    level (and level ``Q``) right.
+    Raises when ``Q`` exceeds ``limit``; use the random search instead.
+    """
+
+    def every_encoding(q: int) -> np.ndarray:
+        if q > limit or q > EXHAUSTIVE_HARD_LIMIT:
+            raise ValueError(
+                f"{count_partitions(q)} bipartitions of {q} levels exceed the exhaustive "
+                f"limit ({min(limit, EXHAUSTIVE_HARD_LIMIT)} levels); use random_categorical_split"
+            )
+        # at most 2**15 - 1 masks, scored in one call
+        masks = np.arange(1, 1 << (q - 1), dtype=np.int64)
+        return (masks[:, None] >> np.arange(q, dtype=np.int64)) & 1
+
+    return _bitmask_split(dataset, rows, predictor, "exhaustive", every_encoding, _masked_gini_objective)
+
+
+def random_categorical_split(
+    dataset: Dataset, rows, predictor: int, rng: np.random.Generator, n_candidates: int = 1024
+) -> CandidateSplit | None:
+    """Random bitmask search for high-cardinality categorical predictors.
+
+    Draws ``n_candidates`` masks with every one of the ``Q`` bits an
+    independent fair coin (absent levels included), discards draws that
+    leave a present-level daughter empty, and keeps the first strict
+    optimum in draw order.  Returns None when no draw is valid.
+    """
+
+    def draw(q: int) -> np.ndarray:
+        return random_bitmasks(rng, n_candidates, q)
+
+    return _bitmask_split(dataset, rows, predictor, "random", draw, _class_major_gini_objective)
+
+
+# ---------------------------------------------------------------------------
+# prediction from a routing trace
+
+
+def tree_predict(trace: PredictionTrace, tree: Tree):
+    """Collapse a trace into a prediction: the weight-averaged node mean
+    for regression, or the weight-averaged class-share vector for
+    classification."""
+    if tree.task == REGRESSION:
+        return float(sum(w * tree.nodes[nid].stats.mean for nid, w in trace.entries))
+    scores = np.zeros(tree.n_classes)
+    for nid, w in trace.entries:
+        scores += w * tree.nodes[nid].stats.proportions
+    return scores
+
+
+def tree_vote(trace: PredictionTrace, tree: Tree) -> int:
+    """The tree's single-class vote (1-based; ties to the lowest class)."""
+    scores = tree_predict(trace, tree)
+    return int(np.argmax(scores)) + 1

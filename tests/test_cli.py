@@ -1,12 +1,15 @@
 """Command-line interface: subcommands, file round trips, exit codes."""
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import absentrf
 from absentrf.cli import EXIT_DATA, EXIT_OK, EXIT_RUNTIME, main
 from absentrf.data import (
     CATEGORICAL,
@@ -24,7 +27,8 @@ from absentrf.data import (
 from absentrf.forest import load_forest
 from absentrf.heuristics import Heuristic
 from absentrf.seeding import Coins
-from absentrf.tree import route, tree_predict, tree_vote
+from absentrf.tree import route
+from reference import tree_predict, tree_vote
 
 ROUTED = [h for h in Heuristic if h is not Heuristic.ONE_HOT]
 
@@ -428,8 +432,11 @@ def test_usage_error_exits_two():
 
 
 def test_console_entry_point_runs():
+    # the child imports the package these tests import, installed or not
+    src = str(Path(absentrf.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-m", "absentrf.cli", "--version"], capture_output=True, text=True
+        [sys.executable, "-m", "absentrf.cli", "--version"], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0
     assert "absentrf" in proc.stdout

