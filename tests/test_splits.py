@@ -332,7 +332,9 @@ def assert_same_split(got, want):
         assert repr(got.rule.gamma) == repr(want.rule.gamma)
 
 
-@pytest.mark.parametrize("task,k", [(REGRESSION, 0), (CLASSIFICATION, 2), (CLASSIFICATION, 3)])
+@pytest.mark.parametrize(
+    "task,k", [(REGRESSION, 0), (CLASSIFICATION, 2), (CLASSIFICATION, 3), (CLASSIFICATION, 9), (CLASSIFICATION, 17)]
+)
 @given(seed=st.integers(0, 10**9))
 @settings(max_examples=120, deadline=None)
 def test_ordered_split_batch_equals_per_node_kernel(task, k, seed):
@@ -903,7 +905,7 @@ def assert_same_bitmask_split(impurity, found, build, j, want):
 
 
 @pytest.mark.parametrize("cells", [None, 1000])  # default chunks, and chunks that split pairs and masks
-@pytest.mark.parametrize("k", [2, 3, 7])
+@pytest.mark.parametrize("k", [2, 3, 7, 9, 17])
 @given(seed=st.integers(0, 10**9), max_q=st.sampled_from([2, 3, 9, 10, 16]))
 @settings(max_examples=40, deadline=None)
 def test_exhaustive_bitmask_batch_equals_per_node_search(cells, k, seed, max_q):
@@ -932,7 +934,7 @@ def test_exhaustive_bitmask_batch_keeps_the_first_of_tied_encodings():
 
 
 @pytest.mark.parametrize("cells", [None, 1000])
-@given(seed=st.integers(0, 10**9), k=st.sampled_from([2, 3, 7]), m=st.sampled_from([1, 4, 33, 256, 1024]))
+@given(seed=st.integers(0, 10**9), k=st.sampled_from([2, 3, 7, 9, 17]), m=st.sampled_from([1, 4, 33, 256, 1024]))
 @settings(max_examples=60, deadline=None)
 def test_random_bitmask_batch_equals_sequential_per_node_searches(cells, seed, k, m):
     rng = np.random.default_rng(seed)
