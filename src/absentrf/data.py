@@ -264,8 +264,7 @@ def ingest_csv(
         reader = csv.reader(fh)
         row_no = 0
         for record in reader:
-            if skip_header and row_no == 0 and dropped == 0 and not raw_y and not raw_cols[0]:
-                row_no = 0  # header row does not count as a data row
+            if skip_header:  # the header row does not count as a data row
                 skip_header = False
                 continue
             row_no += 1

@@ -27,7 +27,9 @@ on them.
 
 Each search has one implementation: a batched scan over the (node,
 predictor) pairs of many nodes, which tree growth calls once per step.
-The per-node functions run it on one pair.  The tests check every scan
+The per-node functions run it on one pair.  Every scan scores its
+candidates with one objective per task: :func:`_gini` for classes,
+:func:`_sse` for a numeric response.  The tests check every scan
 against a plain per-node form of its search in ``tests/reference.py``.
 """
 from __future__ import annotations
@@ -109,48 +111,34 @@ class CandidateSplit:
 # vectorised objective kernels (private)
 
 
-def _sum_in_row_order(terms) -> np.ndarray:
-    """Elementwise sum of ``terms`` (a list of arrays, or one array whose
-    first axis indexes them) in the order ndarray.sum adds a row of
-    ``len(terms)`` values (see :func:`_row_sums`): from 0.0, pairwise."""
-
-    def pairwise(ts):
-        n = len(ts)
-        if n < 8:
-            res = 0.0
-            for t in ts:
-                res = res + t
-            return res
-        if n > 128:
-            half = n // 2 - n // 2 % 8
-            return pairwise(ts[:half]) + pairwise(ts[half:])
-        r = list(ts[:8])
-        for i in range(8, n - n % 8):
-            r[i % 8] = r[i % 8] + ts[i]
-        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for t in ts[n - n % 8 :]:
-            res = res + t
-        return res
-
-    return 0.0 + pairwise(terms)
-
-
-def _gini_by_class(lc: np.ndarray, totals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _gini(lc: np.ndarray, totals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Weighted-Gini objective, left and right sizes of candidates whose
-    left class counts are ``lc[k]`` (class first, any shape after it),
-    given the class totals ``totals[k]`` broadcast against them.  Counts
-    are integers far below 2**53, so every product and sum of them is
-    exact; the squared shares are added over classes in the order
-    ndarray.sum adds a row, so this equals the integer-count objective
-    ``_masked_gini_objective`` of ``tests/reference.py`` bit for bit."""
+    left class counts are ``lc[..., k]``, given the class totals
+    ``totals[..., k]`` broadcast against them; the objective is ``inf``
+    where a daughter is empty.  Counts are float64 integers far below
+    2**53, so every sum and product of them is exact.  ``lc`` must be
+    C-contiguous: ndarray.sum then adds each candidate's squared shares
+    pairwise along one row, as the per-node objectives of
+    ``tests/reference.py`` do, where a strided view from 8 classes up
+    adds them in another order."""
     rc = totals - lc
-    ln, rn = lc.sum(axis=0), rc.sum(axis=0)
-    valid = (ln > 0) & (rn > 0)
+    ln, rn = lc.sum(axis=-1), rc.sum(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        gl = 1.0 - _sum_in_row_order((lc / ln) ** 2)
-        gr = 1.0 - _sum_in_row_order((rc / rn) ** 2)
-        obj = (ln * gl + rn * gr) / totals.sum(axis=0)
-    return np.where(valid, obj, np.inf), ln, rn
+        gl = 1.0 - ((lc / ln[..., None]) ** 2).sum(axis=-1)
+        gr = 1.0 - ((rc / rn[..., None]) ** 2).sum(axis=-1)
+        obj = (ln * gl + rn * gr) / totals.sum(axis=-1)
+    return np.where((ln > 0) & (rn > 0), obj, np.inf), ln, rn
+
+
+def _sse(sl, ssl, st, sst, nl, n) -> np.ndarray:
+    """Total within-daughter sum of squares of candidates whose left
+    daughter holds ``nl`` of the ``n`` values, summing to ``sl`` with
+    squares summing to ``ssl``, of totals ``st`` and ``sst``.  The values
+    are centred on the mother mean, which keeps the formula well
+    conditioned; tiny negatives are cancellation noise."""
+    sse_l = ssl - sl * sl / nl
+    sse_r = (sst - ssl) - (st - sl) ** 2 / (n - nl)
+    return np.maximum(sse_l, 0.0) + np.maximum(sse_r, 0.0)
 
 
 def _encode(levels) -> int:
@@ -310,14 +298,18 @@ def _row_sums(mat: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return 0.0 + tail.cumsum(axis=1)[:, -1]
 
 
-def _batches(widths: np.ndarray, depth: int = 1):
-    """Index arrays covering every pair, widest first, each of at most
-    ``_BATCH_CELLS`` padded cells of ``depth`` values (or a single pair)."""
-    order = np.argsort(-widths, kind="stable")
-    start = 0
-    while start < order.size:
-        stop = start + max(1, _BATCH_CELLS // int(widths[order[start]] * depth))
-        yield order[start:stop]
+def _runs(widths: np.ndarray, cells: int):
+    """Consecutive slices of ``widths``, each of at most ``cells`` cells
+    when every entry counts as the widest of its slice (or a single
+    entry).  Where the widths are sorted widest first, a slice holds
+    ``cells // w`` entries, ``w`` its first width."""
+    start, widths = 0, widths.tolist()
+    while start < len(widths):
+        stop, wide = start + 1, widths[start]
+        while stop < len(widths) and (stop - start + 1) * max(wide, widths[stop]) <= cells:
+            wide = max(wide, widths[stop])
+            stop += 1
+        yield slice(start, stop)
         start = stop
 
 
@@ -338,7 +330,9 @@ def ordered_split_batch(block: NodeBlock, node: np.ndarray, pred: np.ndarray):
     impurity, threshold = np.empty(m), np.empty(m)
     left, found = np.empty(m, dtype=np.int64), np.empty(m, dtype=bool)
     k_classes = dataset.response.n_classes if dataset.task == CLASSIFICATION else 1
-    for idx in _batches(n_all, k_classes):
+    widest = np.argsort(-n_all, kind="stable")
+    for run in _runs(n_all[widest] * k_classes, _BATCH_CELLS):
+        idx = widest[run]
         n = n_all[idx]
         rows = block.rows[node[idx], : int(n[0])]
         at = np.arange(idx.size)
@@ -351,25 +345,15 @@ def ordered_split_batch(block: NodeBlock, node: np.ndarray, pred: np.ndarray):
         r, c = (xs[:, :-1] != xs[:, 1:]).nonzero()
         keep = c < last[r]
         r, c = r[keep], c[keep]
-        nl = c + 1.0
-        nr = n[r] - nl
         if dataset.task == REGRESSION:
             yc = ys - (_row_sums(ys, n) / n)[:, None]
             cs = yc.cumsum(axis=1)
             css = (yc * yc).cumsum(axis=1)
-            sl, ssl = cs[r, c], css[r, c]
-            st, sst = cs[r, last[r]], css[r, last[r]]
-            sse_l = ssl - sl * sl / nl
-            sse_r = (sst - ssl) - (st - sl) ** 2 / nr
-            obj = np.maximum(sse_l, 0.0) + np.maximum(sse_r, 0.0)
+            obj = _sse(cs[r, c], css[r, c], cs[r, last[r]], css[r, last[r]], c + 1.0, n[r])
         else:
             classes = np.arange(1, k_classes + 1)
             cum = (ys[:, None, :] == classes[:, None]).cumsum(axis=2)
-            lc = cum[r, :, c].astype(np.float64)
-            rc = cum[r, :, last[r]].astype(np.float64) - lc
-            gl = 1.0 - ((lc / nl[:, None]) ** 2).sum(axis=1)
-            gr = 1.0 - ((rc / nr[:, None]) ** 2).sum(axis=1)
-            obj = (nl * gl + nr * gr) / n[r]
+            obj = _gini(cum[r, :, c].astype(np.float64), cum[r, :, last[r]].astype(np.float64))[0]
         full = np.full(xs.shape, np.inf)
         full[r, c] = obj
         best = full.argmin(axis=1)
@@ -401,7 +385,10 @@ def pseudo_value_batch(block: NodeBlock, node: np.ndarray, pred: np.ndarray):
     n_all, q_all = block.sizes[node], table.n_levels[pred]
     impurity, found = np.empty(m), np.zeros(m, dtype=bool)
     where: list = [None] * m
-    for idx in _batches(np.maximum(n_all, q_all + 1)):  # row and level cells
+    cells = np.maximum(n_all, q_all + 1)  # row and level cells
+    widest = np.argsort(-cells, kind="stable")
+    for run in _runs(cells[widest], _BATCH_CELLS):
+        idx = widest[run]
         nb, width = idx.size, int(q_all[idx].max()) + 1
         n = n_all[idx]
         rows = block.rows[node[idx], : int(n.max())]
@@ -430,26 +417,16 @@ def pseudo_value_batch(block: NodeBlock, node: np.ndarray, pred: np.ndarray):
         keep = c < n_lvl[r] - 1
         r, c = r[keep], c[keep]
         nl = counts[at, order].cumsum(axis=1)
-        nlc = nl[r, c].astype(np.float64)
-        nrc = n[r] - nlc
         if regression:
             yc = (y - block.mean[node[idx], None]).ravel()
             s_lvl = per_level(weights=yc)[at, order]
             ss_lvl = per_level(weights=yc * yc)[at, order]
             cs, css = s_lvl.cumsum(axis=1), ss_lvl.cumsum(axis=1)
-            sl, ssl = cs[r, c], css[r, c]
             totals = _row_sums(np.concatenate([s_lvl, ss_lvl]), np.concatenate([n_lvl, n_lvl]))
-            st, sst = totals[:nb][r], totals[nb:][r]
-            sse_l = ssl - sl * sl / nlc
-            sse_r = (sst - ssl) - (st - sl) ** 2 / nrc
-            obj = np.maximum(sse_l, 0.0) + np.maximum(sse_r, 0.0)
+            obj = _sse(cs[r, c], css[r, c], totals[:nb][r], totals[nb:][r], nl[r, c].astype(np.float64), n[r])
         else:
-            cum = [per_level(sel=y.ravel() == k)[at, order].cumsum(axis=1) for k in (1, 2)]
-            lc = np.stack([cum_k[r, c] for cum_k in cum], axis=1).astype(np.float64)
-            rc = np.stack([cum_k[r, n_lvl[r] - 1] for cum_k in cum], axis=1).astype(np.float64) - lc
-            gl = 1.0 - ((lc / nlc[:, None]) ** 2).sum(axis=1)
-            gr = 1.0 - ((rc / nrc[:, None]) ** 2).sum(axis=1)
-            obj = (nlc * gl + nrc * gr) / n[r]
+            cum = np.stack([per_level(sel=y.ravel() == k)[at, order] for k in (1, 2)], axis=-1).cumsum(axis=1)
+            obj = _gini(cum[r, c].astype(np.float64), cum[r, n_lvl[r] - 1].astype(np.float64))[0]
         full = np.full(gs.shape, np.inf)
         full[r, c] = obj
         best = full.argmin(axis=1)
@@ -521,20 +498,6 @@ def _encodings(q: int, lo: int, hi: int) -> np.ndarray:
     return bits
 
 
-def _runs(widths: np.ndarray):
-    """Consecutive slices of ``widths``, each of at most ``_BITMASK_CELLS``
-    cells when every entry counts as the widest of its slice (or a single
-    entry)."""
-    start, widths = 0, widths.tolist()
-    while start < len(widths):
-        stop, wide = start + 1, widths[start]
-        while stop < len(widths) and (stop - start + 1) * max(wide, widths[stop]) <= _BITMASK_CELLS:
-            wide = max(wide, widths[stop])
-            stop += 1
-        yield slice(start, stop)
-        start = stop
-
-
 def _level_class_counts(block: NodeBlock, node: np.ndarray, pred: np.ndarray, k: int) -> np.ndarray:
     """(pairs, Q, K) level × class counts of every (node, predictor) pair,
     Q the most levels among them, from one bincount over the block's
@@ -548,13 +511,15 @@ def _level_class_counts(block: NodeBlock, node: np.ndarray, pred: np.ndarray, k:
     return counts.reshape(node.size, -1, k + 1)[:, 1:, 1:]
 
 
-def _encoding_scores(cc: np.ndarray, bits: np.ndarray):
+def _encoding_scores(counts: np.ndarray, bits: np.ndarray):
     """Objective, left and right sizes, each (pairs, candidates), of the
-    (candidates, Q) 0/1 rows ``bits`` on every pair's level counts, laid
-    out class by class in ``cc`` (K, pairs, Q), from one product."""
-    k, m, q = cc.shape
-    lc = (cc.reshape(-1, q) @ bits.T).reshape(k, m, -1)
-    return _gini_by_class(lc, cc.sum(axis=2)[:, :, None])
+    (candidates, Q) 0/1 rows ``bits`` on every pair's level × class
+    counts ``counts`` (pairs, Q, K), from one product whose result is
+    laid out (candidates, pairs, K), classes last."""
+    m, q, k = counts.shape
+    lc = (bits @ counts.transpose(1, 0, 2).reshape(q, -1)).reshape(-1, m, k)
+    obj, ln, rn = _gini(lc, counts.sum(axis=1))
+    return obj.T, ln.T, rn.T
 
 
 def _exhaustive_scores(counts: np.ndarray):
@@ -569,15 +534,15 @@ def _exhaustive_scores(counts: np.ndarray):
     total = count_partitions(q)
     if not total:
         return best, rows, ln_best, rn_best
-    cc = counts.transpose(2, 0, 1).astype(np.float64)
     span = min(total, max(1, _BITMASK_CELLS // max(k, q)))  # encodings per product
     per = max(1, _BITMASK_CELLS // (span * k))  # pairs per product
     for start in range(0, m, per):
         pairs = np.arange(start, min(start + per, m))
+        cc = counts[pairs].astype(np.float64)
         at = np.arange(pairs.size)
         for lo in range(0, total, span):
             bits = _encodings(q, lo, min(lo + span, total))
-            obj, ln, rn = _encoding_scores(cc[:, pairs], bits)
+            obj, ln, rn = _encoding_scores(cc, bits)
             i = obj.argmin(axis=1)
             better = obj[at, i] < best[pairs]
             win = pairs[better]
@@ -608,17 +573,17 @@ def _random_scores(counts: np.ndarray, present: np.ndarray, q_all: np.ndarray, r
     patterns = 1 << np.where(small, n_present, 0)  # 2**P where small
     # cells of a pair: its pattern scores, or its draws' class counts and bytes
     width = np.where(small, (k + 3) * patterns, n_candidates * (k + 1 + q_all // 8))
-    for run in _runs(width):
+    for run in _runs(width, _BITMASK_CELLS):
         chunk = np.arange(m)[run]
         tables = {}  # pair -> score, left and right size of each pattern
         by_size = chunk[small[chunk]][np.argsort(n_present[chunk][small[chunk]], kind="stable")]
-        for sub in _runs(width[by_size]):
+        for sub in _runs(width[by_size], _BITMASK_CELLS):
             sel = by_size[sub]
             p = int(n_present[sel].max())
             # each pair's present levels first, then empty ones up to p + 1
-            cc = np.zeros((k, sel.size, p + 1))
+            cc = np.zeros((sel.size, p + 1, k))
             pair, level = present[sel].nonzero()
-            cc[:, pair, (present[sel].cumsum(axis=1) - 1)[pair, level]] = counts[sel][pair, level].T
+            cc[pair, (present[sel].cumsum(axis=1) - 1)[pair, level]] = counts[sel][pair, level]
             # pattern c at column c - 1; pattern 0 leaves the left daughter empty
             obj, ln, rn = (
                 np.hstack((np.full((sel.size, 1), v), score))
@@ -627,7 +592,7 @@ def _random_scores(counts: np.ndarray, present: np.ndarray, q_all: np.ndarray, r
             for b, a in enumerate(sel.tolist()):
                 tables[a] = obj[b], ln[b], rn[b]
         big = chunk[~small[chunk]]
-        lc = np.empty((k, big.size, n_candidates))
+        lc = np.empty((big.size, n_candidates, k))
         drawn = np.zeros((big.size, n_candidates, q), dtype=np.uint8)
         for a in chunk.tolist():
             draw = random_bitmasks(rngs[a], n_candidates, int(q_all[a]))
@@ -640,15 +605,15 @@ def _random_scores(counts: np.ndarray, present: np.ndarray, q_all: np.ndarray, r
                 rows[a, : draw.shape[1]] = draw[i]
             else:
                 b = int(np.searchsorted(big, a))
-                cc = counts[a, : draw.shape[1]].T.astype(np.float64)
+                cc = counts[a, : draw.shape[1]].astype(np.float64)
                 # the draw as floats a block of rows at a time: a float copy
                 # of the whole draw cost more than the product itself
                 for lo in range(0, n_candidates, 128):
-                    lc[:, b, lo : lo + 128] = cc @ draw[lo : lo + 128].astype(np.float64).T
+                    lc[b, lo : lo + 128] = draw[lo : lo + 128].astype(np.float64) @ cc
                 drawn[b, :, : draw.shape[1]] = draw
             del draw  # before the next draw allocates
         if big.size:
-            obj, ln, rn = _gini_by_class(lc, counts[big].sum(axis=1).T[:, :, None].astype(np.float64))
+            obj, ln, rn = _gini(lc, counts[big].sum(axis=1)[:, None].astype(np.float64))
             at = np.arange(big.size)
             i = obj.argmin(axis=1)  # the first strict optimum in draw order
             best[big], rows[big] = obj[at, i], drawn[at, i]
@@ -691,7 +656,7 @@ def bitmask_batch(block: NodeBlock, node: np.ndarray, pred: np.ndarray, rngs, n_
     # the random search draws in pair order; the exhaustive one scores
     # the pairs of one Q together
     order = np.arange(m) if rngs is not None else np.argsort(q_all, kind="stable")
-    for run in _runs(np.maximum(n_all, (q_all + 1) * (k + 1))[order]):
+    for run in _runs(np.maximum(n_all, (q_all + 1) * (k + 1))[order], _BITMASK_CELLS):
         idx = order[run]
         counts = _level_class_counts(block, node[idx], pred[idx], k)
         present = counts.any(axis=2)

@@ -411,31 +411,37 @@ def tree_from_dict(obj: dict) -> Tree:
     """Rebuild a tree from :func:`tree_to_dict` output.
 
     Raises ValueError unless the node ids run 0..n-1 in order, every
-    child id lies strictly between its parent's id and n (preorder, so
-    routing cannot loop), every split's daughter sizes are at least 1 and
-    equal its children's sizes (the majority, random and DBI policies read
-    them), classification nodes count every class, and each categorical
-    split keeps its present and absent levels apart and sends only present
-    levels left.  A missing key or a wrong type
-    surfaces as KeyError or TypeError; :func:`forest_from_dict` turns
-    those into ValueError too.
+    node's size is at least 1, every child id lies strictly between its
+    parent's id and n (preorder, so routing cannot loop), every split's
+    daughter sizes are at least 1 and equal its children's sizes (the
+    majority, random and DBI policies read them), classification nodes
+    count every class with counts >= 0 summing to the node's size (votes
+    are shares of it), and each categorical split keeps its present and
+    absent levels apart and sends only present levels left.  A missing
+    key or a wrong type surfaces as KeyError or TypeError;
+    :func:`forest_from_dict` turns those into ValueError too.
     """
     tree = Tree(task=obj["task"], n_classes=int(obj["n_classes"]), tree_id=int(obj["tree_id"]))
     entries = obj["nodes"]
     if not entries:
         raise ValueError(f"tree {tree.tree_id} has no nodes")
     for position, entry in enumerate(entries):
+        size = int(entry["size"])
+        if size < 1:
+            raise ValueError(f"tree {tree.tree_id} node {position}: size {size} is below 1")
         if tree.task == REGRESSION:
-            stats = NodeStats(size=int(entry["size"]), mean=float(entry["mean"]))
+            stats = NodeStats(size=size, mean=float(entry["mean"]))
         else:
-            stats = NodeStats(
-                size=int(entry["size"]),
-                class_counts=tuple(map(int, entry["class_counts"])),
-            )
+            stats = NodeStats(size=size, class_counts=tuple(map(int, entry["class_counts"])))
             if len(stats.class_counts) != tree.n_classes:
                 raise ValueError(
                     f"tree {tree.tree_id} node {position}: {len(stats.class_counts)} "
                     f"class counts for {tree.n_classes} classes"
+                )
+            if min(stats.class_counts) < 0 or sum(stats.class_counts) != size:
+                raise ValueError(
+                    f"tree {tree.tree_id} node {position}: class counts {list(stats.class_counts)} "
+                    f"are not counts >= 0 summing to the node size {size}"
                 )
         node = Node(id=int(entry["id"]), stats=stats)
         if node.id != position:

@@ -19,7 +19,6 @@ from absentrf.splits import (
     GammaTable,
     OrderedRule,
     _encode,
-    _gini_by_class,
     count_partitions,
     random_bitmasks,
 )
@@ -113,16 +112,6 @@ def _masked_gini_objective(
         obj = (lnf * gl + rnf * gr) / n
     obj = np.where(valid, obj, np.inf)
     return obj, ln, rn
-
-
-def _class_major_gini_objective(
-    bits: np.ndarray, level_class_counts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_masked_gini_objective`, bit for bit, on float64 counts
-    from one BLAS product, laid out class by class (see
-    :func:`_gini_by_class`)."""
-    cc = level_class_counts.astype(np.float64)
-    return _gini_by_class(cc.T @ bits.astype(np.float64).T, cc.sum(axis=0)[:, None])
 
 
 def _mother_arrays(dataset: Dataset, rows, predictor: int) -> tuple[np.ndarray, np.ndarray]:
@@ -304,13 +293,13 @@ def _pseudo_scan(dataset: Dataset, x, y, counts, levels, gam, table: GammaTable)
 
 
 def _bitmask_split(
-    dataset: Dataset, rows, predictor: int, search: str, draw, objective
+    dataset: Dataset, rows, predictor: int, search: str, draw
 ) -> CandidateSplit | None:
     """The search behind both bitmask front ends: check the column and the
     rows, score the (M, Q) 0/1 candidates ``draw(Q)`` on the present
-    levels with ``objective``, and keep the first strict optimum in row
-    order.  The rule's bitmask is the winning row, absent-level bits
-    included."""
+    levels with :func:`_masked_gini_objective`, and keep the first strict
+    optimum in row order.  The rule's bitmask is the winning row,
+    absent-level bits included."""
     spec = dataset.schema[predictor]
     if spec.kind != CATEGORICAL:
         raise ValueError(f"column {spec.name!r} is not categorical")
@@ -324,7 +313,7 @@ def _bitmask_split(
     if present.size < 2:
         return None  # every candidate leaves a daughter empty
     # absent levels hold no rows, so their bits change no candidate's score
-    obj, ln, rn = objective(bits[:, present], counts[present])
+    obj, ln, rn = _masked_gini_objective(bits[:, present], counts[present])
     i = int(np.argmin(obj))
     if not np.isfinite(obj[i]):
         return None
@@ -360,7 +349,7 @@ def exhaustive_categorical_split(
         masks = np.arange(1, 1 << (q - 1), dtype=np.int64)
         return (masks[:, None] >> np.arange(q, dtype=np.int64)) & 1
 
-    return _bitmask_split(dataset, rows, predictor, "exhaustive", every_encoding, _masked_gini_objective)
+    return _bitmask_split(dataset, rows, predictor, "exhaustive", every_encoding)
 
 
 def random_categorical_split(
@@ -377,7 +366,7 @@ def random_categorical_split(
     def draw(q: int) -> np.ndarray:
         return random_bitmasks(rng, n_candidates, q)
 
-    return _bitmask_split(dataset, rows, predictor, "random", draw, _class_major_gini_objective)
+    return _bitmask_split(dataset, rows, predictor, "random", draw)
 
 
 # ---------------------------------------------------------------------------

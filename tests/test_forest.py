@@ -341,6 +341,23 @@ def _add_third_class_to_one_tree(d):
         node["class_counts"].append(0)
 
 
+def _empty_one_node_tree(d):
+    tree = d["trees"][0]
+    root = tree["nodes"][0]
+    root.update(split=None, size=0, class_counts=[0] * tree["n_classes"])
+    tree["nodes"] = [root]
+
+
+def _negative_class_count(d):
+    counts = d["trees"][0]["nodes"][0]["class_counts"]
+    counts[0] += counts[1] + 1
+    counts[1] = -1
+
+
+def _class_counts_not_summing_to_size(d):
+    d["trees"][0]["nodes"][0]["class_counts"][0] += 1
+
+
 @pytest.mark.parametrize(
     "task, corrupt, message",
     [
@@ -362,6 +379,9 @@ def _add_third_class_to_one_tree(d):
         (CLASSIFICATION, _add_third_class_to_one_tree, "differs from the forest"),
         (REGRESSION, _zero_daughter_sizes, "left_size 0 is below 1"),
         (CLASSIFICATION, _left_size_off_by_one, "differs from the size"),
+        (CLASSIFICATION, _empty_one_node_tree, "node 0: size 0 is below 1"),
+        (CLASSIFICATION, _negative_class_count, "summing to the node size"),
+        (CLASSIFICATION, _class_counts_not_summing_to_size, "summing to the node size"),
     ],
 )
 def test_forest_from_dict_rejects_malformed_dumps(task, corrupt, message):
