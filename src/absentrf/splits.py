@@ -121,12 +121,15 @@ def _gini(lc: np.ndarray, totals: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     pairwise along one row, as the per-node objectives of
     ``tests/reference.py`` do, where a strided view from 8 classes up
     adds them in another order."""
+    k = lc.shape[-1]
     rc = totals - lc
-    ln, rn = lc.sum(axis=-1), rc.sum(axis=-1)
+    # counts add exactly in any order, and one product adds all their short
+    # rows many times faster than ndarray.sum, which the shares keep
+    ln, rn, n = ((a.reshape(-1, k) @ np.ones(k)).reshape(a.shape[:-1]) for a in (lc, rc, totals))
     with np.errstate(divide="ignore", invalid="ignore"):
         gl = 1.0 - ((lc / ln[..., None]) ** 2).sum(axis=-1)
         gr = 1.0 - ((rc / rn[..., None]) ** 2).sum(axis=-1)
-        obj = (ln * gl + rn * gr) / totals.sum(axis=-1)
+        obj = (ln * gl + rn * gr) / n
     return np.where((ln > 0) & (rn > 0), obj, np.inf), ln, rn
 
 
@@ -303,12 +306,12 @@ def _runs(widths: np.ndarray, cells: int):
     when every entry counts as the widest of its slice (or a single
     entry).  Where the widths are sorted widest first, a slice holds
     ``cells // w`` entries, ``w`` its first width."""
-    start, widths = 0, widths.tolist()
-    while start < len(widths):
-        stop, wide = start + 1, widths[start]
-        while stop < len(widths) and (stop - start + 1) * max(wide, widths[stop]) <= cells:
-            wide = max(wide, widths[stop])
-            stop += 1
+    start = 0
+    while start < widths.size:
+        # no slice holds more entries than fit at the width of its first
+        ahead = widths[start : start + max(1, cells // int(widths[start]))]
+        fits = np.arange(1, ahead.size + 1) * np.maximum.accumulate(ahead) <= cells
+        stop = start + max(1, int(np.count_nonzero(fits)))  # fits is a run of True
         yield slice(start, stop)
         start = stop
 

@@ -46,7 +46,7 @@ from absentrf.splits import (
     random_bitmasks,
     random_categorical_split,
 )
-from absentrf.splits import _gini, _row_sums
+from absentrf.splits import _gini, _row_sums, _runs
 
 import reference
 from reference import (
@@ -402,6 +402,25 @@ def test_row_sums_equal_ndarray_sum_of_each_prefix(seed):
     mat[np.arange(w) >= lengths[:, None]] = 0.0
     want = np.array([mat[i, : lengths[i]].sum() for i in range(m)])
     assert _row_sums(mat, lengths).tobytes() == want.tobytes()
+
+
+@given(seed=st.integers(0, 10**9))
+@settings(max_examples=200, deadline=None)
+def test_runs_cut_the_longest_slices_that_fit(seed):
+    rng = np.random.default_rng(seed)
+    widths = rng.integers(1, int(rng.choice([3, 50, 2000, 40000])), size=int(rng.integers(1, 60)))
+    if rng.random() < 0.5:
+        widths = -np.sort(-widths)  # widest first, as the ordered and pseudo-value scans cut them
+    cells = int(rng.choice([1, 7, 100, 1000, 4096, 16384]))
+    start = 0
+    for run in _runs(widths, cells):
+        assert run.start == start < run.stop
+        size = run.stop - run.start
+        assert size == 1 or size * widths[run].max() <= cells
+        if run.stop < widths.size:  # one entry more would not fit
+            assert (size + 1) * widths[run.start : run.stop + 1].max() > cells
+        start = run.stop
+    assert start == widths.size
 
 
 # ---------------------------------------------------------------------------
