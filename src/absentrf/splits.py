@@ -121,16 +121,18 @@ def _gini(lc: np.ndarray, totals: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     pairwise along one row, as the per-node objectives of
     ``tests/reference.py`` do, where a strided view from 8 classes up
     adds them in another order."""
-    k = lc.shape[-1]
+    k, ones = lc.shape[-1], np.ones(lc.shape[-1])
     rc = totals - lc
     # counts add exactly in any order, and one product adds all their short
     # rows many times faster than ndarray.sum, which the shares keep
-    ln, rn, n = ((a.reshape(-1, k) @ np.ones(k)).reshape(a.shape[:-1]) for a in (lc, rc, totals))
+    ln = (lc.reshape(-1, k) @ ones).reshape(lc.shape[:-1])
+    n = (totals.reshape(-1, k) @ ones).reshape(totals.shape[:-1])
+    rn = n - ln
     with np.errstate(divide="ignore", invalid="ignore"):
         gl = 1.0 - ((lc / ln[..., None]) ** 2).sum(axis=-1)
         gr = 1.0 - ((rc / rn[..., None]) ** 2).sum(axis=-1)
         obj = (ln * gl + rn * gr) / n
-    return np.where((ln > 0) & (rn > 0), obj, np.inf), ln, rn
+    return np.where(ln * rn > 0, obj, np.inf), ln, rn
 
 
 def _sse(sl, ssl, st, sst, nl, n) -> np.ndarray:
@@ -355,8 +357,8 @@ def ordered_split_batch(block: NodeBlock, node: np.ndarray, pred: np.ndarray):
             obj = _sse(cs[r, c], css[r, c], cs[r, last[r]], css[r, last[r]], c + 1.0, n[r])
         else:
             classes = np.arange(1, k_classes + 1)
-            cum = (ys[:, None, :] == classes[:, None]).cumsum(axis=2)
-            obj = _gini(cum[r, :, c].astype(np.float64), cum[r, :, last[r]].astype(np.float64))[0]
+            cum = (ys[:, None, :] == classes[:, None]).cumsum(axis=2, dtype=np.float64)
+            obj = _gini(cum[r, :, c], cum[r, :, last[r]])[0]
         full = np.full(xs.shape, np.inf)
         full[r, c] = obj
         best = full.argmin(axis=1)
@@ -428,8 +430,9 @@ def pseudo_value_batch(block: NodeBlock, node: np.ndarray, pred: np.ndarray):
             totals = _row_sums(np.concatenate([s_lvl, ss_lvl]), np.concatenate([n_lvl, n_lvl]))
             obj = _sse(cs[r, c], css[r, c], totals[:nb][r], totals[nb:][r], nl[r, c].astype(np.float64), n[r])
         else:
-            cum = np.stack([per_level(sel=y.ravel() == k)[at, order] for k in (1, 2)], axis=-1).cumsum(axis=1)
-            obj = _gini(cum[r, c].astype(np.float64), cum[r, n_lvl[r] - 1].astype(np.float64))[0]
+            cum = np.stack([per_level(sel=y.ravel() == k)[at, order] for k in (1, 2)], axis=-1)
+            cum = cum.cumsum(axis=1, dtype=np.float64)
+            obj = _gini(cum[r, c], cum[r, n_lvl[r] - 1])[0]
         full = np.full(gs.shape, np.inf)
         full[r, c] = obj
         best = full.argmin(axis=1)
