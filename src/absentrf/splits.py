@@ -357,8 +357,8 @@ def ordered_split_batch(block: NodeBlock, node: np.ndarray, pred: np.ndarray):
             obj = _sse(cs[r, c], css[r, c], cs[r, last[r]], css[r, last[r]], c + 1.0, n[r])
         else:
             classes = np.arange(1, k_classes + 1)
-            cum = (ys[:, None, :] == classes[:, None]).cumsum(axis=2, dtype=np.float64)
-            obj = _gini(cum[r, :, c], cum[r, :, last[r]])[0]
+            cum = (ys[:, None, :] == classes[:, None]).cumsum(axis=2)
+            obj = _gini(cum[r, :, c].astype(np.float64), cum[r, :, last[r]].astype(np.float64))[0]
         full = np.full(xs.shape, np.inf)
         full[r, c] = obj
         best = full.argmin(axis=1)
@@ -430,9 +430,8 @@ def pseudo_value_batch(block: NodeBlock, node: np.ndarray, pred: np.ndarray):
             totals = _row_sums(np.concatenate([s_lvl, ss_lvl]), np.concatenate([n_lvl, n_lvl]))
             obj = _sse(cs[r, c], css[r, c], totals[:nb][r], totals[nb:][r], nl[r, c].astype(np.float64), n[r])
         else:
-            cum = np.stack([per_level(sel=y.ravel() == k)[at, order] for k in (1, 2)], axis=-1)
-            cum = cum.cumsum(axis=1, dtype=np.float64)
-            obj = _gini(cum[r, c], cum[r, n_lvl[r] - 1])[0]
+            cum = np.stack([per_level(sel=y.ravel() == k)[at, order] for k in (1, 2)], axis=-1).cumsum(axis=1)
+            obj = _gini(cum[r, c].astype(np.float64), cum[r, n_lvl[r] - 1].astype(np.float64))[0]
         full = np.full(gs.shape, np.inf)
         full[r, c] = obj
         best = full.argmin(axis=1)
