@@ -40,6 +40,8 @@ class ColumnSchema:
     levels: tuple[str, ...] = ()
 
     def __post_init__(self):
+        if not all(isinstance(label, str) for label in (self.name, *self.levels)):
+            raise DataError(f"column {self.name!r}: the name and every level must be strings")
         if self.kind not in (NUMERIC, CATEGORICAL):
             raise DataError(f"column {self.name!r}: unknown kind {self.kind!r}")
         if self.kind == CATEGORICAL:

@@ -19,9 +19,7 @@ import numpy as np
 
 from . import __version__
 from .data import (
-    CATEGORICAL,
     CLASSIFICATION,
-    NUMERIC,
     REGRESSION,
     ColumnSchema,
     Dataset,
@@ -31,8 +29,7 @@ from .data import (
 )
 from .heuristics import Heuristic
 from .seeding import BOOTSTRAP, COIN, TREE, Coins, derive, stream
-from .splits import CategoricalRule, OrderedRule
-from .tree import GrowConfig, Tree, grow_trees, structure_hash, tree_from_dict, tree_to_dict
+from .tree import GrowConfig, NodeTable, Tree, grow_trees, structure_hash, tree_from_dict, tree_to_dict
 
 FOREST_FORMAT = "absentrf-forest"
 FOREST_FORMAT_VERSION = 1
@@ -84,7 +81,11 @@ def bootstrap_sample(n_rows: int, sample_size: int, rng: np.random.Generator) ->
 
 @dataclass
 class Forest:
-    trees: list[Tree]
+    """A forest whose trees are kept in their :func:`tree_to_dict` form,
+    which saving and hashing use as they are.  ``table`` (what prediction
+    routes through) and ``trees`` (Node objects) are built on first use."""
+
+    tree_dicts: list[dict]
     in_bag: np.ndarray  # (B, N) multiplicity counts
     config: ForestConfig  # with sample_size and grow resolved
     fingerprint: str
@@ -95,16 +96,26 @@ class Forest:
 
     @property
     def n_trees(self) -> int:
-        return len(self.trees)
+        return len(self.tree_dicts)
+
+    @functools.cached_property
+    def trees(self) -> list[Tree]:
+        return [tree_from_dict(t) for t in self.tree_dicts]
+
+    @functools.cached_property
+    def table(self) -> NodeTable:
+        """The checked node table (see :class:`NodeTable`)."""
+        return NodeTable(self.tree_dicts, self.task, self.n_classes, self.schema)
 
 
 def _grow_task(
     dataset: Dataset, grow_cfg: GrowConfig, chunk: list[tuple[int, int, np.ndarray]]
-) -> list[Tree]:
-    """Grow a chunk of (tree id, growth seed, bootstrap counts) in lock step."""
+) -> list[dict]:
+    """Grow a chunk of (tree id, growth seed, bootstrap counts) in lock step, as tree dicts."""
     samples = [np.repeat(np.arange(counts.size), counts) for _, _, counts in chunk]
     rngs = [np.random.default_rng(seed) for _, seed, _ in chunk]
-    return grow_trees(dataset, samples, grow_cfg, rngs, [b for b, _, _ in chunk])
+    trees = grow_trees(dataset, samples, grow_cfg, rngs, [b for b, _, _ in chunk])[::-1]
+    return [tree_to_dict(trees.pop()) for _ in range(len(trees))]  # never every tree in both forms
 
 
 def train_forest(dataset: Dataset, config: ForestConfig, workers: int = 1) -> Forest:
@@ -141,7 +152,7 @@ def train_forest(dataset: Dataset, config: ForestConfig, workers: int = 1) -> Fo
             trees = [tree for grown in pool.map(grow, chunks) for tree in grown]
 
     return Forest(
-        trees=trees,
+        tree_dicts=trees,
         in_bag=in_bag,
         config=resolved,
         fingerprint=dataset.fingerprint(),
@@ -180,109 +191,7 @@ class OOBPredictionSet:
         return self.oob_tree_counts > 0
 
 
-class _CompiledForest:
-    """Every node of every tree in flat arrays, indexed by global node id
-    (node ``v`` of tree ``b`` is ``start[b] + v``).  ``codes`` has one row
-    per categorical node, indexed by level: 0 absent, 1 left, 2 present
-    and right, 3 outside the node's 1..Q."""
-
-    def __init__(self, forest: Forest):
-        nodes = [node for tree in forest.trees for node in tree.nodes]
-        n, n_nodes = len(nodes), [len(tree.nodes) for tree in forest.trees]
-        self.start = np.cumsum([0] + n_nodes[:-1])
-        offset = np.repeat(self.start, n_nodes)
-        self.tree_id = np.repeat([tree.tree_id for tree in forest.trees], n_nodes)
-        self.local = np.arange(n) - offset
-        self.predictor, self.threshold, self.cat_row = np.full(n, -1), np.full(n, np.nan), np.full(n, -1)
-        self.left, self.right = np.arange(n), np.arange(n)
-        self.left_size, self.right_size = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
-        cats = [k for k, node in enumerate(nodes) if isinstance(node.rule, CategoricalRule)]
-        width = max((nodes[k].rule.n_levels for k in cats), default=0) + 1
-        self.codes = np.full((len(cats), width), 3, dtype=np.int8)
-        self.cat_row[cats] = np.arange(len(cats))
-        for k, node in enumerate(nodes):
-            if node.is_leaf:
-                continue
-            self.predictor[k] = node.predictor
-            self.left[k], self.right[k] = offset[k] + node.left, offset[k] + node.right
-            self.left_size[k], self.right_size[k] = node.left_size, node.right_size
-            if isinstance(node.rule, OrderedRule):
-                self.threshold[k] = node.rule.threshold
-            else:
-                row = self.codes[self.cat_row[k]]
-                row[1 : node.rule.n_levels + 1] = 0
-                row[list(node.rule.present)] = 2
-                row[list(node.rule.left_levels)] = 1
-        if forest.task == REGRESSION:
-            self.value = np.fromiter((node.stats.mean for node in nodes), np.float64, n)
-        else:
-            counts = np.array([node.stats.class_counts for node in nodes], dtype=np.float64)
-            self.value = counts / np.array([node.stats.size for node in nodes])[:, None]
-            self.vote = np.argmax(self.value, axis=1) + 1
-
-    def coin_draws(self, coins: Coins, nodes: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """The uniform of each (node, row) event, drawn node by node."""
-        order, u = np.argsort(nodes, kind="stable"), np.empty(nodes.size)
-        for at in np.split(order, np.flatnonzero(np.diff(nodes[order])) + 1):
-            g = nodes[at[0]]
-            u[at] = coins.uniforms(int(self.tree_id[g]), int(self.local[g]), rows[at])
-        return u
-
-    def route(self, xmat, policy: Heuristic, coins: Coins, trees: np.ndarray, rows: np.ndarray):
-        """Route each pair (``trees[k]``, ``rows[k]``) level by level, resolving
-        absent levels as :func:`absentrf.heuristics.resolve` does.  Returns
-        the (pair, global node, weight) entries where the pairs ended and
-        whether each pair met an absent level."""
-        pair, node = np.arange(rows.size), self.start[trees]
-        weight, absent = np.ones(rows.size), np.zeros(rows.size, dtype=bool)
-        ended = [(pair[:0], node[:0], weight[:0])]
-        while pair.size:
-            pred = self.predictor[node]
-            x = xmat[rows[pair], pred]  # leaves read column -1 and ignore it
-            go_left = x <= self.threshold[node]
-            k = np.flatnonzero(self.cat_row[node] >= 0)
-            v = x[k]
-            ok = (v >= 1) & (v < self.codes.shape[1])
-            level = np.where(ok, v, 0).astype(np.int64)
-            code = np.where(ok & (level == v), self.codes[self.cat_row[node[k]], level], 3)
-            if (code == 3).any():
-                j = k[np.argmax(code == 3)]
-                q = np.count_nonzero(self.codes[self.cat_row[node[j]]] < 3)
-                raise ValueError(
-                    f"value {x[j]!r} of predictor {pred[j]} is outside the declared levels 1..{q}"
-                )
-            go_left[k] = code == 1
-            nxt, stop = np.where(go_left, self.left[node], self.right[node]), pred < 0
-            ev = k[code == 0]
-            absent[pair[ev]] = True
-            at, ls, rs = node[ev], self.left_size[node[ev]], self.right_size[node[ev]]
-            total, fork = ls + rs, None
-            if policy in (Heuristic.RANDOM, Heuristic.DBI) and (total <= 0).any():
-                raise ValueError("routing context has no daughter rows")
-            if policy is Heuristic.STOP:
-                stop[ev] = True
-            elif ev.size:
-                if policy is Heuristic.DBI:  # left here, right as a new pair
-                    fork = (pair[ev], self.right[at], weight[ev] * (rs / total))
-                    weight[ev] *= ls / total
-                    go = np.ones(ev.size, dtype=bool)
-                elif policy is Heuristic.MAJORITY:
-                    go, tie = ls > rs, np.flatnonzero(ls == rs)
-                    if tie.size:
-                        go[tie] = self.coin_draws(coins, at[tie], rows[pair[ev[tie]]]) < 0.5
-                elif policy is Heuristic.RANDOM:
-                    go = self.coin_draws(coins, at, rows[pair[ev]]) < ls / total
-                else:
-                    go = np.full(ev.size, policy is Heuristic.LEFT)
-                nxt[ev] = np.where(go, self.left[at], self.right[at])
-            ended.append((pair[stop], node[stop], weight[stop]))
-            pair, node, weight = pair[~stop], nxt[~stop], weight[~stop]
-            if fork is not None:
-                pair, node, weight = (np.concatenate(p) for p in zip((pair, node, weight), fork))
-        return (*(np.concatenate(parts) for parts in zip(*ended)), absent)
-
-
-def _totals(c: _CompiledForest, forest: Forest, n: int, rows: np.ndarray, routed) -> tuple:
+def _totals(c: NodeTable, forest: Forest, n: int, rows: np.ndarray, routed) -> tuple:
     """Per-row totals and absent-tree counts of the routed pairs.  ``np.add.at``
     adds in index order: a pair's entries in ascending node id from 0.0,
     then a row's pairs in tree order (pairs are tree-major), as ``route`` does."""
@@ -321,7 +230,7 @@ def predict_rows(
     ``uses`` is None), and its tree outputs are summed in tree order:
     regression averages the tree predictions, classification returns the
     vote shares and the most-voted class (ties to the lowest index).  The
-    forest is compiled into arrays once for all ``policies``; the results
+    forest's node table (``forest.table``) is built once; the results
     equal summing ``route`` with the tests' ``tree_predict``/``tree_vote``
     (``tests/reference.py``) bit for bit.
     """
@@ -333,7 +242,7 @@ def predict_rows(
     trees, rows = np.nonzero(uses)
     if Heuristic.ONE_HOT in policies and rows.size:
         raise ValueError("onehot is a dataset transform and cannot route observations")
-    c, xmat = _CompiledForest(forest), np.asarray(xmat)
+    c, xmat = forest.table, np.asarray(xmat)
     tree_counts = np.bincount(rows, minlength=n)
     defined, divisor = tree_counts > 0, np.maximum(tree_counts, 1)
     out = {}
@@ -390,7 +299,7 @@ def absence_proportion(sets: list[OOBPredictionSet], observation: int) -> float:
 
 
 def forest_tree_hashes(forest: Forest) -> list[str]:
-    return [structure_hash(t) for t in forest.trees]
+    return [structure_hash(t) for t in forest.tree_dicts]
 
 
 def combine_tree_hashes(tree_hashes: list[str]) -> str:
@@ -426,34 +335,13 @@ def forest_to_dict(forest: Forest) -> dict:
         "data": schema_to_dict(forest.schema, forest.response),
         "fingerprint": forest.fingerprint,
         "in_bag": forest.in_bag.tolist(),
-        "trees": [tree_to_dict(t) for t in forest.trees],
+        "trees": forest.tree_dicts,
     }
 
 
-def _check_splits(tree: Tree, schema: tuple[ColumnSchema, ...]) -> None:
-    """Raise ValueError unless every split of ``tree`` fits ``schema``:
-    the predictor exists, the rule kind matches the column kind, and a
-    categorical split's present and absent levels cover 1..Q."""
-    levels = [frozenset(range(1, spec.n_levels + 1)) if spec.kind == CATEGORICAL else None for spec in schema]
-    for node in tree.nodes:
-        if node.is_leaf:
-            continue
-        where = f"tree {tree.tree_id} node {node.id}"
-        if not 0 <= node.predictor < len(schema):
-            raise ValueError(f"{where}: predictor {node.predictor} is outside the schema")
-        spec = schema[node.predictor]
-        if isinstance(node.rule, OrderedRule) != (spec.kind == NUMERIC):
-            raise ValueError(f"{where}: rule does not fit {spec.kind} column {spec.name!r}")
-        if spec.kind == CATEGORICAL and node.rule.present | node.rule.absent != levels[node.predictor]:
-            raise ValueError(
-                f"{where}: present and absent levels do not cover "
-                f"1..{spec.n_levels} of {spec.name!r}"
-            )
-
-
 def forest_from_dict(obj: dict) -> Forest:
-    """Rebuild a forest from :func:`forest_to_dict` output; a malformed
-    dump raises ValueError naming its first defect."""
+    """Rebuild a forest from :func:`forest_to_dict` output and build its
+    node table; a malformed dump raises ValueError naming its first defect."""
     if not isinstance(obj, dict) or obj.get("format") != FOREST_FORMAT:
         raise ValueError("not a forest dump")
     try:
@@ -467,7 +355,7 @@ def forest_from_dict(obj: dict) -> Forest:
         )
         schema, response = schema_from_dict(obj["data"])
         forest = Forest(
-            trees=[tree_from_dict(t) for t in obj["trees"]],
+            tree_dicts=list(obj["trees"]),
             in_bag=np.asarray(obj["in_bag"], dtype=np.int64),
             config=config,
             fingerprint=obj["fingerprint"],
@@ -476,22 +364,19 @@ def forest_from_dict(obj: dict) -> Forest:
             schema=schema,
             response=response,
         )
+        if not forest.tree_dicts:
+            raise ValueError("model dump holds no trees")
+        if forest.in_bag.ndim != 2 or len(forest.in_bag) != forest.n_trees:
+            raise ValueError(f"in_bag has shape {forest.in_bag.shape}, not ({forest.n_trees}, N)")
+        if (forest.in_bag < 0).any() or (forest.in_bag.sum(axis=1) != config.sample_size).any():
+            raise ValueError(f"in_bag rows must be counts >= 0 summing to sample_size {config.sample_size}")
+        if (forest.task, forest.n_classes) != (response.task, response.n_classes):
+            raise ValueError("model dump's task or class count does not match its response")
+        forest.table  # builds the node table, checking every tree against the schema
     except KeyError as exc:
         raise ValueError(f"malformed model dump: missing key {exc}") from exc
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
         raise ValueError(f"malformed model dump: {exc}") from exc
-    if not forest.trees:
-        raise ValueError("model dump holds no trees")
-    if forest.in_bag.ndim != 2 or len(forest.in_bag) != forest.n_trees:
-        raise ValueError(f"in_bag has shape {forest.in_bag.shape}, not ({forest.n_trees}, N)")
-    if (forest.in_bag < 0).any() or (forest.in_bag.sum(axis=1) != config.sample_size).any():
-        raise ValueError(f"in_bag rows must be counts >= 0 summing to sample_size {config.sample_size}")
-    if (forest.task, forest.n_classes) != (response.task, response.n_classes):
-        raise ValueError("model dump's task or class count does not match its response")
-    for tree in forest.trees:
-        if (tree.task, tree.n_classes) != (forest.task, forest.n_classes):
-            raise ValueError(f"tree {tree.tree_id}: task or class count differs from the forest")
-        _check_splits(tree, schema)
     return forest
 
 

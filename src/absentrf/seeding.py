@@ -93,7 +93,12 @@ class Coins:
         base = derive(self.master, COIN, self.replication, tree_id, node_id)
         return _to_unit(_mix(base ^ (int(obs_id) & _MASK64)))
 
-    def uniforms(self, tree_id: int, node_id: int, obs_ids: np.ndarray) -> np.ndarray:
-        base = derive(self.master, COIN, self.replication, tree_id, node_id)
-        z = np.asarray(obs_ids, dtype=np.uint64) ^ np.uint64(base)
-        return (_mix_array(z) >> np.uint64(11)) * (2.0**-53)
+    def uniforms(self, tree_ids, node_ids, obs_ids) -> np.ndarray:
+        """:meth:`uniform` of every (tree, node, observation) triple of the
+        broadcast arrays, mixed in one uint64 pass from the shared
+        ``(master, COIN, replication)`` prefix."""
+        words = [np.atleast_1d(ids).astype(np.uint64) for ids in (tree_ids, node_ids, obs_ids)]
+        state = np.uint64(derive(self.master, COIN, self.replication))
+        for field in words[:2]:
+            state = _mix_array(state ^ _mix_array(field))
+        return (_mix_array(state ^ words[2]) >> np.uint64(11)) * (2.0**-53)

@@ -21,6 +21,8 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -71,19 +73,6 @@ class NodeStats:
     size: int
     mean: float | None = None
     class_counts: tuple[int, ...] | None = None
-
-    @property
-    def proportions(self) -> np.ndarray:
-        if self.class_counts is None:
-            raise ValueError("regression node has no class proportions")
-        return np.asarray(self.class_counts, dtype=np.float64) / self.size
-
-    @property
-    def majority(self) -> int:
-        """Most frequent class (1-based); ties go to the lowest index."""
-        if self.class_counts is None:
-            raise ValueError("regression node has no majority class")
-        return int(np.argmax(self.class_counts)) + 1
 
 
 @dataclass
@@ -390,7 +379,7 @@ def _rule_to_dict(node: Node) -> dict | None:
         out["absent"] = sorted(rule.absent)
         out["bitmask"] = rule.bitmask
         out["pseudo_split"] = rule.pseudo_split
-        out["gamma"] = None if rule.gamma is None else [[q, g] for q, g in rule.gamma]
+        out["gamma"] = None if rule.gamma is None else list(rule.gamma)  # its (q, g) pairs dump as [q, g]
     return out
 
 
@@ -407,106 +396,258 @@ def tree_to_dict(tree: Tree) -> dict:
     return {"tree_id": tree.tree_id, "task": tree.task, "n_classes": tree.n_classes, "nodes": nodes}
 
 
-def tree_from_dict(obj: dict) -> Tree:
-    """Rebuild a tree from :func:`tree_to_dict` output.
+def _ints(values) -> np.ndarray:
+    """``int`` of every value, as int64 (numpy calls ``int`` itself)."""
+    return np.fromiter(values, np.int64)
 
-    Raises ValueError unless the node ids run 0..n-1 in order, every
-    node's size is at least 1, every child id lies strictly between its
-    parent's id and n (preorder, so routing cannot loop), every split's
-    daughter sizes are at least 1 and equal its children's sizes (the
-    majority, random and DBI policies read them), classification nodes
-    count every class with counts >= 0 summing to the node's size (votes
-    are shares of it), and each categorical split keeps its present and
-    absent levels apart and sends only present levels left.  A missing
-    key or a wrong type surfaces as KeyError or TypeError;
-    :func:`forest_from_dict` turns those into ValueError too.
+
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """``np.unique(x)``, without the hash table that is slower on small ints."""
+    x = np.sort(x)
+    return x[np.diff(x, prepend=x[:1] - 1) != 0]
+
+
+class NodeTable:
+    """Every node of some trees in flat arrays, indexed by global node id
+    (node ``v`` of tree ``b`` is ``start[b] + v``), built straight from
+    the trees' :func:`tree_to_dict` forms; :meth:`route` sends rows
+    through them.  ``codes`` has one row per categorical node, indexed by
+    level: 0 absent, 1 left, 2 present and right, 3 outside its 1..Q.
+
+    The build raises ValueError naming the first defect, in tree and then
+    node order, unless every tree has ``task``, ``n_classes`` and a node;
+    node ids run 0..n-1; node sizes are at least 1; child ids lie strictly
+    between their parent's id and n (preorder, so routing cannot loop);
+    daughter sizes are at least 1 and equal the children's sizes (the
+    majority, random and DBI policies read them); class counts, one per
+    class, are >= 0 and sum to the node's size (votes are shares of it);
+    and a categorical split keeps its present and absent levels apart and
+    sends only present levels left.  Given a ``schema``, each split must
+    then fit it: the predictor exists, the rule kind matches the column
+    kind, and a categorical split's present and absent levels cover 1..Q.
+    A missing key or a wrong type raises KeyError or TypeError first.
     """
-    tree = Tree(task=obj["task"], n_classes=int(obj["n_classes"]), tree_id=int(obj["tree_id"]))
-    entries = obj["nodes"]
-    if not entries:
-        raise ValueError(f"tree {tree.tree_id} has no nodes")
-    for position, entry in enumerate(entries):
-        size = int(entry["size"])
-        if size < 1:
-            raise ValueError(f"tree {tree.tree_id} node {position}: size {size} is below 1")
-        if tree.task == REGRESSION:
-            stats = NodeStats(size=size, mean=float(entry["mean"]))
+
+    def __init__(self, trees: list[dict], task: str, n_classes: int, schema=None):
+        ids = [int(t["tree_id"]) for t in trees]
+        for t, b in zip(trees, ids):
+            if (t["task"], int(t["n_classes"])) != (task, n_classes):
+                raise ValueError(f"tree {b}: task or class count differs from the forest")
+            if not t["nodes"]:
+                raise ValueError(f"tree {b} has no nodes")
+        n_nodes = [len(t["nodes"]) for t in trees]
+        entries = list(chain.from_iterable(t["nodes"] for t in trees))
+        n, tree_of = len(entries), np.repeat(np.arange(len(trees)), n_nodes)
+        self.start = np.cumsum([0] + n_nodes[:-1])
+        # a tree's coins are keyed by its id modulo 2**64, as seeding.derive keys them
+        self.tree_id = np.repeat(np.array([b % 2**64 for b in ids], dtype=np.uint64), n_nodes)
+        self.local = np.arange(n) - np.repeat(self.start, n_nodes)
+        faults = []
+
+        def fault(stage, rank, nodes, bad, message, *fields):
+            """Note the first of ``nodes`` (global ids, ascending) where ``bad``
+            holds, in the order that checks made node by node meet faults: in
+            each tree, node checks (stage 0) before daughter sizes (stage 1),
+            and schema checks (stage 2) after every tree."""
+            if bad.any():
+                i = int(bad.argmax())
+                g = int(nodes[i])
+                tree = ids[tree_of[g]]
+                order = (stage == 2, tree_of[g], stage, g, rank)
+                at = f"tree {tree} node {self.local[g]}"
+                faults.append((order, message.format(*(f[i] for f in fields), at=at, tree=tree)))
+
+        every = np.arange(n)
+        size = _ints(map(itemgetter("size"), entries))
+        fault(0, 0, every, size < 1, "{at}: size {0} is below 1", size)
+        if task == REGRESSION:
+            self.value = np.fromiter(map(float, map(itemgetter("mean"), entries)), np.float64)
         else:
-            stats = NodeStats(size=size, class_counts=tuple(map(int, entry["class_counts"])))
-            if len(stats.class_counts) != tree.n_classes:
+            rows = list(map(itemgetter("class_counts"), entries))
+            counts, n_counts = _ints(chain.from_iterable(rows)), _ints(map(len, rows))
+            message = f"{{at}}: {{0}} class counts for {n_classes} classes"
+            fault(0, 1, every, n_counts != n_classes, message, n_counts)
+            counted = np.repeat(every, n_counts)  # the node of each count
+            bad = np.bincount(counted, weights=counts, minlength=n) != size
+            bad[counted[counts < 0]] = True
+            message = "{at}: class counts {0} are not counts >= 0 summing to the node size {1}"
+            fault(0, 2, every, bad, message, rows, size)
+        node_id = _ints(map(itemgetter("id"), entries))
+        fault(0, 3, every, node_id != self.local, "tree {tree}: node {0} has id {1}", self.local, node_id)
+
+        splits = list(map(itemgetter("split"), entries))
+        inner = np.array([k for k, s in enumerate(splits) if s is not None], dtype=np.int64)
+        splits = [splits[k] for k in inner]
+        fields = ("predictor", "left", "right", "left_size", "right_size")
+        predictor, left, right, left_size, right_size = (_ints(map(itemgetter(f), splits)) for f in fields)
+        v, n_tree = self.local[inner], np.repeat(n_nodes, n_nodes)[inner]
+        for rank, side, child, daughter in ((4, "left", left, left_size), (5, "right", right, right_size)):
+            ok = (v < child) & (child < n_tree)
+            fault(0, rank, inner, ~ok, "{at}: child id {0} is not between {1} and {2}", child, v, n_tree)
+            found = np.where(ok, size[np.where(ok, inner + child - v, 0)], 0)
+            fault(1, 2 * rank, inner, daughter < 1, f"{{at}}: {side}_size {{0}} is below 1", daughter)
+            message = f"{{at}}: {side}_size {{0}} differs from the size {{1}} of child {{2}}"
+            fault(1, 2 * rank + 1, inner, daughter != found, message, daughter, found, child)
+        kinds = list(map(itemgetter("kind"), splits))
+        ordered = np.array([k == "ordered" for k in kinds], dtype=bool)
+        categorical = np.array([k == "categorical" for k in kinds], dtype=bool)
+        ordered_splits = (s for s, k in zip(splits, kinds) if k == "ordered")
+        thresholds = np.fromiter(map(float, map(itemgetter("threshold"), ordered_splits)), np.float64)
+        cats = [s for s, k in zip(splits, kinds) if k == "categorical"]
+        n_cat = len(cats)
+        # every left, present and absent level (in that order), each with its categorical node
+        lists = [list(map(itemgetter(key), cats)) for key in ("left_levels", "present", "absent")]
+        level = _ints(chain.from_iterable(chain.from_iterable(lists)))
+        width = _ints(map(len, chain.from_iterable(lists)))
+        owner = np.repeat(np.tile(np.arange(n_cat), 3), width)
+        cut = np.cumsum(width.reshape(3, n_cat).sum(axis=1))[:2]
+        for s in cats:  # the table keeps none of these, but a dump must hold them
+            int(s["bitmask"])
+            float(0 if s["pseudo_split"] is None else s["pseudo_split"])
+            [(int(q), float(g)) for q, g in (() if s["gamma"] is None else s["gamma"])]
+        # one integer key per (categorical node, level) pair, levels by rank
+        values = _distinct(level)
+        span = max(values.size, 1)
+        key = owner * span + np.searchsorted(values, level)
+        (left_key, present_key, absent_key), owners = np.split(key, cut), np.split(owner, cut)
+        bad = np.zeros(n_cat, dtype=bool)
+        bad[owners[2][np.isin(absent_key, present_key)]] = True
+        bad[owners[0][~np.isin(left_key, present_key)]] = True
+        message = "{at}: present and absent levels overlap, or a left level is not present"
+        fault(0, 6, inner[categorical], bad, message)
+        fault(0, 7, inner, ~(ordered | categorical), "{at}: unknown split kind {0!r}", kinds)
+        union = _distinct(key[cut[0]:])
+        del key, left_key, present_key, absent_key  # large, and no longer needed
+        row, union_level = union // span, values[union % span]
+        del union
+        n_levels = np.bincount(row, minlength=n_cat)  # distinct present or absent levels
+
+        if schema is not None:
+            known = (predictor >= 0) & (predictor < len(schema))
+            fault(2, 0, inner, ~known, "{at}: predictor {0} is outside the schema", predictor)
+            columns = [(spec.kind, spec.name, spec.n_levels) for spec in schema] + [(None, None, 0)]
+            kind, name, q = np.array(columns, dtype=object)[np.where(known, predictor, len(schema))].T
+            numeric = kind == NUMERIC
+            message = "{at}: rule does not fit {0} column {1!r}"
+            fault(2, 1, inner, known & (ordered != numeric), message, kind, name)
+            want, name = q[categorical].astype(np.int64), name[categorical]
+            inside = np.bincount(row[(union_level >= 1) & (union_level <= want[row])], minlength=n_cat)
+            bad = known[categorical] & ~numeric[categorical] & ((n_levels != want) | (inside != want))
+            message = "{at}: present and absent levels do not cover 1..{0} of {1!r}"
+            fault(2, 2, inner[categorical], bad, message, want, name)
+        if faults:
+            raise ValueError(min(faults)[1])
+
+        self.predictor, self.threshold, self.cat_row = np.full(n, -1), np.full(n, np.nan), np.full(n, -1)
+        self.left, self.right = np.arange(n), np.arange(n)
+        self.left_size, self.right_size = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+        self.predictor[inner], self.threshold[inner[ordered]] = predictor, thresholds
+        self.left[inner], self.right[inner] = inner + left - v, inner + right - v
+        self.left_size[inner], self.right_size[inner] = left_size, right_size
+        self.cat_row[inner[categorical]] = np.arange(n_cat)
+        columns = np.arange(n_levels.max(initial=0) + 1)
+        self.codes = np.where((columns >= 1) & (columns <= n_levels[:, None]), 0, 3).astype(np.int8)
+        levels = np.split(level, cut)
+        for k, code in ((1, 2), (0, 1)):  # present levels, then left ones
+            q, at = levels[k], owners[k]
+            ok = (q >= 1) & (q <= n_levels[at])  # always, once the schema checks pass
+            self.codes[at[ok], q[ok]] = code
+        if task != REGRESSION:
+            self.value = counts.reshape(n, n_classes) / size[:, None]
+            self.vote = np.argmax(self.value, axis=1) + 1
+
+    def route(self, xmat, policy: Heuristic, coins: Coins, trees: np.ndarray, rows: np.ndarray):
+        """Route each pair (``trees[k]``, ``rows[k]``) level by level, resolving
+        absent levels as :func:`absentrf.heuristics.resolve` does.  Returns
+        the (pair, global node, weight) entries where the pairs ended and
+        whether each pair met an absent level."""
+        pair, node = np.arange(rows.size), self.start[trees]
+        weight, absent = np.ones(rows.size), np.zeros(rows.size, dtype=bool)
+        ended = [(pair[:0], node[:0], weight[:0])]
+        while pair.size:
+            pred = self.predictor[node]
+            x = xmat[rows[pair], pred]  # leaves read column -1 and ignore it
+            go_left = x <= self.threshold[node]
+            k = np.flatnonzero(self.cat_row[node] >= 0)
+            v = x[k]
+            ok = (v >= 1) & (v < self.codes.shape[1])
+            level = np.where(ok, v, 0).astype(np.int64)
+            code = np.where(ok & (level == v), self.codes[self.cat_row[node[k]], level], 3)
+            if (code == 3).any():
+                j = k[np.argmax(code == 3)]
+                q = np.count_nonzero(self.codes[self.cat_row[node[j]]] < 3)
                 raise ValueError(
-                    f"tree {tree.tree_id} node {position}: {len(stats.class_counts)} "
-                    f"class counts for {tree.n_classes} classes"
+                    f"value {x[j]!r} of predictor {pred[j]} is outside the declared levels 1..{q}"
                 )
-            if min(stats.class_counts) < 0 or sum(stats.class_counts) != size:
-                raise ValueError(
-                    f"tree {tree.tree_id} node {position}: class counts {list(stats.class_counts)} "
-                    f"are not counts >= 0 summing to the node size {size}"
-                )
-        node = Node(id=int(entry["id"]), stats=stats)
-        if node.id != position:
-            raise ValueError(f"tree {tree.tree_id}: node {position} has id {node.id}")
-        split = entry["split"]
+            go_left[k] = code == 1
+            nxt, stop = np.where(go_left, self.left[node], self.right[node]), pred < 0
+            ev = k[code == 0]
+            absent[pair[ev]] = True
+            at, ls, rs = node[ev], self.left_size[node[ev]], self.right_size[node[ev]]
+            total, fork = ls + rs, None
+            if policy in (Heuristic.RANDOM, Heuristic.DBI) and (total <= 0).any():
+                raise ValueError("routing context has no daughter rows")
+            if policy is Heuristic.STOP:
+                stop[ev] = True
+            elif ev.size:
+                if policy is Heuristic.DBI:  # left here, right as a new pair
+                    fork = (pair[ev], self.right[at], weight[ev] * (rs / total))
+                    weight[ev] *= ls / total
+                    go = np.ones(ev.size, dtype=bool)
+                elif policy is Heuristic.MAJORITY:
+                    go, tie = ls > rs, np.flatnonzero(ls == rs)
+                    if tie.size:
+                        g = at[tie]
+                        go[tie] = coins.uniforms(self.tree_id[g], self.local[g], rows[pair[ev[tie]]]) < 0.5
+                elif policy is Heuristic.RANDOM:
+                    go = coins.uniforms(self.tree_id[at], self.local[at], rows[pair[ev]]) < ls / total
+                else:
+                    go = np.full(ev.size, policy is Heuristic.LEFT)
+                nxt[ev] = np.where(go, self.left[at], self.right[at])
+            ended.append((pair[stop], node[stop], weight[stop]))
+            pair, node, weight = pair[~stop], nxt[~stop], weight[~stop]
+            if fork is not None:
+                pair, node, weight = (np.concatenate(p) for p in zip((pair, node, weight), fork))
+        return (*(np.concatenate(parts) for parts in zip(*ended)), absent)
+
+
+def tree_from_dict(obj: dict) -> Tree:
+    """Rebuild a tree from :func:`tree_to_dict` output, once
+    :class:`NodeTable` (with no schema) has checked it."""
+    tree = Tree(task=obj["task"], n_classes=int(obj["n_classes"]), tree_id=int(obj["tree_id"]))
+    NodeTable([obj], tree.task, tree.n_classes)
+    for entry in obj["nodes"]:
+        if tree.task == REGRESSION:
+            stats = NodeStats(size=int(entry["size"]), mean=float(entry["mean"]))
+        else:
+            stats = NodeStats(size=int(entry["size"]), class_counts=tuple(map(int, entry["class_counts"])))
+        node, split = Node(id=int(entry["id"]), stats=stats), entry["split"]
         if split is not None:
-            node.predictor = int(split["predictor"])
-            node.left = int(split["left"])
-            node.right = int(split["right"])
-            node.left_size = int(split["left_size"])
-            node.right_size = int(split["right_size"])
-            for child in (node.left, node.right):
-                if not node.id < child < len(entries):
-                    raise ValueError(
-                        f"tree {tree.tree_id} node {node.id}: child id {child} is not "
-                        f"between {node.id} and {len(entries)}"
-                    )
+            node.predictor, node.left, node.right, node.left_size, node.right_size = (
+                int(split[key]) for key in ("predictor", "left", "right", "left_size", "right_size")
+            )
             if split["kind"] == "ordered":
                 node.rule = OrderedRule(threshold=float(split["threshold"]))
-            elif split["kind"] == "categorical":
-                node.rule = CategoricalRule(
-                    left_levels=frozenset(map(int, split["left_levels"])),
-                    present=frozenset(map(int, split["present"])),
-                    absent=frozenset(map(int, split["absent"])),
-                    bitmask=int(split["bitmask"]),
-                    pseudo_split=None
-                    if split["pseudo_split"] is None
-                    else float(split["pseudo_split"]),
-                    gamma=None
-                    if split["gamma"] is None
-                    else tuple((int(q), float(g)) for q, g in split["gamma"]),
-                )
-                rule = node.rule
-                if rule.present & rule.absent or not rule.left_levels <= rule.present:
-                    raise ValueError(
-                        f"tree {tree.tree_id} node {node.id}: present and absent levels "
-                        "overlap, or a left level is not present"
-                    )
             else:
-                raise ValueError(
-                    f"tree {tree.tree_id} node {node.id}: unknown split kind {split['kind']!r}"
+                pseudo, gamma = split["pseudo_split"], split["gamma"]
+                node.rule = CategoricalRule(
+                    *(frozenset(map(int, split[key])) for key in ("left_levels", "present", "absent")),
+                    bitmask=int(split["bitmask"]),
+                    pseudo_split=None if pseudo is None else float(pseudo),
+                    gamma=None if gamma is None else tuple((int(q), float(g)) for q, g in gamma),
                 )
         tree.nodes.append(node)
-    for node in tree.nodes:
-        if node.is_leaf:
-            continue
-        for side, size, child in (("left", node.left_size, node.left), ("right", node.right_size, node.right)):
-            where = f"tree {tree.tree_id} node {node.id}"
-            if size < 1:
-                raise ValueError(f"{where}: {side}_size {size} is below 1")
-            if size != tree.nodes[child].stats.size:
-                raise ValueError(
-                    f"{where}: {side}_size {size} differs from the size "
-                    f"{tree.nodes[child].stats.size} of child {child}"
-                )
     return tree
 
 
-def structure_hash(tree: Tree) -> str:
-    """Digest over topology, rules, and node stats.
+def structure_hash(tree: Tree | dict) -> str:
+    """Digest over topology, rules, and node stats of a tree or of its
+    :func:`tree_to_dict` form.
 
     Identical growth inputs give identical digests; the tree's position
     in a forest (``tree_id``) is deliberately excluded.
     """
-    obj = tree_to_dict(tree)
-    obj.pop("tree_id")
+    obj = tree_to_dict(tree) if isinstance(tree, Tree) else tree
+    obj = {key: value for key, value in obj.items() if key != "tree_id"}
     blob = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

@@ -6,6 +6,11 @@ Growth scores its split candidates with the batched scans of
 per-tree prediction here compute the same results one node, one
 predictor or one tree at a time, and only the tests call them.
 ``absentrf.tree.route`` is the routing oracle; it stays in the package.
+
+Model loading builds its node table straight from the dump form and
+checks it there (``absentrf.tree.NodeTable``).  The loader here checks a
+dump one node at a time while it builds ``Node`` objects, and compiles
+the table by walking them.
 """
 from __future__ import annotations
 
@@ -22,7 +27,7 @@ from absentrf.splits import (
     count_partitions,
     random_bitmasks,
 )
-from absentrf.tree import PredictionTrace, Tree
+from absentrf.tree import Node, NodeStats, NodeTable, PredictionTrace, Tree
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +386,8 @@ def tree_predict(trace: PredictionTrace, tree: Tree):
         return float(sum(w * tree.nodes[nid].stats.mean for nid, w in trace.entries))
     scores = np.zeros(tree.n_classes)
     for nid, w in trace.entries:
-        scores += w * tree.nodes[nid].stats.proportions
+        stats = tree.nodes[nid].stats
+        scores += w * (np.asarray(stats.class_counts, dtype=np.float64) / stats.size)
     return scores
 
 
@@ -389,3 +395,165 @@ def tree_vote(trace: PredictionTrace, tree: Tree) -> int:
     """The tree's single-class vote (1-based; ties to the lowest class)."""
     scores = tree_predict(trace, tree)
     return int(np.argmax(scores)) + 1
+
+
+# ---------------------------------------------------------------------------
+# model loading: checks made node by node, and the table compiled by a walk
+
+
+def checked_tree_from_dict(obj: dict) -> Tree:
+    """Rebuild a tree from ``tree_to_dict`` output, raising ValueError on
+    the first defect that ``NodeTable`` names, and KeyError or TypeError
+    on a missing key or a wrong type."""
+    tree = Tree(task=obj["task"], n_classes=int(obj["n_classes"]), tree_id=int(obj["tree_id"]))
+    entries = obj["nodes"]
+    if not entries:
+        raise ValueError(f"tree {tree.tree_id} has no nodes")
+    for position, entry in enumerate(entries):
+        size = int(entry["size"])
+        if size < 1:
+            raise ValueError(f"tree {tree.tree_id} node {position}: size {size} is below 1")
+        if tree.task == REGRESSION:
+            stats = NodeStats(size=size, mean=float(entry["mean"]))
+        else:
+            stats = NodeStats(size=size, class_counts=tuple(map(int, entry["class_counts"])))
+            if len(stats.class_counts) != tree.n_classes:
+                raise ValueError(
+                    f"tree {tree.tree_id} node {position}: {len(stats.class_counts)} "
+                    f"class counts for {tree.n_classes} classes"
+                )
+            if min(stats.class_counts) < 0 or sum(stats.class_counts) != size:
+                raise ValueError(
+                    f"tree {tree.tree_id} node {position}: class counts {list(stats.class_counts)} "
+                    f"are not counts >= 0 summing to the node size {size}"
+                )
+        node = Node(id=int(entry["id"]), stats=stats)
+        if node.id != position:
+            raise ValueError(f"tree {tree.tree_id}: node {position} has id {node.id}")
+        split = entry["split"]
+        if split is not None:
+            node.predictor = int(split["predictor"])
+            node.left = int(split["left"])
+            node.right = int(split["right"])
+            node.left_size = int(split["left_size"])
+            node.right_size = int(split["right_size"])
+            for child in (node.left, node.right):
+                if not node.id < child < len(entries):
+                    raise ValueError(
+                        f"tree {tree.tree_id} node {node.id}: child id {child} is not "
+                        f"between {node.id} and {len(entries)}"
+                    )
+            if split["kind"] == "ordered":
+                node.rule = OrderedRule(threshold=float(split["threshold"]))
+            elif split["kind"] == "categorical":
+                node.rule = CategoricalRule(
+                    left_levels=frozenset(map(int, split["left_levels"])),
+                    present=frozenset(map(int, split["present"])),
+                    absent=frozenset(map(int, split["absent"])),
+                    bitmask=int(split["bitmask"]),
+                    pseudo_split=None
+                    if split["pseudo_split"] is None
+                    else float(split["pseudo_split"]),
+                    gamma=None
+                    if split["gamma"] is None
+                    else tuple((int(q), float(g)) for q, g in split["gamma"]),
+                )
+                rule = node.rule
+                if rule.present & rule.absent or not rule.left_levels <= rule.present:
+                    raise ValueError(
+                        f"tree {tree.tree_id} node {node.id}: present and absent levels "
+                        "overlap, or a left level is not present"
+                    )
+            else:
+                raise ValueError(
+                    f"tree {tree.tree_id} node {node.id}: unknown split kind {split['kind']!r}"
+                )
+        tree.nodes.append(node)
+    for node in tree.nodes:
+        if node.is_leaf:
+            continue
+        for side, size, child in (("left", node.left_size, node.left), ("right", node.right_size, node.right)):
+            where = f"tree {tree.tree_id} node {node.id}"
+            if size < 1:
+                raise ValueError(f"{where}: {side}_size {size} is below 1")
+            if size != tree.nodes[child].stats.size:
+                raise ValueError(
+                    f"{where}: {side}_size {size} differs from the size "
+                    f"{tree.nodes[child].stats.size} of child {child}"
+                )
+    return tree
+
+
+def check_splits(tree: Tree, schema) -> None:
+    """Raise ValueError unless every split of ``tree`` fits ``schema``:
+    the predictor exists, the rule kind matches the column kind, and a
+    categorical split's present and absent levels cover 1..Q."""
+    levels = [frozenset(range(1, spec.n_levels + 1)) if spec.kind == CATEGORICAL else None for spec in schema]
+    for node in tree.nodes:
+        if node.is_leaf:
+            continue
+        where = f"tree {tree.tree_id} node {node.id}"
+        if not 0 <= node.predictor < len(schema):
+            raise ValueError(f"{where}: predictor {node.predictor} is outside the schema")
+        spec = schema[node.predictor]
+        if isinstance(node.rule, OrderedRule) != (spec.kind == NUMERIC):
+            raise ValueError(f"{where}: rule does not fit {spec.kind} column {spec.name!r}")
+        if spec.kind == CATEGORICAL and node.rule.present | node.rule.absent != levels[node.predictor]:
+            raise ValueError(
+                f"{where}: present and absent levels do not cover "
+                f"1..{spec.n_levels} of {spec.name!r}"
+            )
+
+
+def checked_trees(trees: list[dict], schema) -> list[Tree]:
+    """Every tree of a dump's ``trees`` rebuilt and checked, then every
+    split checked against ``schema``; KeyError and TypeError become the
+    ValueError that ``forest_from_dict`` raises for them."""
+    try:
+        out = [checked_tree_from_dict(t) for t in trees]
+    except KeyError as exc:
+        raise ValueError(f"malformed model dump: missing key {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"malformed model dump: {exc}") from exc
+    for tree in out:
+        check_splits(tree, schema)
+    return out
+
+
+def walk_table(trees: list[Tree]) -> NodeTable:
+    """A ``NodeTable`` whose arrays are compiled by walking the nodes of
+    ``trees``, not built from their dump form by its constructor."""
+    c = object.__new__(NodeTable)
+    nodes = [node for tree in trees for node in tree.nodes]
+    n, n_nodes = len(nodes), [len(tree.nodes) for tree in trees]
+    c.start = np.cumsum([0] + n_nodes[:-1])
+    offset = np.repeat(c.start, n_nodes)
+    c.tree_id = np.repeat(np.array([tree.tree_id % 2**64 for tree in trees], dtype=np.uint64), n_nodes)
+    c.local = np.arange(n) - offset
+    c.predictor, c.threshold, c.cat_row = np.full(n, -1), np.full(n, np.nan), np.full(n, -1)
+    c.left, c.right = np.arange(n), np.arange(n)
+    c.left_size, c.right_size = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    cats = [k for k, node in enumerate(nodes) if isinstance(node.rule, CategoricalRule)]
+    width = max((nodes[k].rule.n_levels for k in cats), default=0) + 1
+    c.codes = np.full((len(cats), width), 3, dtype=np.int8)
+    c.cat_row[cats] = np.arange(len(cats))
+    for k, node in enumerate(nodes):
+        if node.is_leaf:
+            continue
+        c.predictor[k] = node.predictor
+        c.left[k], c.right[k] = offset[k] + node.left, offset[k] + node.right
+        c.left_size[k], c.right_size[k] = node.left_size, node.right_size
+        if isinstance(node.rule, OrderedRule):
+            c.threshold[k] = node.rule.threshold
+        else:
+            row = c.codes[c.cat_row[k]]
+            row[1 : node.rule.n_levels + 1] = 0
+            row[list(node.rule.present)] = 2
+            row[list(node.rule.left_levels)] = 1
+    if trees[0].task == REGRESSION:
+        c.value = np.fromiter((node.stats.mean for node in nodes), np.float64, n)
+    else:
+        counts = np.array([node.stats.class_counts for node in nodes], dtype=np.float64)
+        c.value = counts / np.array([node.stats.size for node in nodes])[:, None]
+        c.vote = np.argmax(c.value, axis=1) + 1
+    return c

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, file round trips, exit codes."""
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -10,6 +11,9 @@ import numpy as np
 import pytest
 
 import absentrf
+import absentrf.forest
+import absentrf.tree
+from absentrf import synth
 from absentrf.cli import EXIT_DATA, EXIT_OK, EXIT_RUNTIME, main
 from absentrf.data import (
     CATEGORICAL,
@@ -27,6 +31,7 @@ from absentrf.data import (
 from absentrf.forest import load_forest
 from absentrf.heuristics import Heuristic
 from absentrf.seeding import Coins
+from absentrf.splits import CategoricalRule
 from absentrf.tree import route
 from reference import tree_predict, tree_vote
 
@@ -260,6 +265,14 @@ def _in_bag_missing_a_tree(dump):
     dump["in_bag"].pop()
 
 
+def _in_bag_count_beyond_int64(dump):
+    dump["in_bag"][0][0] = 2**70
+
+
+def _column_name_not_a_string(dump):
+    dump["data"]["columns"][0]["name"] = ["num"]
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
@@ -269,6 +282,8 @@ def _in_bag_missing_a_tree(dump):
         (_node_without_size, "missing key 'size'"),
         (_predictor_outside_schema, "predictor 99"),
         (_zero_daughter_sizes, "left_size 0 is below 1"),
+        (_in_bag_count_beyond_int64, "too large"),
+        (_column_name_not_a_string, "must be strings"),
     ],
 )
 def test_predict_rejects_malformed_model_dump(trained, tmp_path, capsys, corrupt, message):
@@ -283,6 +298,40 @@ def test_predict_rejects_malformed_model_dump(trained, tmp_path, capsys, corrupt
     )
     assert code == EXIT_DATA
     assert message in capsys.readouterr().err
+
+
+def test_predict_builds_no_tree_objects(tmp_path, monkeypatch):
+    """``predict`` routes through the node table built from the dump: with
+    every Node, NodeStats and rule constructor failing, it still writes
+    the golden tables.  Hashing needs no trees either, and ``inspect``
+    builds them when it runs."""
+    from test_golden import GOLDEN_PREDICT
+
+    d = synth.bridge_multiclass(0)
+    data, schema, model = tmp_path / "d.csv", tmp_path / "s.json", tmp_path / "m.json"
+    write_csv(d, data)
+    save_schema(schema, d.schema, d.response)
+    common = ["--data", str(data), "--schema", str(schema)]
+    assert main(["train", *common, "--out", str(model), "--trees", "40", "--seed", "7"]) == EXIT_OK
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a tree object was built")
+
+    with monkeypatch.context() as m:
+        for name in ("Node", "NodeStats", "OrderedRule", "CategoricalRule", "tree_from_dict"):
+            m.setattr(absentrf.tree, name, refuse)
+        m.setattr(absentrf.forest, "tree_from_dict", refuse)
+        for token, digest in GOLDEN_PREDICT.items():
+            out = tmp_path / f"{token}.csv"
+            argv = ["predict", *common, "--model", str(model), "--heuristic", token, "--out", str(out)]
+            assert main(argv) == EXIT_OK
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, token
+        digest = absentrf.forest.forest_hash(load_forest(model))
+    trees = load_forest(model).trees
+    assert digest == absentrf.forest.combine_tree_hashes([absentrf.tree.structure_hash(t) for t in trees])
+    audit = tmp_path / "audit.csv"
+    assert main(["inspect", "--model", str(model), "--out", str(audit)]) == EXIT_OK
+    assert len(read_rows(audit)) == sum(isinstance(n.rule, CategoricalRule) for t in trees for n in t.nodes)
 
 
 def test_transform_emits_dummies(tmp_path):

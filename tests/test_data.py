@@ -110,6 +110,10 @@ def test_load_schema_rejects_malformed(tmp_path):
     path.write_text("not json")
     with pytest.raises(DataError, match="JSON"):
         load_schema(path)
+    for column in ['{"name": ["x"], "kind": "numeric"}', '{"name": "x", "kind": "categorical", "levels": ["a", 2]}']:
+        path.write_text('{"columns": [%s], "response": {"kind": "numeric"}}' % column)
+        with pytest.raises(DataError, match="must be strings"):
+            load_schema(path)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from absentrf.forest import Forest, ForestConfig, oob_predict_all, predict_rows,
 from absentrf.heuristics import Heuristic
 from absentrf.seeding import Coins
 from absentrf.splits import CategoricalRule, OrderedRule
-from absentrf.tree import GrowConfig, Node, NodeStats, Tree, route
+from absentrf.tree import GrowConfig, Node, NodeStats, Tree, route, tree_to_dict
 from reference import tree_predict, tree_vote
 
 ROUTED = [h for h in Heuristic if h is not Heuristic.ONE_HOT]
@@ -161,14 +161,15 @@ def cat_rule(left, present, q=3):
     )
 
 
-def leaf(i, stat):
+def leaf(i, stat, size=1):
+    """A leaf of class counts ``stat`` (a tuple) or of mean ``stat``."""
     if isinstance(stat, tuple):
         return Node(i, NodeStats(size=sum(stat), class_counts=stat))
-    return Node(i, NodeStats(size=4, mean=stat))
+    return Node(i, NodeStats(size=size, mean=stat))
 
 
 def split(i, stat, predictor, rule, children, sizes):
-    node = leaf(i, stat)
+    node = leaf(i, stat, sum(sizes))
     node.predictor, node.rule = predictor, rule
     node.left, node.right = children
     node.left_size, node.right_size = sizes
@@ -183,7 +184,7 @@ def hand_forest(*trees):
     else:
         response = ResponseSpec(RESPONSE_CLASS, ("u", "v", "w")[:n_classes])
     return Forest(
-        trees=list(trees),
+        tree_dicts=[tree_to_dict(t) for t in trees],
         in_bag=np.ones((len(trees), 1), dtype=np.int64),
         config=ForestConfig(len(trees), 1, 0, GrowConfig(task, 1, 1)),
         fingerprint="",
@@ -196,15 +197,16 @@ def hand_forest(*trees):
 
 def two_level_tree(stats, tree_id=0):
     """Root splits ``a`` (level 3 absent), its left daughter splits ``b``
-    (level 3 absent); DBI weights 3/4 * 1/3, 3/4 * 2/3 and 1/4."""
+    (level 3 absent); DBI weights 3/4 * 1/3, 3/4 * 2/3 and 1/4.  Class
+    counts must sum to the node sizes 12, 9, 3, 6 and 3."""
     task = REGRESSION if isinstance(stats[0], float) else CLASSIFICATION
     n_classes = 0 if task == REGRESSION else len(stats[0])
     nodes = [
-        split(0, stats[0], 0, cat_rule({1}, {1, 2}), (1, 4), (3, 1)),
-        split(1, stats[1], 1, cat_rule({1}, {1, 2}), (2, 3), (1, 2)),
-        leaf(2, stats[2]),
-        leaf(3, stats[3]),
-        leaf(4, stats[4]),
+        split(0, stats[0], 0, cat_rule({1}, {1, 2}), (1, 4), (9, 3)),
+        split(1, stats[1], 1, cat_rule({1}, {1, 2}), (2, 3), (3, 6)),
+        leaf(2, stats[2], 3),
+        leaf(3, stats[3], 6),
+        leaf(4, stats[4], 3),
     ]
     return Tree(task, n_classes, nodes, tree_id)
 
@@ -222,7 +224,7 @@ def test_dbi_fork_two_levels_deep_sums_left_first():
 
 
 def test_dbi_fork_two_levels_deep_classification():
-    counts = [(4, 4, 4), (2, 2, 2), (3, 0, 2), (0, 2, 1), (1, 0, 3)]
+    counts = [(4, 4, 4), (3, 3, 3), (2, 0, 1), (0, 4, 2), (1, 0, 2)]
     forest = hand_forest(two_level_tree(counts))
     xmat = np.array([[3.0, 3.0, 0.0], [3.0, 1.0, 0.0], [1.0, 3.0, 0.0]])
     assert_matches_oracle(forest, xmat, Coins(1), None)
@@ -234,7 +236,7 @@ def test_stop_ends_at_the_internal_node():
     out = assert_matches_oracle(forest, xmat, Coins(1), None)[Heuristic.STOP]
     assert out.predictions.tolist() == [5.0, 6.0, 0.1]
     assert out.absent_tree_counts.tolist() == [1, 1, 0]
-    counts = [(1, 4, 0), (2, 2, 2), (3, 0, 2), (0, 2, 1), (1, 0, 3)]
+    counts = [(2, 8, 2), (3, 3, 3), (2, 0, 1), (0, 4, 2), (1, 0, 2)]
     out = assert_matches_oracle(hand_forest(two_level_tree(counts)), xmat, Coins(1), None)
     assert out[Heuristic.STOP].predictions.tolist() == [2, 1, 1]
 
@@ -242,8 +244,8 @@ def test_stop_ends_at_the_internal_node():
 def test_majority_tie_draws_the_coin_of_tree_node_and_row():
     nodes = [
         split(0, 0.0, 0, cat_rule({1}, {1, 2}), (1, 2), (2, 2)),
-        leaf(1, -1.0),
-        leaf(2, 1.0),
+        leaf(1, -1.0, 2),
+        leaf(2, 1.0, 2),
     ]
     forest = hand_forest(Tree(REGRESSION, 0, nodes, tree_id=7))
     xmat = np.tile([3.0, 1.0, 0.0], (40, 1))
@@ -269,7 +271,7 @@ def test_root_only_tree_next_to_a_split_tree():
 def ordered_then_categorical():
     nodes = [
         split(0, 0.0, 2, OrderedRule(0.5), (1, 2), (2, 2)),
-        leaf(1, -1.0),
+        leaf(1, -1.0, 2),
         split(2, 1.0, 0, cat_rule({1}, {1, 2}), (3, 4), (1, 1)),
         leaf(3, 3.0),
         leaf(4, 4.0),

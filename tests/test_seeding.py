@@ -77,6 +77,12 @@ def test_coins_vectorised_matches_scalar():
     vec = c.uniforms(2, 9, obs)
     scalars = np.array([c.uniform(2, 9, int(i)) for i in obs])
     assert np.array_equal(vec, scalars)
+    # one call over arrays of (tree, node, observation) triples
+    rng = np.random.default_rng(0)
+    trees, nodes, obs = rng.integers(0, 2**40, (3, 300))
+    vec = c.uniforms(trees, nodes, obs)
+    scalars = [c.uniform(int(b), int(v), int(i)) for b, v, i in zip(trees, nodes, obs)]
+    assert np.array_equal(vec, scalars)
 
 
 def test_coins_look_uniform():
