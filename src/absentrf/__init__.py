@@ -57,10 +57,7 @@ from .splits import (
 )
 from .tree import (
     GrowConfig,
-    Node,
-    NodeStats,
     PredictionTrace,
-    Tree,
     grow_tree,
     grow_trees,
     route,

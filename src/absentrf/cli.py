@@ -31,7 +31,6 @@ from .forest import (
 )
 from .heuristics import Heuristic, parse_heuristic
 from .seeding import Coins
-from .splits import CategoricalRule
 
 EXIT_OK = 0
 EXIT_DATA = 3
@@ -118,27 +117,28 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
-    forest = load_forest(args.model)
+    forest = load_forest(args.model)  # checks every tree, so the fields below convert
     rows = []
-    for tree in forest.trees:
-        for node in tree.nodes:
-            if not isinstance(node.rule, CategoricalRule):
+    for tree in forest.tree_dicts:
+        for node in tree["nodes"]:
+            split = node["split"]
+            if split is None or split["kind"] != "categorical":
                 continue
-            spec, rule = forest.schema[node.predictor], node.rule
+            spec, pseudo = forest.schema[int(split["predictor"])], split["pseudo_split"]
             names = [
-                "|".join(spec.levels[q - 1] for q in sorted(levels))
-                for levels in (rule.present, rule.absent, rule.left_levels)
+                "|".join(spec.levels[q - 1] for q in sorted(set(map(int, split[key]))))
+                for key in ("present", "absent", "left_levels")
             ]
             rows.append(
                 [
-                    tree.tree_id,
-                    node.id,
+                    int(tree["tree_id"]),
+                    int(node["id"]),
                     spec.name,
                     *names,
-                    rule.bitmask,
-                    rule.pseudo_split,
-                    node.left_size,
-                    node.right_size,
+                    int(split["bitmask"]),
+                    None if pseudo is None else float(pseudo),
+                    int(split["left_size"]),
+                    int(split["right_size"]),
                 ]
             )
     header = [

@@ -122,6 +122,14 @@ class ExperimentConfig:
 
 
 _CONFIG_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)}
+# the JSON values a field of each annotated type takes; a field that may be None also takes null
+_JSON_TYPES = {
+    "int": (int, "an integer"),
+    "float": ((int, float), "a number"),
+    "str": (str, "a string"),
+    "bool": (bool, "true or false"),
+    "tuple[Heuristic, ...]": (list, "a list of heuristic tokens"),
+}
 
 
 def load_experiment_config(path) -> ExperimentConfig:
@@ -140,6 +148,13 @@ def load_experiment_config(path) -> ExperimentConfig:
     for key in ("dataset_path", "schema_path", "output_dir", "heuristics"):
         if key not in obj:
             raise ConfigError(f"{path}: missing required field {key!r}")
+    for f in dataclasses.fields(ExperimentConfig):
+        kind, value = f.type.removesuffix(" | None"), obj.get(f.name)
+        if f.name not in obj or value is None and kind != f.type:
+            continue
+        types, name = _JSON_TYPES[kind]
+        if not isinstance(value, types) or isinstance(value, bool) != (kind == "bool"):
+            raise ConfigError(f"{path}: field {f.name!r} must be {name}, not {json.dumps(value)}")
     try:
         obj["heuristics"] = tuple(parse_heuristic(t) for t in obj["heuristics"])
         if obj.get("baseline") is not None:

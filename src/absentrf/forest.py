@@ -29,7 +29,7 @@ from .data import (
 )
 from .heuristics import Heuristic
 from .seeding import BOOTSTRAP, COIN, TREE, Coins, derive, stream
-from .tree import GrowConfig, NodeTable, Tree, grow_trees, structure_hash, tree_from_dict, tree_to_dict
+from .tree import GrowConfig, NodeTable, grow_trees, structure_hash
 
 FOREST_FORMAT = "absentrf-forest"
 FOREST_FORMAT_VERSION = 1
@@ -81,9 +81,9 @@ def bootstrap_sample(n_rows: int, sample_size: int, rng: np.random.Generator) ->
 
 @dataclass
 class Forest:
-    """A forest whose trees are kept in their :func:`tree_to_dict` form,
-    which saving and hashing use as they are.  ``table`` (what prediction
-    routes through) and ``trees`` (Node objects) are built on first use."""
+    """A forest whose trees are kept in their dict form (see
+    :mod:`absentrf.tree`), which saving and hashing use as they are.
+    ``table``, what prediction routes through, is built on first use."""
 
     tree_dicts: list[dict]
     in_bag: np.ndarray  # (B, N) multiplicity counts
@@ -99,10 +99,6 @@ class Forest:
         return len(self.tree_dicts)
 
     @functools.cached_property
-    def trees(self) -> list[Tree]:
-        return [tree_from_dict(t) for t in self.tree_dicts]
-
-    @functools.cached_property
     def table(self) -> NodeTable:
         """The checked node table (see :class:`NodeTable`)."""
         return NodeTable(self.tree_dicts, self.task, self.n_classes, self.schema)
@@ -111,11 +107,10 @@ class Forest:
 def _grow_task(
     dataset: Dataset, grow_cfg: GrowConfig, chunk: list[tuple[int, int, np.ndarray]]
 ) -> list[dict]:
-    """Grow a chunk of (tree id, growth seed, bootstrap counts) in lock step, as tree dicts."""
+    """Grow a chunk of (tree id, growth seed, bootstrap counts) in lock step."""
     samples = [np.repeat(np.arange(counts.size), counts) for _, _, counts in chunk]
     rngs = [np.random.default_rng(seed) for _, seed, _ in chunk]
-    trees = grow_trees(dataset, samples, grow_cfg, rngs, [b for b, _, _ in chunk])[::-1]
-    return [tree_to_dict(trees.pop()) for _ in range(len(trees))]  # never every tree in both forms
+    return grow_trees(dataset, samples, grow_cfg, rngs, [b for b, _, _ in chunk])
 
 
 def train_forest(dataset: Dataset, config: ForestConfig, workers: int = 1) -> Forest:

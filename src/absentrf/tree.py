@@ -1,4 +1,4 @@
-"""CART-style trees: growth, observation routing, and serialization.
+"""CART-style trees: growth, observation routing, and hashing.
 
 Growth follows the classic recipe -- recursive binary splitting of a
 row multiset, minimising squared error (regression) or size-weighted
@@ -15,23 +15,33 @@ and defers to the heuristic for the rest.  A trace records every node
 the observation reached with its weight (forks under DBI carry
 fractional weight), whether any absent level was encountered, and the
 direction taken at each such event.
+
+A tree has one form, a plain dict that a model dump holds as it is:
+``{"tree_id", "task", "n_classes", "nodes"}``, its nodes numbered in
+preorder, each ``{"id", "size", "mean"`` (regression) or
+``"class_counts"`` (classification), ``"split"}``.  A leaf's split is
+None; an inner node's holds ``predictor``, the child ids ``left`` and
+``right``, the daughter sizes ``left_size`` and ``right_size``, and by
+``kind`` either an ordered ``threshold`` or the categorical
+``left_levels``, ``present`` and ``absent`` levels (sorted), ``bitmask``,
+``pseudo_split`` and ``gamma`` (``[level, pseudo value]`` pairs, or None).
 """
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
 
 import numpy as np
 
-from .data import CATEGORICAL, CLASSIFICATION, NUMERIC, REGRESSION, Dataset
+from .data import CLASSIFICATION, NUMERIC, REGRESSION, Dataset
 from .heuristics import Heuristic, RoutingContext, resolve
 from .seeding import Coins
 from .splits import (
     EXHAUSTIVE_HARD_LIMIT,
-    CategoricalRule,
+    CandidateSplit,
     ColumnTable,
     NodeBlock,
     OrderedRule,
@@ -66,58 +76,39 @@ class GrowConfig:
                 raise ValueError(f"{name} may not exceed {EXHAUSTIVE_HARD_LIMIT}")
 
 
-@dataclass(frozen=True)
-class NodeStats:
-    """Training summary of one node's row multiset."""
-
-    size: int
-    mean: float | None = None
-    class_counts: tuple[int, ...] | None = None
-
-
-@dataclass
-class Node:
-    id: int
-    stats: NodeStats
-    predictor: int | None = None
-    rule: OrderedRule | CategoricalRule | None = None
-    left: int | None = None
-    right: int | None = None
-    left_size: int = 0
-    right_size: int = 0
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.rule is None
-
-
-@dataclass
-class Tree:
-    task: str
-    n_classes: int
-    nodes: list[Node] = field(default_factory=list)
-    tree_id: int = 0
-
-    @property
-    def root(self) -> Node:
-        return self.nodes[0]
-
-
-def _node_stats(block: NodeBlock) -> tuple[list[NodeStats], list[bool]]:
-    """Stats of every node of ``block``, and whether each is pure (one
-    class, or one response value)."""
+def _node_entries(block: NodeBlock) -> tuple[list[dict], list[bool]]:
+    """The node entry of every node of ``block``, its id and split still
+    to be filled in, and whether each is pure (one class, or one response
+    value)."""
     dataset, sizes = block.table.dataset, block.sizes
     if dataset.task == REGRESSION:
         y = dataset.y[block.flat]
         starts = np.cumsum(sizes) - sizes
         pure = np.minimum.reduceat(y, starts) == np.maximum.reduceat(y, starts)
-        stats = [NodeStats(size=s, mean=mu) for s, mu in zip(sizes.tolist(), block.mean.tolist())]
-        return stats, pure.tolist()
+        means = zip(sizes.tolist(), block.mean.tolist())
+        return [{"id": 0, "size": s, "mean": mu, "split": None} for s, mu in means], pure.tolist()
     k = dataset.response.n_classes
     bins = block.y + (np.arange(sizes.size) * (k + 1))[:, None]  # padding in class 0
     counts = np.bincount(bins.ravel(), minlength=sizes.size * (k + 1)).reshape(-1, k + 1)[:, 1:]
-    stats = [NodeStats(size=s, class_counts=tuple(c)) for s, c in zip(sizes.tolist(), counts.tolist())]
-    return stats, (counts.max(axis=1) == sizes).tolist()
+    pure = (counts.max(axis=1) == sizes).tolist()
+    counted = zip(sizes.tolist(), counts.tolist())
+    return [{"id": 0, "size": s, "class_counts": c, "split": None} for s, c in counted], pure
+
+
+def _split_entry(best: CandidateSplit) -> dict:
+    """The split of a node that ``best`` won; its child ids are filled in
+    when the children are popped."""
+    rule = best.rule
+    out = {"predictor": best.predictor, "left": None, "right": None}
+    out.update(left_size=best.left_size, right_size=best.right_size)
+    if isinstance(rule, OrderedRule):
+        out.update(kind="ordered", threshold=rule.threshold)
+        return out
+    out.update(kind="categorical", left_levels=sorted(rule.left_levels))
+    out.update(present=sorted(rule.present), absent=sorted(rule.absent), bitmask=rule.bitmask)
+    gamma = None if rule.gamma is None else [[q, g] for q, g in rule.gamma]  # as JSON reads them back
+    out.update(pseudo_split=rule.pseudo_split, gamma=gamma)
+    return out
 
 
 # the split search of a predictor
@@ -190,10 +181,10 @@ def _best_splits(block: NodeBlock, at: np.ndarray, sampled: np.ndarray, kinds, r
     return out
 
 
-def grow_trees(dataset: Dataset, samples, cfg: GrowConfig, rngs, tree_ids) -> list[Tree]:
+def grow_trees(dataset: Dataset, samples, cfg: GrowConfig, rngs, tree_ids) -> list[dict]:
     """Grow one tree per row multiset of ``samples`` (indices may repeat;
     repeats count), tree ``b`` drawing from ``rngs[b]`` and numbered
-    ``tree_ids[b]``.
+    ``tree_ids[b]``; each is returned in its dict form (module notes).
 
     A node is split while it holds more rows than ``min_node_size``, is
     impure, and at least one of ``mtry`` predictors sampled without
@@ -216,28 +207,26 @@ def grow_trees(dataset: Dataset, samples, cfg: GrowConfig, rngs, tree_ids) -> li
         raise ValueError(f"mtry={cfg.mtry} exceeds the {p} available predictors")
     if dataset.y is None:
         raise ValueError("dataset has no response")
-    trees = [Tree(task=cfg.task, n_classes=dataset.response.n_classes, tree_id=b) for b in tree_ids]
+    n_classes = dataset.response.n_classes
+    trees = [{"tree_id": b, "task": cfg.task, "n_classes": n_classes, "nodes": []} for b in tree_ids]
     table = ColumnTable(dataset)
     kinds = _search_kinds(dataset, cfg)
 
-    # explicit stacks (right child pushed first) give preorder ids
-    # without recursion-depth limits on deep, min-node-size-1 trees
-    stacks: list[list[tuple[np.ndarray, int | None, str]]] = [[(rows, None, "")] for rows in samples]
+    # explicit stacks (right child pushed first) give preorder ids without
+    # recursion-depth limits on deep, min-node-size-1 trees; an entry holds
+    # a node's rows and the split, and its key, that takes the node's id
+    # (a throwaway dict for the root)
+    stacks: list[list[tuple[np.ndarray, dict, str]]] = [[(rows, {}, "left")] for rows in samples]
     while any(stacks):
-        popped = [(tree, rng, stack, *stack.pop()) for tree, rng, stack in zip(trees, rngs, stacks) if stack]
+        popped = [(t["nodes"], rng, stack, *stack.pop()) for t, rng, stack in zip(trees, rngs, stacks) if stack]
         block = NodeBlock(table, [entry[3] for entry in popped])
         step, sampled = [], []  # the nodes to split: block index, rng, stack, node, rows
-        for i, ((tree, rng, stack, node_rows, parent, side), stats, pure) in enumerate(
-            zip(popped, *_node_stats(block))
+        for i, ((nodes, rng, stack, node_rows, parent, side), node, pure) in enumerate(
+            zip(popped, *_node_entries(block))
         ):
-            node = Node(id=len(tree.nodes), stats=stats)
-            tree.nodes.append(node)
-            if parent is not None:
-                if side == "L":
-                    tree.nodes[parent].left = node.id
-                else:
-                    tree.nodes[parent].right = node.id
-            if stats.size > cfg.min_node_size and not pure:
+            node["id"] = parent[side] = len(nodes)
+            nodes.append(node)
+            if node["size"] > cfg.min_node_size and not pure:
                 sampled.append(rng.choice(p, size=cfg.mtry, replace=False))
                 step.append((i, rng, stack, node, node_rows))
         if not step:
@@ -248,10 +237,7 @@ def grow_trees(dataset: Dataset, samples, cfg: GrowConfig, rngs, tree_ids) -> li
         for (_, _, stack, node, node_rows), best in zip(step, splits):
             if best is None:
                 continue
-            node.predictor = best.predictor
-            node.rule = best.rule
-            node.left_size = best.left_size
-            node.right_size = best.right_size
+            node["split"] = split = _split_entry(best)
             x = dataset.columns[best.predictor][node_rows]
             if isinstance(best.rule, OrderedRule):
                 mask = x <= best.rule.threshold
@@ -259,14 +245,14 @@ def grow_trees(dataset: Dataset, samples, cfg: GrowConfig, rngs, tree_ids) -> li
                 lut = np.zeros(dataset.schema[best.predictor].n_levels + 1, dtype=bool)
                 lut[list(best.rule.left_levels)] = True
                 mask = lut[x]
-            stack.append((node_rows[~mask], node.id, "R"))
-            stack.append((node_rows[mask], node.id, "L"))
+            stack.append((node_rows[~mask], split, "right"))
+            stack.append((node_rows[mask], split, "left"))
     return trees
 
 
 def grow_tree(
     dataset: Dataset, rows, cfg: GrowConfig, rng: np.random.Generator, tree_id: int = 0
-) -> Tree:
+) -> dict:
     """Grow one tree on a row multiset; :func:`grow_trees` with one tree."""
     return grow_trees(dataset, [rows], cfg, [rng], [tree_id])[0]
 
@@ -291,13 +277,14 @@ class PredictionTrace:
 
 
 def route(
-    tree: Tree,
+    tree: dict,
     x,
     policy: Heuristic,
     coins: Coins | None = None,
     obs_id: int = 0,
 ) -> PredictionTrace:
-    """Send one predictor vector down the tree under a routing policy.
+    """Send one predictor vector down a tree (its dict form) under a
+    routing policy.
 
     ``x`` holds one value per predictor (categorical entries are level
     indices).  ``coins`` supplies the deterministic uniforms consumed by
@@ -311,89 +298,50 @@ def route(
     stack: list[tuple[int, float]] = [(0, 1.0)]
     while stack:
         node_id, weight = stack.pop()
-        node = tree.nodes[node_id]
-        if node.is_leaf:
+        split = tree["nodes"][node_id]["split"]
+        if split is None:
             entries.append((node_id, weight))
             continue
-        value = x[node.predictor]
-        rule = node.rule
-        if isinstance(rule, OrderedRule):
-            stack.append((node.left, weight) if value <= rule.threshold else (node.right, weight))
+        value = x[split["predictor"]]
+        if split["kind"] == "ordered":
+            stack.append((split["left"], weight) if value <= split["threshold"] else (split["right"], weight))
             continue
-        level = int(value)
-        if level != value or level < 1 or level > rule.n_levels:
+        level, n_levels = int(value), len(split["present"]) + len(split["absent"])
+        if level != value or level < 1 or level > n_levels:
             raise ValueError(
-                f"value {value!r} of predictor {node.predictor} is outside the "
-                f"declared levels 1..{rule.n_levels}"
+                f"value {value!r} of predictor {split['predictor']} is outside the "
+                f"declared levels 1..{n_levels}"
             )
-        if level in rule.left_levels:
-            stack.append((node.left, weight))
+        if level in split["left_levels"]:
+            stack.append((split["left"], weight))
             continue
-        if level in rule.present:
-            stack.append((node.right, weight))
+        if level in split["present"]:
+            stack.append((split["right"], weight))
             continue
         # the split has never seen this level: ask the policy
         absent = True
         if coins is not None:
             def coin(node_id=node_id):
-                return coins.uniform(tree.tree_id, node_id, obs_id)
+                return coins.uniform(tree["tree_id"], node_id, obs_id)
         else:
             def coin():
                 raise ValueError(f"{policy.token} routing needs a Coins source")
-        outcome = resolve(policy, RoutingContext(node_id, node.left_size, node.right_size), coin)
+        outcome = resolve(policy, RoutingContext(node_id, split["left_size"], split["right_size"]), coin)
         resolutions.append((node_id, outcome.kind))
         if outcome.kind == "left":
-            stack.append((node.left, weight))
+            stack.append((split["left"], weight))
         elif outcome.kind == "right":
-            stack.append((node.right, weight))
+            stack.append((split["right"], weight))
         elif outcome.kind == "stop":
             entries.append((node_id, weight))
         else:  # weighted fork
-            stack.append((node.right, weight * outcome.w_right))
-            stack.append((node.left, weight * outcome.w_left))
+            stack.append((split["right"], weight * outcome.w_right))
+            stack.append((split["left"], weight * outcome.w_left))
     return PredictionTrace(tuple(entries), absent, tuple(resolutions))
 
 
 # ---------------------------------------------------------------------------
-# serialization and hashing
-
-
-def _rule_to_dict(node: Node) -> dict | None:
-    if node.is_leaf:
-        return None
-    rule = node.rule
-    out = {
-        "predictor": node.predictor,
-        "left": node.left,
-        "right": node.right,
-        "left_size": node.left_size,
-        "right_size": node.right_size,
-    }
-    if isinstance(rule, OrderedRule):
-        out["kind"] = "ordered"
-        out["threshold"] = rule.threshold
-    else:
-        out["kind"] = "categorical"
-        out["left_levels"] = sorted(rule.left_levels)
-        out["present"] = sorted(rule.present)
-        out["absent"] = sorted(rule.absent)
-        out["bitmask"] = rule.bitmask
-        out["pseudo_split"] = rule.pseudo_split
-        out["gamma"] = None if rule.gamma is None else list(rule.gamma)  # its (q, g) pairs dump as [q, g]
-    return out
-
-
-def tree_to_dict(tree: Tree) -> dict:
-    nodes = []
-    for node in tree.nodes:
-        entry: dict = {"id": node.id, "size": node.stats.size}
-        if tree.task == REGRESSION:
-            entry["mean"] = node.stats.mean
-        else:
-            entry["class_counts"] = list(node.stats.class_counts)
-        entry["split"] = _rule_to_dict(node)
-        nodes.append(entry)
-    return {"tree_id": tree.tree_id, "task": tree.task, "n_classes": tree.n_classes, "nodes": nodes}
+# the node table and hashing
 
 
 def _ints(values) -> np.ndarray:
@@ -410,7 +358,7 @@ def _distinct(x: np.ndarray) -> np.ndarray:
 class NodeTable:
     """Every node of some trees in flat arrays, indexed by global node id
     (node ``v`` of tree ``b`` is ``start[b] + v``), built straight from
-    the trees' :func:`tree_to_dict` forms; :meth:`route` sends rows
+    the trees' dict forms; :meth:`route` sends rows
     through them.  ``codes`` has one row per categorical node, indexed by
     level: 0 absent, 1 left, 2 present and right, 3 outside its 1..Q.
 
@@ -611,43 +559,12 @@ class NodeTable:
         return (*(np.concatenate(parts) for parts in zip(*ended)), absent)
 
 
-def tree_from_dict(obj: dict) -> Tree:
-    """Rebuild a tree from :func:`tree_to_dict` output, once
-    :class:`NodeTable` (with no schema) has checked it."""
-    tree = Tree(task=obj["task"], n_classes=int(obj["n_classes"]), tree_id=int(obj["tree_id"]))
-    NodeTable([obj], tree.task, tree.n_classes)
-    for entry in obj["nodes"]:
-        if tree.task == REGRESSION:
-            stats = NodeStats(size=int(entry["size"]), mean=float(entry["mean"]))
-        else:
-            stats = NodeStats(size=int(entry["size"]), class_counts=tuple(map(int, entry["class_counts"])))
-        node, split = Node(id=int(entry["id"]), stats=stats), entry["split"]
-        if split is not None:
-            node.predictor, node.left, node.right, node.left_size, node.right_size = (
-                int(split[key]) for key in ("predictor", "left", "right", "left_size", "right_size")
-            )
-            if split["kind"] == "ordered":
-                node.rule = OrderedRule(threshold=float(split["threshold"]))
-            else:
-                pseudo, gamma = split["pseudo_split"], split["gamma"]
-                node.rule = CategoricalRule(
-                    *(frozenset(map(int, split[key])) for key in ("left_levels", "present", "absent")),
-                    bitmask=int(split["bitmask"]),
-                    pseudo_split=None if pseudo is None else float(pseudo),
-                    gamma=None if gamma is None else tuple((int(q), float(g)) for q, g in gamma),
-                )
-        tree.nodes.append(node)
-    return tree
-
-
-def structure_hash(tree: Tree | dict) -> str:
-    """Digest over topology, rules, and node stats of a tree or of its
-    :func:`tree_to_dict` form.
+def structure_hash(tree: dict) -> str:
+    """Digest over topology, rules, and node stats of a tree.
 
     Identical growth inputs give identical digests; the tree's position
     in a forest (``tree_id``) is deliberately excluded.
     """
-    obj = tree_to_dict(tree) if isinstance(tree, Tree) else tree
-    obj = {key: value for key, value in obj.items() if key != "tree_id"}
+    obj = {key: value for key, value in tree.items() if key != "tree_id"}
     blob = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

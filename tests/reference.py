@@ -10,9 +10,12 @@ predictor or one tree at a time, and only the tests call them.
 Model loading builds its node table straight from the dump form and
 checks it there (``absentrf.tree.NodeTable``).  The loader here checks a
 dump one node at a time while it builds ``Node`` objects, and compiles
-the table by walking them.
+the table by walking them.  The package keeps trees only in the dump
+form; these objects exist for this oracle.
 """
 from __future__ import annotations
+
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,7 +30,7 @@ from absentrf.splits import (
     count_partitions,
     random_bitmasks,
 )
-from absentrf.tree import Node, NodeStats, NodeTable, PredictionTrace, Tree
+from absentrf.tree import NodeTable, PredictionTrace
 
 
 # ---------------------------------------------------------------------------
@@ -378,20 +381,21 @@ def random_categorical_split(
 # prediction from a routing trace
 
 
-def tree_predict(trace: PredictionTrace, tree: Tree):
-    """Collapse a trace into a prediction: the weight-averaged node mean
-    for regression, or the weight-averaged class-share vector for
-    classification."""
-    if tree.task == REGRESSION:
-        return float(sum(w * tree.nodes[nid].stats.mean for nid, w in trace.entries))
-    scores = np.zeros(tree.n_classes)
+def tree_predict(trace: PredictionTrace, tree: dict):
+    """Collapse a trace through ``tree`` (its dict form) into a
+    prediction: the weight-averaged node mean for regression, or the
+    weight-averaged class-share vector for classification."""
+    nodes = tree["nodes"]
+    if tree["task"] == REGRESSION:
+        return float(sum(w * nodes[nid]["mean"] for nid, w in trace.entries))
+    scores = np.zeros(tree["n_classes"])
     for nid, w in trace.entries:
-        stats = tree.nodes[nid].stats
-        scores += w * (np.asarray(stats.class_counts, dtype=np.float64) / stats.size)
+        node = nodes[nid]
+        scores += w * (np.asarray(node["class_counts"], dtype=np.float64) / node["size"])
     return scores
 
 
-def tree_vote(trace: PredictionTrace, tree: Tree) -> int:
+def tree_vote(trace: PredictionTrace, tree: dict) -> int:
     """The tree's single-class vote (1-based; ties to the lowest class)."""
     scores = tree_predict(trace, tree)
     return int(np.argmax(scores)) + 1
@@ -401,8 +405,41 @@ def tree_vote(trace: PredictionTrace, tree: Tree) -> int:
 # model loading: checks made node by node, and the table compiled by a walk
 
 
+@dataclass(frozen=True)
+class NodeStats:
+    """Training summary of one node's row multiset."""
+
+    size: int
+    mean: float | None = None
+    class_counts: tuple[int, ...] | None = None
+
+
+@dataclass
+class Node:
+    id: int
+    stats: NodeStats
+    predictor: int | None = None
+    rule: OrderedRule | CategoricalRule | None = None
+    left: int | None = None
+    right: int | None = None
+    left_size: int = 0
+    right_size: int = 0
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.rule is None
+
+
+@dataclass
+class Tree:
+    task: str
+    n_classes: int
+    nodes: list[Node] = field(default_factory=list)
+    tree_id: int = 0
+
+
 def checked_tree_from_dict(obj: dict) -> Tree:
-    """Rebuild a tree from ``tree_to_dict`` output, raising ValueError on
+    """Rebuild a tree from its dict form, raising ValueError on
     the first defect that ``NodeTable`` names, and KeyError or TypeError
     on a missing key or a wrong type."""
     tree = Tree(task=obj["task"], n_classes=int(obj["n_classes"]), tree_id=int(obj["tree_id"]))

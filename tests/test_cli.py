@@ -12,6 +12,7 @@ import pytest
 
 import absentrf
 import absentrf.forest
+import absentrf.splits
 import absentrf.tree
 from absentrf import synth
 from absentrf.cli import EXIT_DATA, EXIT_OK, EXIT_RUNTIME, main
@@ -31,7 +32,6 @@ from absentrf.data import (
 from absentrf.forest import load_forest
 from absentrf.heuristics import Heuristic
 from absentrf.seeding import Coins
-from absentrf.splits import CategoricalRule
 from absentrf.tree import route
 from reference import tree_predict, tree_vote
 
@@ -196,15 +196,15 @@ def reference_rows(forest, ds, policy, coins):
     tree outputs summed left to right in tree order."""
     rows = []
     for i in range(ds.n_rows):
-        traces = [route(t, ds.row(i), policy, coins, i) for t in forest.trees]
+        traces = [route(t, ds.row(i), policy, coins, i) for t in forest.tree_dicts]
         absent = str(sum(tr.absent_encountered for tr in traces))
         if forest.task == REGRESSION:
             total = 0.0
-            for tr, t in zip(traces, forest.trees):
+            for tr, t in zip(traces, forest.tree_dicts):
                 total += tree_predict(tr, t)
             rows.append([str(i), repr(total / forest.n_trees), absent])
         else:
-            votes = [tree_vote(tr, t) for tr, t in zip(traces, forest.trees)]
+            votes = [tree_vote(tr, t) for tr, t in zip(traces, forest.tree_dicts)]
             counts = [votes.count(k) for k in range(1, forest.n_classes + 1)]
             label = forest.response.classes[counts.index(max(counts))]
             shares = [repr(c / forest.n_trees) for c in counts]
@@ -300,38 +300,58 @@ def test_predict_rejects_malformed_model_dump(trained, tmp_path, capsys, corrupt
     assert message in capsys.readouterr().err
 
 
-def test_predict_builds_no_tree_objects(tmp_path, monkeypatch):
-    """``predict`` routes through the node table built from the dump: with
-    every Node, NodeStats and rule constructor failing, it still writes
-    the golden tables.  Hashing needs no trees either, and ``inspect``
-    builds them when it runs."""
-    from test_golden import GOLDEN_PREDICT
+# the audit CSV of ``inspect`` on the bridge model below
+GOLDEN_INSPECT = "82de9395ff52ddcb7f337d049a9651d38806649a3c30767de8aa186f1aa4dac9"
 
+
+@pytest.fixture(scope="module")
+def bridge_model(tmp_path_factory):
+    """The golden 40-tree bridge model: (``--data``/``--schema`` args, model path)."""
+    tmp = tmp_path_factory.mktemp("bridge")
     d = synth.bridge_multiclass(0)
-    data, schema, model = tmp_path / "d.csv", tmp_path / "s.json", tmp_path / "m.json"
+    data, schema, model = tmp / "d.csv", tmp / "s.json", tmp / "m.json"
     write_csv(d, data)
     save_schema(schema, d.schema, d.response)
     common = ["--data", str(data), "--schema", str(schema)]
     assert main(["train", *common, "--out", str(model), "--trees", "40", "--seed", "7"]) == EXIT_OK
+    return common, model
+
+
+def test_inspect_output_is_unchanged(bridge_model, tmp_path):
+    _, model = bridge_model
+    audit = tmp_path / "audit.csv"
+    assert main(["inspect", "--model", str(model), "--out", str(audit)]) == EXIT_OK
+    assert hashlib.sha256(audit.read_bytes()).hexdigest() == GOLDEN_INSPECT
+
+
+def test_predict_builds_no_tree_objects(bridge_model, tmp_path, monkeypatch):
+    """``predict``, hashing and ``inspect`` read the trees of the dump as
+    they are: with both rule constructors failing, ``predict`` still
+    writes the golden tables, the forest hashes, and ``inspect`` audits
+    every categorical split."""
+    from test_golden import GOLDEN_PREDICT
+
+    common, model = bridge_model
 
     def refuse(*args, **kwargs):
         raise AssertionError("a tree object was built")
 
+    audit = tmp_path / "audit.csv"
     with monkeypatch.context() as m:
-        for name in ("Node", "NodeStats", "OrderedRule", "CategoricalRule", "tree_from_dict"):
-            m.setattr(absentrf.tree, name, refuse)
-        m.setattr(absentrf.forest, "tree_from_dict", refuse)
+        for module in (absentrf.splits, absentrf.tree):
+            for name in {"OrderedRule", "CategoricalRule"} & set(vars(module)):
+                m.setattr(module, name, refuse)
         for token, digest in GOLDEN_PREDICT.items():
             out = tmp_path / f"{token}.csv"
             argv = ["predict", *common, "--model", str(model), "--heuristic", token, "--out", str(out)]
             assert main(argv) == EXIT_OK
             assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, token
         digest = absentrf.forest.forest_hash(load_forest(model))
-    trees = load_forest(model).trees
+        assert main(["inspect", "--model", str(model), "--out", str(audit)]) == EXIT_OK
+    trees = load_forest(model).tree_dicts
     assert digest == absentrf.forest.combine_tree_hashes([absentrf.tree.structure_hash(t) for t in trees])
-    audit = tmp_path / "audit.csv"
-    assert main(["inspect", "--model", str(model), "--out", str(audit)]) == EXIT_OK
-    assert len(read_rows(audit)) == sum(isinstance(n.rule, CategoricalRule) for t in trees for n in t.nodes)
+    categorical = [n for t in trees for n in t["nodes"] if n["split"] and n["split"]["kind"] == "categorical"]
+    assert len(read_rows(audit)) == len(categorical) > 0
 
 
 def test_transform_emits_dummies(tmp_path):
@@ -432,6 +452,14 @@ def test_experiment_failure_exit_code(tmp_path, capsys):
         ("mtry", 99),
         ("exhaustive_max_q_binary", 60),
         ("exhaustive_max_q_multiclass", 17),
+        ("n_trees", "20"),
+        ("replications", "1"),
+        ("workers", "1"),
+        ("sample_size", "30"),
+        ("mtry", "2"),
+        ("log_loss_eps", "0.1"),
+        ("heuristics", 5),
+        ("baseline", 5),
     ],
 )
 def test_experiment_rejects_bad_config_before_training(tmp_path, capsys, field, value):

@@ -348,7 +348,7 @@ def test_onehot_forest_follows_the_config_growth_settings(tmp_path, monkeypatch)
     )
     run_experiment_on(ExperimentConfig(output_dir=str(tmp_path / "unset"), **base), dataset)
     run_experiment_on(ExperimentConfig(output_dir=str(tmp_path / "set"), min_node_size=40, **base), dataset)
-    split_sizes = [node.stats.size for tree in onehot_forests[1].trees for node in tree.nodes if not node.is_leaf]
+    split_sizes = [node["size"] for tree in onehot_forests[1].tree_dicts for node in tree["nodes"] if node["split"]]
     assert split_sizes and min(split_sizes) > 40
     name = "replication_0/oob_onehot.csv"
     assert (tmp_path / "unset" / name).read_bytes() != (tmp_path / "set" / name).read_bytes()

@@ -166,7 +166,7 @@ def test_predict_rows_regression_is_tree_average():
     assert np.all(out.oob_tree_counts == forest.n_trees)
     for i in (0, 3, ds.n_rows - 1):
         manual = np.mean(
-            [tree_predict(route(t, ds.row(i), Heuristic.LEFT, coins, i), t) for t in forest.trees]
+            [tree_predict(route(t, ds.row(i), Heuristic.LEFT, coins, i), t) for t in forest.tree_dicts]
         )
         assert out.predictions[i] == pytest.approx(manual, abs=1e-12)
 
@@ -180,7 +180,7 @@ def test_predict_rows_classification_votes():
     assert np.allclose(shares.sum(axis=1), 1.0, rtol=0, atol=1e-12)
     assert np.all(shares * forest.n_trees == np.round(shares * forest.n_trees))
     assert np.array_equal(out.predictions, np.argmax(shares, axis=1) + 1)
-    votes = [tree_vote(route(t, ds.row(5), Heuristic.LEFT, coins, 5), t) for t in forest.trees]
+    votes = [tree_vote(route(t, ds.row(5), Heuristic.LEFT, coins, 5), t) for t in forest.tree_dicts]
     assert shares[5, 0] == votes.count(1) / forest.n_trees
 
 
@@ -199,7 +199,7 @@ def test_oob_regression_row_matches_manual_aggregate():
     i = int(np.flatnonzero(out.defined)[0])
     vals = [
         tree_predict(route(t, ds.row(i), Heuristic.RIGHT, coins, i), t)
-        for b, t in enumerate(forest.trees)
+        for b, t in enumerate(forest.tree_dicts)
         if forest.in_bag[b, i] == 0
     ]
     assert out.predictions[i] == pytest.approx(np.mean(vals), abs=1e-12)

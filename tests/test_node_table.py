@@ -6,8 +6,8 @@ node at a time while it builds ``Node`` objects, then compiles the table
 by walking them.  On valid dumps with one or two fields changed, the
 table build must reject exactly the dumps the oracle rejects, with the
 oracle's message (the first defect, when there are two), and on the
-dumps both accept, its table, its trees and its predictions must equal
-the walk's.
+dumps both accept, its table and its predictions must equal the walk's,
+and the trees the forest keeps must read as the oracle's.
 """
 import copy
 import dataclasses
@@ -36,8 +36,8 @@ from absentrf.forest import (
 )
 from absentrf.heuristics import Heuristic
 from absentrf.seeding import Coins
-from absentrf.tree import GrowConfig, tree_to_dict
-from reference import checked_trees, walk_table
+from absentrf.tree import GrowConfig
+from reference import checked_tree_from_dict, checked_trees, walk_table
 from test_predict_engine import assert_matches_oracle
 
 ROUTED = [h for h in Heuristic if h is not Heuristic.ONE_HOT]
@@ -152,7 +152,7 @@ def assert_table_equals_walk(task, forest, trees):
     walked = walk_table(trees)
     for name in TABLE:
         assert as_bytes(getattr(forest.table, name, None)) == as_bytes(getattr(walked, name, None)), name
-    assert [tree_to_dict(t) for t in forest.trees] == [tree_to_dict(t) for t in trees]
+    assert [checked_tree_from_dict(t) for t in forest.tree_dicts] == trees
     twin = dataclasses.replace(forest)  # the same dump, routed through the walked table
     twin.table = walked
     xmat = dataset(task).matrix()

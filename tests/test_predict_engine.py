@@ -25,8 +25,7 @@ from absentrf.data import (
 from absentrf.forest import Forest, ForestConfig, oob_predict_all, predict_rows, train_forest
 from absentrf.heuristics import Heuristic
 from absentrf.seeding import Coins
-from absentrf.splits import CategoricalRule, OrderedRule
-from absentrf.tree import GrowConfig, Node, NodeStats, Tree, route, tree_to_dict
+from absentrf.tree import GrowConfig, route
 from reference import tree_predict, tree_vote
 
 ROUTED = [h for h in Heuristic if h is not Heuristic.ONE_HOT]
@@ -39,7 +38,7 @@ def oracle(forest, xmat, policy, coins, uses):
     totals = np.zeros(n) if regression else np.zeros((n, forest.n_classes), dtype=np.int64)
     tree_counts = np.zeros(n, dtype=np.int64)
     absent = np.zeros(n, dtype=np.int64)
-    for b, tree in enumerate(forest.trees):
+    for b, tree in enumerate(forest.tree_dicts):
         for i in np.flatnonzero(uses[b]):
             trace = route(tree, xmat[i], policy, coins, obs_id=int(i))
             if regression:
@@ -152,39 +151,50 @@ SCHEMA = (
 
 
 def cat_rule(left, present, q=3):
-    present = frozenset(present)
-    return CategoricalRule(
-        left_levels=frozenset(left),
-        present=present,
-        absent=frozenset(range(1, q + 1)) - present,
-        bitmask=sum(1 << (level - 1) for level in left),
-    )
+    """The rule fields of a categorical split of levels 1..``q``."""
+    return {
+        "kind": "categorical",
+        "left_levels": sorted(left),
+        "present": sorted(present),
+        "absent": sorted(set(range(1, q + 1)) - set(present)),
+        "bitmask": sum(1 << (level - 1) for level in left),
+        "pseudo_split": None,
+        "gamma": None,
+    }
+
+
+def ordered_rule(threshold):
+    return {"kind": "ordered", "threshold": threshold}
 
 
 def leaf(i, stat, size=1):
     """A leaf of class counts ``stat`` (a tuple) or of mean ``stat``."""
     if isinstance(stat, tuple):
-        return Node(i, NodeStats(size=sum(stat), class_counts=stat))
-    return Node(i, NodeStats(size=size, mean=stat))
+        return {"id": i, "size": sum(stat), "class_counts": list(stat), "split": None}
+    return {"id": i, "size": size, "mean": stat, "split": None}
 
 
 def split(i, stat, predictor, rule, children, sizes):
     node = leaf(i, stat, sum(sizes))
-    node.predictor, node.rule = predictor, rule
-    node.left, node.right = children
-    node.left_size, node.right_size = sizes
+    (left, right), (left_size, right_size) = children, sizes
+    node["split"] = {"predictor": predictor, "left": left, "right": right}
+    node["split"].update(left_size=left_size, right_size=right_size, **rule)
     return node
 
 
+def tree_dict(task, n_classes, nodes, tree_id=0):
+    return {"tree_id": tree_id, "task": task, "n_classes": n_classes, "nodes": nodes}
+
+
 def hand_forest(*trees):
-    task = trees[0].task
-    n_classes = trees[0].n_classes
+    task = trees[0]["task"]
+    n_classes = trees[0]["n_classes"]
     if task == REGRESSION:
         response = ResponseSpec(RESPONSE_NUMERIC)
     else:
         response = ResponseSpec(RESPONSE_CLASS, ("u", "v", "w")[:n_classes])
     return Forest(
-        tree_dicts=[tree_to_dict(t) for t in trees],
+        tree_dicts=list(trees),
         in_bag=np.ones((len(trees), 1), dtype=np.int64),
         config=ForestConfig(len(trees), 1, 0, GrowConfig(task, 1, 1)),
         fingerprint="",
@@ -208,7 +218,7 @@ def two_level_tree(stats, tree_id=0):
         leaf(3, stats[3], 6),
         leaf(4, stats[4], 3),
     ]
-    return Tree(task, n_classes, nodes, tree_id)
+    return tree_dict(task, n_classes, nodes, tree_id)
 
 
 def test_dbi_fork_two_levels_deep_sums_left_first():
@@ -247,7 +257,7 @@ def test_majority_tie_draws_the_coin_of_tree_node_and_row():
         leaf(1, -1.0, 2),
         leaf(2, 1.0, 2),
     ]
-    forest = hand_forest(Tree(REGRESSION, 0, nodes, tree_id=7))
+    forest = hand_forest(tree_dict(REGRESSION, 0, nodes, tree_id=7))
     xmat = np.tile([3.0, 1.0, 0.0], (40, 1))
     coins = Coins(master=99, replication=2)
     out = assert_matches_oracle(forest, xmat, coins, None)[Heuristic.MAJORITY]
@@ -258,7 +268,7 @@ def test_majority_tie_draws_the_coin_of_tree_node_and_row():
 
 def test_root_only_tree_next_to_a_split_tree():
     forest = hand_forest(
-        Tree(REGRESSION, 0, [leaf(0, 2.5)], tree_id=0),
+        tree_dict(REGRESSION, 0, [leaf(0, 2.5)], tree_id=0),
         two_level_tree([5.0, 6.0, 0.1, 0.3, 0.2], tree_id=1),
     )
     xmat = np.array([[3.0, 3.0, 0.0], [2.0, 1.0, 1.0]])
@@ -270,13 +280,13 @@ def test_root_only_tree_next_to_a_split_tree():
 
 def ordered_then_categorical():
     nodes = [
-        split(0, 0.0, 2, OrderedRule(0.5), (1, 2), (2, 2)),
+        split(0, 0.0, 2, ordered_rule(0.5), (1, 2), (2, 2)),
         leaf(1, -1.0, 2),
         split(2, 1.0, 0, cat_rule({1}, {1, 2}), (3, 4), (1, 1)),
         leaf(3, 3.0),
         leaf(4, 4.0),
     ]
-    return hand_forest(Tree(REGRESSION, 0, nodes))
+    return hand_forest(tree_dict(REGRESSION, 0, nodes))
 
 
 @pytest.mark.parametrize("value", [4.0, 0.0, 1.5, -2.0])
@@ -285,7 +295,7 @@ def test_out_of_range_level_raises_the_routers_error(value):
     row = np.array([[value, 1.0, 1.0]])
     for policy in ROUTED:
         with pytest.raises(ValueError) as reference:
-            route(forest.trees[0], row[0], policy, Coins(0))
+            route(forest.tree_dicts[0], row[0], policy, Coins(0))
         with pytest.raises(ValueError) as engine:
             predict_rows(forest, row, [policy], Coins(0))
         assert str(engine.value) == str(reference.value)

@@ -1,5 +1,6 @@
 """Tree growth, routing semantics, and serialization."""
-import json
+import copy
+import math
 
 import numpy as np
 import pytest
@@ -17,23 +18,19 @@ from absentrf.data import (
     ResponseSpec,
     from_arrays,
 )
+from absentrf.forest import ForestConfig, load_forest, save_forest, train_forest
 from absentrf.heuristics import Heuristic
 from absentrf.seeding import Coins, stream
-from absentrf.splits import CategoricalRule, OrderedRule
 from absentrf.tree import (
     GrowConfig,
-    Node,
-    NodeStats,
-    Tree,
     grow_tree,
     grow_trees,
     route,
     structure_hash,
-    tree_from_dict,
-    tree_to_dict,
 )
 from absentrf.tree import _first_best
 from reference import tree_predict, tree_vote
+from test_predict_engine import ROUTED, cat_rule, hand_forest, leaf, split, tree_dict
 
 # ---------------------------------------------------------------------------
 # a tree built by hand: routing semantics are exactly checkable
@@ -42,25 +39,8 @@ from reference import tree_predict, tree_vote
 def hand_tree():
     """Root splits a 4-level predictor: level 1 left, level 3 right,
     levels 2 and 4 never seen.  Daughter sizes 3 and 6."""
-    rule = CategoricalRule(
-        left_levels=frozenset({1}),
-        present=frozenset({1, 3}),
-        absent=frozenset({2, 4}),
-        bitmask=1,
-    )
-    root = Node(
-        id=0,
-        stats=NodeStats(size=9, mean=(3 * 10.0 + 6 * 20.0) / 9),
-        predictor=0,
-        rule=rule,
-        left=1,
-        right=2,
-        left_size=3,
-        right_size=6,
-    )
-    left = Node(id=1, stats=NodeStats(size=3, mean=10.0))
-    right = Node(id=2, stats=NodeStats(size=6, mean=20.0))
-    return Tree(task=REGRESSION, n_classes=0, nodes=[root, left, right], tree_id=0)
+    root = split(0, (3 * 10.0 + 6 * 20.0) / 9, 0, cat_rule({1}, {1, 3}, q=4), (1, 2), (3, 6))
+    return tree_dict(REGRESSION, 0, [root, leaf(1, 10.0, 3), leaf(2, 20.0, 6)])
 
 
 def test_present_levels_route_without_policy_involvement():
@@ -89,7 +69,7 @@ def test_absent_level_stop_predicts_at_internal_node():
     t = hand_tree()
     tr = route(t, [2.0], Heuristic.STOP)
     assert tr.entries == ((0, 1.0),)
-    assert tree_predict(tr, t) == pytest.approx(t.root.stats.mean)
+    assert tree_predict(tr, t) == pytest.approx(t["nodes"][0]["mean"])
 
 
 def test_absent_level_majority_follows_larger_daughter():
@@ -131,20 +111,16 @@ def test_absent_level_dbi_forks_with_daughter_share_weights():
 
 
 def test_dbi_weights_multiply_through_nested_forks():
-    rule_a = CategoricalRule(
-        left_levels=frozenset({1}), present=frozenset({1, 3}), absent=frozenset({2}), bitmask=1
-    )
-    rule_b = CategoricalRule(
-        left_levels=frozenset({3}), present=frozenset({3, 4}), absent=frozenset({2}), bitmask=4
-    )
+    rule_a = cat_rule({1}, {1, 3})  # absent {2}
+    rule_b = {**cat_rule({3}, {3, 4}, q=4), "absent": [2]}
     nodes = [
-        Node(0, NodeStats(9, mean=0.0), 0, rule_a, left=1, right=2, left_size=3, right_size=6),
-        Node(1, NodeStats(3, mean=1.0)),
-        Node(2, NodeStats(6, mean=0.0), 0, rule_b, left=3, right=4, left_size=2, right_size=4),
-        Node(3, NodeStats(2, mean=2.0)),
-        Node(4, NodeStats(4, mean=3.0)),
+        split(0, 0.0, 0, rule_a, (1, 2), (3, 6)),
+        leaf(1, 1.0, 3),
+        split(2, 0.0, 0, rule_b, (3, 4), (2, 4)),
+        leaf(3, 2.0, 2),
+        leaf(4, 3.0, 4),
     ]
-    t = Tree(task=REGRESSION, n_classes=0, nodes=nodes)
+    t = tree_dict(REGRESSION, 0, nodes)
     tr = route(t, [2.0], Heuristic.DBI)
     weights = dict(tr.entries)
     assert weights[1] == pytest.approx(1 / 3)
@@ -168,8 +144,7 @@ def test_onehot_policy_cannot_route():
 
 
 def test_classification_vote_ties_to_lowest_class():
-    nodes = [Node(0, NodeStats(4, class_counts=(2, 2)))]
-    t = Tree(task=CLASSIFICATION, n_classes=2, nodes=nodes)
+    t = tree_dict(CLASSIFICATION, 2, [leaf(0, (2, 2))])
     tr = route(t, [1.0], Heuristic.LEFT)
     assert tree_vote(tr, t) == 1
     assert np.allclose(tree_predict(tr, t), [0.5, 0.5])
@@ -232,7 +207,7 @@ def test_lock_step_growth_equals_growing_each_tree_alone(task, k, seed, n_trees,
     together = grow_trees(ds, samples, cfg, [stream(seed, b) for b in range(n_trees)], list(range(n_trees)))
     for b, rows in enumerate(samples):
         alone = grow_tree(ds, rows, cfg, stream(seed, b), tree_id=b)
-        assert together[b].tree_id == b
+        assert together[b]["tree_id"] == b
         assert structure_hash(together[b]) == structure_hash(alone)
 
 
@@ -268,38 +243,40 @@ def test_growth_is_deterministic():
 def test_growth_respects_min_node_size_and_partitions():
     for task in (REGRESSION, CLASSIFICATION):
         ds = mixed_dataset(task=task)
-        t = grow(ds, min_node_size=5)
-        assert len(t.nodes) > 1
-        for node in t.nodes:
-            if node.is_leaf:
+        nodes = grow(ds, min_node_size=5)["nodes"]
+        assert len(nodes) > 1
+        for node in nodes:
+            s = node["split"]
+            if s is None:
                 continue
-            assert node.stats.size > 5
-            assert node.left_size + node.right_size == node.stats.size
-            assert t.nodes[node.left].stats.size == node.left_size
-            assert t.nodes[node.right].stats.size == node.right_size
+            assert node["size"] > 5
+            assert s["left_size"] + s["right_size"] == node["size"]
+            assert nodes[s["left"]]["size"] == s["left_size"]
+            assert nodes[s["right"]]["size"] == s["right_size"]
 
 
 def test_growth_preorder_ids():
-    t = grow(mixed_dataset())
-    for node in t.nodes:
-        if not node.is_leaf:
-            assert node.left == node.id + 1
-            assert node.right > node.left
+    nodes = grow(mixed_dataset())["nodes"]
+    assert [node["id"] for node in nodes] == list(range(len(nodes)))
+    for node in nodes:
+        if node["split"]:
+            assert node["split"]["left"] == node["id"] + 1
+            assert node["split"]["right"] > node["split"]["left"]
 
 
 def test_pure_node_becomes_a_leaf():
     schema = (ColumnSchema("x", NUMERIC),)
     ds = from_arrays(schema, ResponseSpec(RESPONSE_NUMERIC), [[1.0, 2.0, 3.0]], [5.0, 5.0, 5.0])
     t = grow_tree(ds, np.arange(3), GrowConfig(REGRESSION, 1, 1), stream(0, 0))
-    assert len(t.nodes) == 1 and t.root.is_leaf
-    assert t.root.stats.mean == 5.0
+    assert len(t["nodes"]) == 1 and t["nodes"][0]["split"] is None
+    assert t["nodes"][0]["mean"] == 5.0
 
 
 def test_repeated_rows_count_in_node_sizes():
     ds = mixed_dataset()
     rows = np.array([0, 0, 0, 1, 2])
     t = grow(ds, rows=rows, min_node_size=1)
-    assert t.root.stats.size == 5
+    assert t["nodes"][0]["size"] == 5
 
 
 def test_growth_never_reads_left_out_rows():
@@ -320,7 +297,7 @@ def test_growth_never_reads_left_out_rows():
 def test_mtry_one_still_grows():
     ds = mixed_dataset()
     t = grow(ds, mtry=1, min_node_size=10)
-    assert len(t.nodes) > 1
+    assert len(t["nodes"]) > 1
 
 
 @pytest.mark.parametrize("max_q", [10, 0])  # the one level searched exhaustively, or at random
@@ -333,8 +310,8 @@ def test_growth_passes_over_a_one_level_column(max_q):
     ds = from_arrays(schema, ResponseSpec(RESPONSE_CLASS, ("lo", "hi")), columns, rng.integers(1, 3, n))
     cfg = GrowConfig(CLASSIFICATION, 2, 1, exhaustive_max_q_binary=max_q)
     t = grow_tree(ds, np.arange(n), cfg, stream(0, 0))
-    inner = [node for node in t.nodes if not node.is_leaf]
-    assert inner and all(node.predictor == 0 for node in inner)
+    inner = [node["split"] for node in t["nodes"] if node["split"]]
+    assert inner and all(s["predictor"] == 0 for s in inner)
 
 
 def test_grow_config_validation():
@@ -360,7 +337,7 @@ def test_grown_tree_routes_like_training_partition():
         tr = route(t, ds.row(i), Heuristic.LEFT)
         assert not tr.absent_encountered  # training rows only hit seen levels
         ((leaf_id, w),) = tr.entries
-        assert w == 1.0 and t.nodes[leaf_id].is_leaf
+        assert w == 1.0 and t["nodes"][leaf_id]["split"] is None
 
 
 def test_policies_agree_on_rows_without_absence():
@@ -390,55 +367,58 @@ def test_classification_probabilities_sum_to_one():
 # serialization
 
 
-def test_round_trip_preserves_structure_and_routing():
+def saved_and_loaded(forest, path):
+    save_forest(forest, path)
+    return load_forest(path)
+
+
+def assert_routes_alike(a, b, rows):
+    """``route`` gives the same trace through trees ``a`` and ``b`` for
+    every row and routed policy."""
+    coins = Coins(master=5)
+    for i, row in enumerate(rows):
+        for policy in ROUTED:
+            assert route(a, row, policy, coins, i) == route(b, row, policy, coins, i), (i, policy)
+
+
+def test_round_trip_preserves_structure_and_routing(tmp_path):
     for task in (REGRESSION, CLASSIFICATION):
         ds = mixed_dataset(task=task)
-        t = grow(ds)
-        blob = json.dumps(tree_to_dict(t))
-        back = tree_from_dict(json.loads(blob))
-        assert structure_hash(back) == structure_hash(t)
-        for i in range(ds.n_rows):
-            assert route(back, ds.row(i), Heuristic.LEFT) == route(t, ds.row(i), Heuristic.LEFT)
+        grow_cfg = GrowConfig(task=ds.task, mtry=2, min_node_size=5)
+        forest = train_forest(ds, ForestConfig(n_trees=3, seed=2, grow=grow_cfg))
+        back = saved_and_loaded(forest, tmp_path / f"{task}.json")
+        assert back.tree_dicts == forest.tree_dicts
+        for t, u in zip(forest.tree_dicts, back.tree_dicts):
+            assert structure_hash(u) == structure_hash(t)
+            assert_routes_alike(u, t, [ds.row(i) for i in range(ds.n_rows)])
 
 
-def test_round_trip_is_float_exact():
-    rule = CategoricalRule(
-        left_levels=frozenset({1}),
-        present=frozenset({1, 2}),
-        absent=frozenset({3}),
-        bitmask=1,
-        pseudo_split=0.1 + 0.2,  # not exactly representable in decimal
-        gamma=((1, 1 / 3), (2, 2**-45)),
-    )
+def test_round_trip_is_float_exact(tmp_path):
+    pseudo = {"pseudo_split": 0.1 + 0.2, "gamma": [[1, 1 / 3], [2, 2**-45]]}  # 0.3 is not exact in decimal
     nodes = [
-        Node(0, NodeStats(5, mean=1e-17), 0, rule, left=1, right=2, left_size=2, right_size=3),
-        Node(1, NodeStats(2, mean=-0.0)),
-        Node(2, NodeStats(3, mean=float(np.nextafter(1.0, 2.0)))),
+        split(0, 1e-17, 0, {**cat_rule({1}, {1, 2}), **pseudo}, (1, 2), (2, 3)),
+        leaf(1, -0.0, 2),
+        leaf(2, float(np.nextafter(1.0, 2.0)), 3),
     ]
-    t = Tree(task=REGRESSION, n_classes=0, nodes=nodes)
-    back = tree_from_dict(json.loads(json.dumps(tree_to_dict(t))))
-    r = back.nodes[0].rule
-    assert r.pseudo_split == 0.1 + 0.2
-    assert dict(r.gamma)[2] == 2**-45
-    assert back.nodes[2].stats.mean == float(np.nextafter(1.0, 2.0))
-    assert structure_hash(back) == structure_hash(t)
+    forest = hand_forest(tree_dict(REGRESSION, 0, nodes))
+    back = saved_and_loaded(forest, tmp_path / "m.json")
+    assert back.tree_dicts == forest.tree_dicts
+    t = back.tree_dicts[0]
+    r = t["nodes"][0]["split"]
+    assert r["pseudo_split"] == 0.1 + 0.2
+    assert dict(r["gamma"])[2] == 2**-45
+    assert t["nodes"][0]["mean"] == 1e-17
+    assert math.copysign(1.0, t["nodes"][1]["mean"]) == -1.0
+    assert t["nodes"][2]["mean"] == float(np.nextafter(1.0, 2.0))
+    assert structure_hash(t) == structure_hash(forest.tree_dicts[0])
+    assert_routes_alike(t, forest.tree_dicts[0], [[q, 1.0, 0.0] for q in (1.0, 2.0, 3.0)])
 
 
 def test_structure_hash_ignores_tree_id_only():
     ds = mixed_dataset()
     t = grow(ds)
-    other = Tree(task=t.task, n_classes=t.n_classes, nodes=t.nodes, tree_id=17)
-    assert structure_hash(other) == structure_hash(t)
+    assert structure_hash({**t, "tree_id": 17}) == structure_hash(t)
     # but any stats change shows up
-    mutated = tree_from_dict(tree_to_dict(t))
-    mutated.nodes[0] = Node(
-        0,
-        NodeStats(t.root.stats.size + 1, mean=t.root.stats.mean),
-        t.root.predictor,
-        t.root.rule,
-        t.root.left,
-        t.root.right,
-        t.root.left_size,
-        t.root.right_size,
-    )
+    mutated = copy.deepcopy(t)
+    mutated["nodes"][0]["size"] += 1
     assert structure_hash(mutated) != structure_hash(t)
