@@ -116,11 +116,13 @@ def _gini(lc: np.ndarray, totals: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     left class counts are ``lc[..., k]``, given the class totals
     ``totals[..., k]`` broadcast against them; the objective is ``inf``
     where a daughter is empty.  Counts are float64 integers far below
-    2**53, so every sum and product of them is exact.  ``lc`` must be
-    C-contiguous: ndarray.sum then adds each candidate's squared shares
-    pairwise along one row, as the per-node objectives of
-    ``tests/reference.py`` do, where a strided view from 8 classes up
-    adds them in another order."""
+    2**53, so every sum and product of them is exact.  Each candidate's
+    squared shares add in numpy's pairwise order along one row, as the
+    per-node objectives of ``tests/reference.py`` do.  Below 8 classes
+    that order is a plain left-to-right add, done here class column by
+    class column, many times faster on short rows; from 8 classes up
+    ndarray.sum adds them, and ``lc`` must be C-contiguous, since a
+    strided view adds them in another order."""
     k, ones = lc.shape[-1], np.ones(lc.shape[-1])
     rc = totals - lc
     # counts add exactly in any order, and one product adds all their short
@@ -128,9 +130,18 @@ def _gini(lc: np.ndarray, totals: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     ln = (lc.reshape(-1, k) @ ones).reshape(lc.shape[:-1])
     n = (totals.reshape(-1, k) @ ones).reshape(totals.shape[:-1])
     rn = n - ln
+
+    def share_sum(sq):
+        if k > 7:
+            return sq.sum(axis=-1)
+        out = sq[..., 0].copy()
+        for j in range(1, k):
+            out += sq[..., j]
+        return out
+
     with np.errstate(divide="ignore", invalid="ignore"):
-        gl = 1.0 - ((lc / ln[..., None]) ** 2).sum(axis=-1)
-        gr = 1.0 - ((rc / rn[..., None]) ** 2).sum(axis=-1)
+        gl = 1.0 - share_sum((lc / ln[..., None]) ** 2)
+        gr = 1.0 - share_sum((rc / rn[..., None]) ** 2)
         obj = (ln * gl + rn * gr) / n
     return np.where(ln * rn > 0, obj, np.inf), ln, rn
 
@@ -471,10 +482,36 @@ def count_partitions(n_levels: int) -> int:
 
 
 def random_bitmasks(rng: np.random.Generator, n_candidates: int, n_levels: int) -> np.ndarray:
-    """(n_candidates, n_levels) matrix of independent fair-coin bits."""
+    """(n_candidates, n_levels) uint8 matrix of independent fair-coin bits:
+    the values of ``rng.integers(0, 2, size=(n_candidates, n_levels),
+    dtype=np.int64)``, leaving ``rng`` in the same state.
+
+    For a PCG64 generator that call takes each bit as the top bit of one
+    32-bit half of the raw stream, low half first, starting with the
+    generator's buffered half if it holds one, and buffers the high half
+    of its last raw word.  This reads that stream with ``random_raw``, at
+    about half the cost, and sets the buffer as numpy leaves it (a used
+    half stays in ``uinteger``).  Other generators call ``integers``."""
     if n_candidates < 1:
         raise ValueError("need at least one candidate")
-    return rng.integers(0, 2, size=(n_candidates, n_levels), dtype=np.int64)
+    bitgen, m = rng.bit_generator, n_candidates * n_levels
+    if type(bitgen) is not np.random.PCG64:
+        return rng.integers(0, 2, size=(n_candidates, n_levels), dtype=np.int64).astype(np.uint8)
+    state = bitgen.state
+    buffered = min(state["has_uint32"], m)
+    words = bitgen.random_raw((m - buffered + 1) // 2)
+    bits = np.empty(m, dtype=np.uint8)
+    bits[:buffered] = state["uinteger"] >> 31
+    # the top byte of each 32-bit half, low half first, holds its top bit
+    tops = words.astype("<u8", copy=False).view(np.uint8)[3::4]
+    np.right_shift(tops[: m - buffered], 7, out=bits[buffered:])
+    state = bitgen.state  # random_raw has moved the generator on
+    if words.size:
+        state["has_uint32"], state["uinteger"] = (m - buffered) % 2, int(words[-1] >> 32)
+    else:
+        state["has_uint32"] -= buffered
+    bitgen.state = state
+    return bits.reshape(n_candidates, n_levels)
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +520,7 @@ def random_bitmasks(rng: np.random.Generator, n_candidates: int, n_levels: int) 
 # cells of eight bytes in a bitmask chunk's working arrays: candidates ×
 # classes for the objective, the kept bytes of random draws.  Chunks of
 # 32 to 512 kB grew bridge forests equally fast; keeping a whole step's
-# 1024 × Q int64 draws instead holds megabytes at once.
+# 1024 × Q draws instead holds megabytes at once.
 _BITMASK_CELLS = 1 << 14
 
 # every encoding of Q levels, for the Q whose encodings one product scores

@@ -28,7 +28,6 @@ from absentrf.splits import (
     OrderedRule,
     _encode,
     count_partitions,
-    random_bitmasks,
 )
 from absentrf.tree import NodeTable, PredictionTrace
 
@@ -368,11 +367,13 @@ def random_categorical_split(
     Draws ``n_candidates`` masks with every one of the ``Q`` bits an
     independent fair coin (absent levels included), discards draws that
     leave a present-level daughter empty, and keeps the first strict
-    optimum in draw order.  Returns None when no draw is valid.
+    optimum in draw order.  Returns None when no draw is valid.  The
+    bits come from numpy's own ``rng.integers``, not from the package's
+    ``splits.random_bitmasks``, so the package is checked against numpy.
     """
 
     def draw(q: int) -> np.ndarray:
-        return random_bitmasks(rng, n_candidates, q)
+        return rng.integers(0, 2, size=(n_candidates, q), dtype=np.int64)
 
     return _bitmask_split(dataset, rows, predictor, "random", draw)
 

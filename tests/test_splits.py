@@ -703,6 +703,7 @@ def test_random_bitmasks_shape_and_range():
     rng = np.random.default_rng(7)
     bits = random_bitmasks(rng, 256, 12)
     assert bits.shape == (256, 12)
+    assert bits.dtype == np.uint8
     assert set(np.unique(bits)) <= {0, 1}
 
 
@@ -711,6 +712,63 @@ def test_random_bitmask_bits_are_fair_coins():
     bits = random_bitmasks(rng, 20000, 6)
     freq = bits.mean(axis=0)
     assert np.all(np.abs(freq - 0.5) < 0.02)
+
+
+# odd and even sizes, one bit, one level and one candidate, and the 1024 × 46
+# draw of bridge data's location column
+BITMASK_SHAPES = [(1024, 46), (1024, 45), (1, 1), (1, 2), (2, 1), (3, 5), (7, 7)]
+
+
+@pytest.mark.parametrize("shape", BITMASK_SHAPES)
+@pytest.mark.parametrize("halves_before", [0, 1, 4])  # 1: a buffered half on entry
+def test_random_bitmasks_equal_numpy_integers_and_leave_the_same_state(shape, halves_before):
+    # random_bitmasks replicates how numpy's integers() reads the PCG64
+    # stream; a numpy that reads it otherwise must fail here, not move forests
+    for seed in range(200):
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for rng in (got_rng, want_rng):
+            rng.integers(0, 2, size=halves_before)  # one 32-bit half per value
+        got = random_bitmasks(got_rng, *shape)
+        want = want_rng.integers(0, 2, size=shape, dtype=np.int64)
+        assert got.dtype == np.uint8 and np.array_equal(got, want)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert later_draws(got_rng) == later_draws(want_rng)
+
+
+def later_draws(rng):
+    return rng.integers(0, 2, size=3).tolist(), rng.choice(50, size=4).tolist(), rng.random()
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox])
+def test_random_bitmasks_of_other_generators_equal_numpy_integers(bit_generator):
+    for seed in range(20):
+        got_rng, want_rng = np.random.Generator(bit_generator(seed)), np.random.Generator(bit_generator(seed))
+        for shape in BITMASK_SHAPES:
+            got = random_bitmasks(got_rng, *shape)
+            assert got.dtype == np.uint8
+            assert np.array_equal(got, want_rng.integers(0, 2, size=shape, dtype=np.int64))
+            assert same_state(got_rng, want_rng)
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox])
+def test_random_split_of_other_generators_equals_reference(bit_generator):
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        q, k = int(rng.integers(1, 70)), int(rng.choice([2, 3, 7]))
+        ds, rows, _, _ = bitmask_instance(rng, q, k)
+        got_rng, want_rng = np.random.Generator(bit_generator(seed)), np.random.Generator(bit_generator(seed))
+        want = reference.random_categorical_split(ds, rows, 0, want_rng, 300)
+        assert random_categorical_split(ds, rows, 0, got_rng, 300) == want
+        assert same_state(got_rng, want_rng)
+
+
+def same_state(a: np.random.Generator, b: np.random.Generator) -> bool:
+    def equal(x, y):  # MT19937 keeps its key in an array
+        if isinstance(x, dict):
+            return x.keys() == y.keys() and all(equal(x[f], y[f]) for f in x)
+        return np.array_equal(x, y)
+
+    return equal(a.bit_generator.state, b.bit_generator.state)
 
 
 def test_random_split_deterministic_given_rng_state():
@@ -758,6 +816,55 @@ def test_gini_equals_masked_objective_on_present_levels(seed):
     assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
 
 
+def spread_rows(rng, n, k):
+    """(n, k) positive floats whose magnitudes span 1e-8 to 1e8."""
+    return 10.0 ** rng.uniform(-8, 8, size=(n, k)) * rng.random((n, k))
+
+
+def column_add(sq):
+    out = sq[..., 0].copy()
+    for j in range(1, sq.shape[-1]):
+        out += sq[..., j]
+    return out
+
+
+def test_column_add_equals_numpy_sum_below_8_classes_only():
+    # _gini adds squared shares column by column below 8 classes because
+    # there numpy's pairwise sum is a plain left-to-right add; a numpy that
+    # adds them otherwise must fail here, not move forests
+    rng = np.random.default_rng(0)
+    for k in range(2, 8):
+        sq = spread_rows(rng, 200_000, k)
+        assert column_add(sq).tobytes() == sq.sum(axis=-1).tobytes()
+        sq = sq.reshape(1000, 200, k)  # the (candidates, pairs, K) layout
+        assert column_add(sq).tobytes() == sq.sum(axis=-1).tobytes()
+    for k in (8, 17):
+        sq = spread_rows(rng, 200_000, k)
+        assert column_add(sq).tobytes() != sq.sum(axis=-1).tobytes()
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 7, 8, 17])
+def test_gini_adds_squared_shares_as_numpy_sum_does(k):
+    # from 8 classes up the column add differs from ndarray.sum on these
+    # rows, so _gini must still add them with ndarray.sum there
+    rng = np.random.default_rng(k)
+    totals = rng.integers(1, 10**6, size=(50_000, k)).astype(np.float64)
+    lc = np.floor(totals * rng.random(totals.shape))
+    ln, n = lc.sum(axis=-1), totals.sum(axis=-1)
+    rn = n - ln
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gl = 1.0 - ((lc / ln[:, None]) ** 2).sum(axis=-1)
+        gr = 1.0 - (((totals - lc) / rn[:, None]) ** 2).sum(axis=-1)
+    want = np.where(ln * rn > 0, (ln * gl + rn * gr) / n, np.inf)
+    got, got_ln, got_rn = _gini(lc, totals)
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(got_ln, ln) and np.array_equal(got_rn, rn)
+    if k >= 8:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            by_columns = 1.0 - column_add((lc / ln[:, None]) ** 2)
+        assert by_columns.tobytes() != gl.tobytes()
+
+
 def test_random_split_single_present_level_is_none():
     ds = cat_dataset([3] * 8, [1, 2] * 4, 5, CLASSIFICATION, k=2)
     s = random_categorical_split(ds, np.arange(8), 0, np.random.default_rng(0), 64)
@@ -803,7 +910,7 @@ def test_random_search_equals_replay_scored_by_masked_objective(seed):
     got_rng, want_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
     s = random_categorical_split(ds, rows, 0, got_rng, m)
 
-    bits = random_bitmasks(want_rng, m, q)
+    bits = want_rng.integers(0, 2, size=(m, q), dtype=np.int64)  # numpy's draw, not the package's
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
     counts = np.zeros((q, k), dtype=np.int64)
     np.add.at(counts, (x - 1, y - 1), 1)
