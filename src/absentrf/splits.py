@@ -116,13 +116,11 @@ def _gini(lc: np.ndarray, totals: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     left class counts are ``lc[..., k]``, given the class totals
     ``totals[..., k]`` broadcast against them; the objective is ``inf``
     where a daughter is empty.  Counts are float64 integers far below
-    2**53, so every sum and product of them is exact.  Each candidate's
-    squared shares add in numpy's pairwise order along one row, as the
-    per-node objectives of ``tests/reference.py`` do.  Below 8 classes
-    that order is a plain left-to-right add, done here class column by
-    class column, many times faster on short rows; from 8 classes up
-    ndarray.sum adds them, and ``lc`` must be C-contiguous, since a
-    strided view adds them in another order."""
+    2**53, so every sum and product of them is exact.  ``lc`` must be
+    C-contiguous: ndarray.sum then adds each candidate's squared shares
+    pairwise along one row, as the per-node objectives of
+    ``tests/reference.py`` do, where a strided view from 8 classes up
+    adds them in another order."""
     k, ones = lc.shape[-1], np.ones(lc.shape[-1])
     rc = totals - lc
     # counts add exactly in any order, and one product adds all their short
@@ -130,18 +128,9 @@ def _gini(lc: np.ndarray, totals: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     ln = (lc.reshape(-1, k) @ ones).reshape(lc.shape[:-1])
     n = (totals.reshape(-1, k) @ ones).reshape(totals.shape[:-1])
     rn = n - ln
-
-    def share_sum(sq):
-        if k > 7:
-            return sq.sum(axis=-1)
-        out = sq[..., 0].copy()
-        for j in range(1, k):
-            out += sq[..., j]
-        return out
-
     with np.errstate(divide="ignore", invalid="ignore"):
-        gl = 1.0 - share_sum((lc / ln[..., None]) ** 2)
-        gr = 1.0 - share_sum((rc / rn[..., None]) ** 2)
+        gl = 1.0 - ((lc / ln[..., None]) ** 2).sum(axis=-1)
+        gr = 1.0 - ((rc / rn[..., None]) ** 2).sum(axis=-1)
         obj = (ln * gl + rn * gr) / n
     return np.where(ln * rn > 0, obj, np.inf), ln, rn
 
@@ -491,7 +480,10 @@ def random_bitmasks(rng: np.random.Generator, n_candidates: int, n_levels: int) 
     generator's buffered half if it holds one, and buffers the high half
     of its last raw word.  This reads that stream with ``random_raw``, at
     about half the cost, and sets the buffer as numpy leaves it (a used
-    half stays in ``uinteger``).  Other generators call ``integers``."""
+    half stays in ``uinteger``).  Other generators call ``integers``.
+    Unlike ``integers``, the read and the write-back are separate steps,
+    so no other thread may draw from ``rng`` while this runs: its draw
+    would be undone and its bits repeated."""
     if n_candidates < 1:
         raise ValueError("need at least one candidate")
     bitgen, m = rng.bit_generator, n_candidates * n_levels

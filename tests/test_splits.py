@@ -816,55 +816,6 @@ def test_gini_equals_masked_objective_on_present_levels(seed):
     assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
 
 
-def spread_rows(rng, n, k):
-    """(n, k) positive floats whose magnitudes span 1e-8 to 1e8."""
-    return 10.0 ** rng.uniform(-8, 8, size=(n, k)) * rng.random((n, k))
-
-
-def column_add(sq):
-    out = sq[..., 0].copy()
-    for j in range(1, sq.shape[-1]):
-        out += sq[..., j]
-    return out
-
-
-def test_column_add_equals_numpy_sum_below_8_classes_only():
-    # _gini adds squared shares column by column below 8 classes because
-    # there numpy's pairwise sum is a plain left-to-right add; a numpy that
-    # adds them otherwise must fail here, not move forests
-    rng = np.random.default_rng(0)
-    for k in range(2, 8):
-        sq = spread_rows(rng, 200_000, k)
-        assert column_add(sq).tobytes() == sq.sum(axis=-1).tobytes()
-        sq = sq.reshape(1000, 200, k)  # the (candidates, pairs, K) layout
-        assert column_add(sq).tobytes() == sq.sum(axis=-1).tobytes()
-    for k in (8, 17):
-        sq = spread_rows(rng, 200_000, k)
-        assert column_add(sq).tobytes() != sq.sum(axis=-1).tobytes()
-
-
-@pytest.mark.parametrize("k", [2, 3, 5, 7, 8, 17])
-def test_gini_adds_squared_shares_as_numpy_sum_does(k):
-    # from 8 classes up the column add differs from ndarray.sum on these
-    # rows, so _gini must still add them with ndarray.sum there
-    rng = np.random.default_rng(k)
-    totals = rng.integers(1, 10**6, size=(50_000, k)).astype(np.float64)
-    lc = np.floor(totals * rng.random(totals.shape))
-    ln, n = lc.sum(axis=-1), totals.sum(axis=-1)
-    rn = n - ln
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gl = 1.0 - ((lc / ln[:, None]) ** 2).sum(axis=-1)
-        gr = 1.0 - (((totals - lc) / rn[:, None]) ** 2).sum(axis=-1)
-    want = np.where(ln * rn > 0, (ln * gl + rn * gr) / n, np.inf)
-    got, got_ln, got_rn = _gini(lc, totals)
-    assert got.tobytes() == want.tobytes()
-    assert np.array_equal(got_ln, ln) and np.array_equal(got_rn, rn)
-    if k >= 8:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            by_columns = 1.0 - column_add((lc / ln[:, None]) ** 2)
-        assert by_columns.tobytes() != gl.tobytes()
-
-
 def test_random_split_single_present_level_is_none():
     ds = cat_dataset([3] * 8, [1, 2] * 4, 5, CLASSIFICATION, k=2)
     s = random_categorical_split(ds, np.arange(8), 0, np.random.default_rng(0), 64)
