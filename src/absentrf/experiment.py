@@ -153,7 +153,11 @@ def load_experiment_config(path) -> ExperimentConfig:
         if f.name not in obj or value is None and kind != f.type:
             continue
         types, name = _JSON_TYPES[kind]
-        if not isinstance(value, types) or isinstance(value, bool) != (kind == "bool"):
+        if (
+            not isinstance(value, types)
+            or isinstance(value, bool) != (kind == "bool")
+            or isinstance(value, list) and not all(isinstance(t, str) for t in value)
+        ):
             raise ConfigError(f"{path}: field {f.name!r} must be {name}, not {json.dumps(value)}")
     try:
         obj["heuristics"] = tuple(parse_heuristic(t) for t in obj["heuristics"])

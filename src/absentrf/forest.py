@@ -143,7 +143,7 @@ def train_forest(dataset: Dataset, config: ForestConfig, workers: int = 1) -> Fo
         # one contiguous chunk of trees, so one pickled dataset, per worker
         size = -(-len(tasks) // workers)
         chunks = [tasks[k : k + size] for k in range(0, len(tasks), size)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             trees = [tree for grown in pool.map(grow, chunks) for tree in grown]
 
     return Forest(

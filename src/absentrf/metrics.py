@@ -167,65 +167,42 @@ def paired_difference_summary(
     contributes one difference to the bucket of that row's pooled
     absence proportion.  Buckets cover [0, 1] in ``bucket_width`` steps
     (the last bucket is closed above); empty buckets are reported with
-    count 0 rather than dropped.
+    count 0 rather than dropped.  A bucket's mean and 95% interval are
+    ``.mean()`` and ``np.percentile(..., [2.5, 97.5])`` of its
+    differences, taken for every pair at once, one bucket at a time.
     """
     if not 0 < bucket_width <= 1:
         raise ValueError("bucket_width must lie in (0, 1]")
     absence = np.asarray(absence, dtype=np.float64)
     n_buckets = int(np.ceil(1.0 / bucket_width))
     edges = np.minimum(np.arange(n_buckets + 1) * bucket_width, 1.0)
-    usable = ~np.isnan(absence)
+    usable = np.flatnonzero(~np.isnan(absence))
     idx = np.minimum((absence[usable] / bucket_width).astype(np.int64), n_buckets - 1)
-    columns = [np.flatnonzero(idx == k) for k in range(n_buckets)]
 
-    out: list[PairedBucket] = []
-    for first, second in itertools.combinations(values, 2):
-        a = np.asarray(values[first], dtype=np.float64)
-        b = np.asarray(values[second], dtype=np.float64)
+    arrays = {h: np.asarray(v, dtype=np.float64) for h, v in values.items()}
+    pairs = list(itertools.combinations(arrays, 2))
+    for first, second in pairs:
+        a, b = arrays[first], arrays[second]
         if a.shape != b.shape or a.ndim != 2 or a.shape[1] != absence.size:
             raise ValueError("value arrays must share an (R, N) shape matching absence")
-        diffs = (a - b)[:, usable]
-        bounds = _bucket_percentiles(diffs.ravel(), np.tile(idx, diffs.shape[0]), n_buckets).tolist()
-        for k, cols in enumerate(columns):
-            sel = diffs[:, cols].ravel()
-            stats = [None] * 3  # mean, lo95, hi95 of an empty bucket
-            if sel.size:
-                stats = [float(sel.mean()), *bounds[k]]
-            out.append(PairedBucket(first, second, float(edges[k]), float(edges[k + 1]), int(sel.size), *stats))
-    return out
+    reps = arrays[pairs[0][0]].shape[0] if pairs else 0
 
+    counts, stats = [], []  # per bucket: its size, and (mean, lo95, hi95) per pair
+    for k in range(n_buckets):
+        cols = usable[idx == k]
+        counts.append(reps * cols.size)
+        if not counts[-1]:
+            stats.append([(None, None, None)] * len(pairs))
+            continue
+        diffs = np.empty((len(pairs), counts[-1]))
+        for row, (f, s) in zip(diffs, pairs):
+            np.subtract(arrays[f][:, cols], arrays[s][:, cols], out=row.reshape(reps, cols.size))
+        means = diffs.mean(axis=1).tolist()  # before the percentile reorders diffs in place
+        lo, hi = np.percentile(diffs, [2.5, 97.5], axis=1, overwrite_input=True).tolist()
+        stats.append(list(zip(means, lo, hi)))
 
-# the 95% interval's ends as fractions, divided as np.percentile divides
-_INTERVAL = np.true_divide([2.5, 97.5], 100)
-
-
-def _bucket_percentiles(values: np.ndarray, bucket: np.ndarray, n_buckets: int) -> np.ndarray:
-    """``np.percentile(values[bucket == k], [2.5, 97.5])`` for every bucket
-    ``k``, bit for bit, from one sort; rows of empty buckets are NaN.
-
-    numpy's linear method reads the sorted values at index ``(n-1) * q``:
-    ``a + (b - a) * g`` from the value ``a`` below and ``b`` above, with
-    ``g`` the index's fraction, or ``b - (b - a) * (1 - g)`` once ``g`` is
-    at least 0.5.  At the last index both are the last value, with
-    ``g = (n-1) * q + 1``.  A bucket holding NaN gets its last sorted value,
-    a NaN.  (When a bucket holds both 0.0 and -0.0, which of the two a
-    quantile lands on may differ from numpy's partition.)
-    """
-    ordered = values[np.lexsort((values, bucket))]
-    n = np.bincount(bucket, minlength=n_buckets)
-    out = np.full((n_buckets, _INTERVAL.size), np.nan)
-    full = np.flatnonzero(n)
-    n, last = n[full, None], (np.cumsum(n) - 1)[full, None]
-    index = (n - 1) * _INTERVAL
-    below = np.floor(index)
-    top = index >= n - 1
-    below[top] = -1
-    gamma = index - below
-    lo = np.where(top, last, last - (n - 1) + below.astype(np.int64))
-    a, b = ordered[lo], ordered[np.where(top, last, lo + 1)]
-    diff = b - a
-    res = a + diff * gamma
-    np.subtract(b, diff * (1 - gamma), out=res, where=gamma >= 0.5)
-    end = ordered[last]
-    out[full] = np.where(np.isnan(end), end, res)
-    return out
+    return [
+        PairedBucket(first, second, float(edges[k]), float(edges[k + 1]), counts[k], *stats[k][p])
+        for p, (first, second) in enumerate(pairs)
+        for k in range(n_buckets)
+    ]

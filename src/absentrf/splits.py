@@ -200,7 +200,7 @@ def emulate_zero_imputed_routing(table: GammaTable, pseudo_split: float) -> dict
 # of the nodes are right-padded to a common width, and padded cells sort
 # or bin after every real one.  Prefix sums along a row are exact under
 # padding; a row's full sum is not, since ndarray.sum adds pairwise, so
-# :func:`_row_sums` reproduces that order.
+# :func:`_row_sums` sums each row over its own length.
 
 # padded cells per batch.  Batches this small ran as fast as one batch per
 # step on the benchmark's workloads, and keep the working arrays at a few
@@ -264,43 +264,16 @@ class NodeBlock:
 
 
 def _row_sums(mat: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """``mat[i, :lengths[i]].sum()`` for every row ``i``, bit for bit, where
-    every entry past a row's length is 0.0.
+    """``mat[i, :lengths[i]].sum()`` for every row ``i``, bit for bit.
 
-    ndarray.sum adds a run of float64 values to 0.0 pairwise: a run of up
-    to 128 values in 8 interleaved lanes of its full blocks of 8, the
-    lanes as ((0+1)+(2+3))+((4+5)+(6+7)), then the leftover values one by
-    one.  Here each lane starts from 0.0 and a row's padding zeros are
-    added after its values: an extra zero addend can change only the sign
-    of a zero partial sum, and the final 0.0 + erases that sign anyway.
-    Longer runs, which numpy splits in two, are left to numpy, grouped by
-    length.
-    """
-    longest = int(np.maximum.reduce(lengths))
-    if longest > 128:
-        out = np.empty(lengths.size)
-        big = lengths > 128
-        for length in set(lengths[big].tolist()):
-            same = lengths == length
-            out[same] = mat[same, :length].sum(axis=1)
-        small = ~big
-        if small.any():
-            out[small] = _row_sums(mat[small], lengths[small])
-        return out
-    m, k = lengths.size, longest // 8 + 1
-    # a zero block, then the rows: a row without a full block reads zero lanes
-    work = np.zeros((m, 8 * k + 8))
-    w = min(mat.shape[1], 8 * k)
-    work[:, 8 : 8 + w] = mat[:, :w]
-    lanes = lengths // 8
-    at = np.arange(m)
-    r = work.reshape(m, k + 1, 8).cumsum(axis=1)[at, lanes]
-    r = r[:, 0::2] + r[:, 1::2]
-    r = r[:, 0::2] + r[:, 1::2]
-    # the lanes' total, then the leftover values in order
-    tail = work[at[:, None], 8 * lanes[:, None] + np.arange(7, 15)]
-    tail[:, 0] = r[:, 0] + r[:, 1]
-    return 0.0 + tail.cumsum(axis=1)[:, -1]
+    Rows of one length are summed by one ``ndarray.sum(axis=1)`` over
+    their common prefix, which adds each row in the same pairwise order
+    as the row's own sum."""
+    out = np.empty(lengths.size)
+    for length in set(lengths.tolist()):
+        same = lengths == length
+        out[same] = mat[same, :length].sum(axis=1)
+    return out
 
 
 def _runs(widths: np.ndarray, cells: int):

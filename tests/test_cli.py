@@ -460,6 +460,8 @@ def test_experiment_failure_exit_code(tmp_path, capsys):
         ("log_loss_eps", "0.1"),
         ("heuristics", 5),
         ("baseline", 5),
+        ("heuristics", ["left", []]),
+        ("baseline", [["dbi"]]),
     ],
 )
 def test_experiment_rejects_bad_config_before_training(tmp_path, capsys, field, value):

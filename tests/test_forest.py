@@ -1,5 +1,6 @@
 """Forest training, out-of-bag prediction, and persistence."""
 import json
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -146,6 +147,21 @@ def test_worker_count_does_not_change_the_forest():
         _, parallel = small_forest(task, seed=11, workers=workers)
         assert forest_tree_hashes(serial) == forest_tree_hashes(parallel)
         assert np.array_equal(serial.in_bag, parallel.in_bag)
+
+
+def test_pool_starts_one_process_per_chunk(monkeypatch):
+    sizes = []
+
+    class SpyPool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=min(max_workers, 2))
+
+    monkeypatch.setattr("absentrf.forest.ProcessPoolExecutor", SpyPool)
+    _, serial = small_forest(n_trees=2, seed=11, workers=1)
+    _, pooled = small_forest(n_trees=2, seed=11, workers=64)
+    assert sizes == [2]
+    assert forest_hash(pooled) == forest_hash(serial)
 
 
 def test_trees_have_distinct_bootstraps():

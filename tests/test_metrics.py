@@ -24,7 +24,7 @@ from absentrf.metrics import (
     rmse,
     roc_auc,
 )
-from absentrf.metrics import _bucket_percentiles, _midranks
+from absentrf.metrics import _midranks
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -243,34 +243,44 @@ def test_paired_difference_skips_undefined_rows():
     assert sum(b.count for b in out) == 1
 
 
-@given(
-    st.lists(
-        st.tuples(
-            st.integers(0, 3),
-            # quarters: ties, but never -0.0 (see _bucket_percentiles)
-            st.one_of(st.integers(-8, 8).map(lambda v: v / 4), st.sampled_from([np.nan, np.inf, -np.inf])),
-        ),
-        max_size=40,
-    )
-)
+# quarters give ties; differences of signed zeros give both 0.0 and -0.0
+_CELL = st.one_of(st.integers(-8, 8).map(lambda v: v / 4), st.sampled_from([-0.0, np.nan, np.inf, -np.inf]))
+
+
+@given(n_heuristics=st.integers(2, 4), reps=st.integers(1, 3), data=st.data())
 @settings(max_examples=300, deadline=None)
-def test_bucket_percentiles_equal_np_percentile(cells):
-    bucket = np.array([b for b, _ in cells], dtype=np.int64)
-    values = np.array([v for _, v in cells], dtype=np.float64)
-    # inf - inf warns as it does in np.percentile, and only where it does
+def test_paired_difference_summary_equals_np_percentile_per_bucket(n_heuristics, reps, data):
+    bucket = data.draw(st.lists(st.sampled_from([0, 1, 2, 3, None]), max_size=12))
+    absence = np.array([np.nan if b is None else (b + 0.5) / 4 for b in bucket])
+    size = reps * len(bucket)
+    values = {
+        f"h{i}": np.array(data.draw(st.lists(_CELL, min_size=size, max_size=size)), dtype=np.float64).reshape(
+            reps, len(bucket)
+        )
+        for i in range(n_heuristics)
+    }
+    # inf - inf warns as it does in np.percentile and .mean(), and only where it does
     with warnings.catch_warnings(record=True) as ours:
         warnings.simplefilter("always")
-        got = _bucket_percentiles(values, bucket, 4)
+        got = paired_difference_summary(values, absence, bucket_width=0.25)
+    names = list(values)
+    pairs = [(f, s) for i, f in enumerate(names) for s in names[i + 1 :]]
+    assert [(b.first, b.second) for b in got] == [pair for pair in pairs for _ in range(4)]
     with warnings.catch_warnings(record=True) as theirs:
         warnings.simplefilter("always")
-        for k in range(4):
-            sel = values[bucket == k]
-            if sel.size == 0:
-                assert np.isnan(got[k]).all()
-                continue
-            want = np.percentile(sel, [2.5, 97.5])
-            assert np.array_equal(np.isnan(got[k]), np.isnan(want))
-            assert got[k][~np.isnan(want)].tobytes() == want[~np.isnan(want)].tobytes()
+        for j, (first, second) in enumerate(pairs):
+            diffs = values[first] - values[second]
+            for k in range(4):
+                out = got[4 * j + k]
+                sel = diffs[:, [c for c, b in enumerate(bucket) if b == k]].ravel()
+                assert out.count == sel.size
+                if sel.size == 0:
+                    assert (out.mean, out.lo95, out.hi95) == (None, None, None)
+                    continue
+                want = np.array([sel.mean(), *np.percentile(sel, [2.5, 97.5])])
+                have = np.array([out.mean, out.lo95, out.hi95])
+                assert np.array_equal(np.isnan(have), np.isnan(want))
+                assert have[~np.isnan(want)].tobytes() == want[~np.isnan(want)].tobytes()
     assert bool(ours) <= bool(theirs)
 
 
