@@ -111,13 +111,9 @@ class Dataset:
     def task(self) -> str:
         return self.response.task
 
-    def row(self, i: int) -> np.ndarray:
-        """Predictor values of row ``i`` as a float vector (level indices
-        are small integers, exactly representable)."""
-        return np.array([float(c[i]) for c in self.columns])
-
     def matrix(self) -> np.ndarray:
-        """All rows as a float (N, P) matrix; see :meth:`row`."""
+        """All rows as a float (N, P) matrix (level indices are small
+        integers, exactly representable)."""
         return np.column_stack([c.astype(float) for c in self.columns])
 
     def fingerprint(self) -> str:

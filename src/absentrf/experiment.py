@@ -55,6 +55,7 @@ from .metrics import (
 )
 from .seeding import REPLICATION, Coins, derive
 from .splits import EXHAUSTIVE_HARD_LIMIT
+from .tree import store_ints
 
 
 class ConfigError(ValueError):
@@ -85,16 +86,14 @@ class ExperimentConfig:
     skip_header: bool = False
 
     def __post_init__(self):
-        if self.replications < 1:
-            raise ConfigError("replications must be at least 1")
-        if self.n_trees < 1:
-            raise ConfigError("n_trees must be at least 1")
+        store_ints(self)
+        for name in ("replications", "n_trees", "workers"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1")
         if not self.heuristics:
             raise ConfigError("at least one heuristic is required")
         if len(set(self.heuristics)) != len(self.heuristics):
             raise ConfigError("duplicate heuristics")
-        if self.workers < 1:
-            raise ConfigError("workers must be at least 1")
         if not 0 < self.bucket_width <= 1:
             raise ConfigError("bucket_width must lie in (0, 1]")
         if self.sample_size is not None and self.sample_size < 1:

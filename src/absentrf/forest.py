@@ -29,7 +29,7 @@ from .data import (
 )
 from .heuristics import Heuristic
 from .seeding import BOOTSTRAP, COIN, TREE, Coins, derive, stream
-from .tree import GrowConfig, NodeTable, grow_trees, structure_hash
+from .tree import GrowConfig, NodeTable, grow_trees, store_ints, structure_hash
 
 FOREST_FORMAT = "absentrf-forest"
 FOREST_FORMAT_VERSION = 1
@@ -47,6 +47,7 @@ class ForestConfig:
     grow: GrowConfig | None = None
 
     def __post_init__(self):
+        store_ints(self)
         if self.n_trees < 1:
             raise ValueError("a forest needs at least one tree")
         if self.sample_size is not None and self.sample_size < 1:
@@ -342,12 +343,7 @@ def forest_from_dict(obj: dict) -> Forest:
     try:
         cfg_obj = obj["config"]
         grow = GrowConfig(**cfg_obj["grow"])
-        config = ForestConfig(
-            n_trees=int(cfg_obj["n_trees"]),
-            sample_size=int(cfg_obj["sample_size"]),
-            seed=int(cfg_obj["seed"]),
-            grow=grow,
-        )
+        config = ForestConfig(cfg_obj["n_trees"], cfg_obj["sample_size"], cfg_obj["seed"], grow)
         schema, response = schema_from_dict(obj["data"])
         forest = Forest(
             tree_dicts=list(obj["trees"]),

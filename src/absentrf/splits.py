@@ -8,14 +8,14 @@ CART toolbox:
   binary classification) and an ordered scan over those pseudo values
   finds the best threshold.  By Fisher's grouping argument the induced
   level bipartition is optimal over all ``2**(Q-1) - 1`` candidates.
-* exhaustive search: integer bitmask enumeration of every bipartition,
-  scanning encodings ``1 .. 2**(Q-1) - 1`` in increasing order and
-  keeping a candidate only on *strict* improvement.  Bit ``q-1`` of the
-  encoding sends level ``q`` left, so e.g. encoding 5 with four levels
-  (binary 0101) puts levels {1, 3} left and {2, 4} right.  Because ties
-  never displace an earlier winner, levels that do not occur in the
-  node -- and level ``Q``, whose bit is never set -- always end up in
-  the right daughter.
+* exhaustive search: the first strict optimum over the integer
+  encodings ``1 .. 2**(Q-1) - 1`` of the bipartitions, in increasing
+  order.  Bit ``q-1`` of the encoding sends level ``q`` left, so e.g.
+  encoding 5 with four levels (binary 0101) puts levels {1, 3} left and
+  {2, 4} right.  A level absent from the node holds no rows, so only the
+  bipartitions of the P present levels are scored.  As ties never
+  displace an earlier winner, absent levels -- and level ``Q``, whose
+  bit is never set -- always end up in the right daughter.
 * random search: a fixed number of bitmask candidates with every bit an
   independent fair coin, for level counts where enumeration is too
   expensive.
@@ -29,11 +29,15 @@ Each search has one implementation: a batched scan over the (node,
 predictor) pairs of many nodes, which tree growth calls once per step.
 The per-node functions run it on one pair.  Every scan scores its
 candidates with one objective per task: :func:`_gini` for classes,
-:func:`_sse` for a numeric response.  The tests check every scan
+:func:`_sse` for a numeric response.  Both bitmask searches read scores
+from one table of the patterns of a pair's present levels
+(:func:`_pattern_scores`), unless a random pair has fewer draws.  The
+tests check every scan
 against a plain per-node form of its search in ``tests/reference.py``.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -482,27 +486,24 @@ def random_bitmasks(rng: np.random.Generator, n_candidates: int, n_levels: int) 
 # ---------------------------------------------------------------------------
 # both bitmask searches over the (node, predictor) pairs of many nodes
 
-# cells of eight bytes in a bitmask chunk's working arrays: candidates ×
-# classes for the objective, the kept bytes of random draws.  Chunks of
-# 32 to 512 kB grew bridge forests equally fast; keeping a whole step's
-# 1024 × Q draws instead holds megabytes at once.
+# cells of eight bytes in a bitmask chunk's working arrays: pattern
+# tables, candidates × classes and the kept bytes of random draws, unless
+# one pair's table alone is larger (2**15 patterns at the hard limit).
+# Chunks of 32 to 512 kB grew bridge forests equally fast; keeping a
+# whole step's 1024 × Q draws instead holds megabytes at once.
 _BITMASK_CELLS = 1 << 14
 
-# every encoding of Q levels, for the Q whose encodings one product scores
+# the encodings of Q levels, by Q
 _ENCODINGS: dict[int, np.ndarray] = {}
 
 
-def _encodings(q: int, lo: int, hi: int) -> np.ndarray:
-    """(hi - lo, Q) float 0/1 rows of encodings ``lo+1 .. hi``: column
-    ``q-1`` holds bit ``q-1``, which sends level ``q`` left."""
-    whole = lo == 0 and hi == count_partitions(q)
-    if whole and q in _ENCODINGS:
-        return _ENCODINGS[q]
-    masks = np.arange(lo + 1, hi + 1, dtype=np.int64)
-    bits = ((masks[:, None] >> np.arange(q)) & 1).astype(np.float64)
-    if whole:
-        _ENCODINGS[q] = bits
-    return bits
+def _encodings(q: int) -> np.ndarray:
+    """(2**(Q-1) - 1, Q) float 0/1 rows of encodings ``1 .. 2**(Q-1) - 1``:
+    column ``q-1`` holds bit ``q-1``, which sends level ``q`` left."""
+    if q not in _ENCODINGS:
+        masks = np.arange(1, count_partitions(q) + 1, dtype=np.int64)
+        _ENCODINGS[q] = ((masks[:, None] >> np.arange(q)) & 1).astype(np.float64)
+    return _ENCODINGS[q]
 
 
 def _level_class_counts(block: NodeBlock, node: np.ndarray, pred: np.ndarray, k: int) -> np.ndarray:
@@ -529,32 +530,44 @@ def _encoding_scores(counts: np.ndarray, bits: np.ndarray):
     return obj.T, ln.T, rn.T
 
 
-def _exhaustive_scores(counts: np.ndarray):
+def _pattern_scores(counts: np.ndarray, present: np.ndarray, pairs: np.ndarray, spare: int):
+    """Yield runs of ``pairs``, each with the objective, left and right
+    sizes, each (run, patterns), of its patterns 1, 2, ...: the encodings
+    of a pair's P present levels, in level order, then ``spare`` empty
+    ones.  So with ``spare`` 0 they keep the last present level right,
+    and with 1 they are every pattern but 0.  Runs go in order of P, each
+    table within ``_BITMASK_CELLS`` cells (or one pair), and a run scores
+    the patterns of its largest P."""
+    k = counts.shape[2]
+    n_present = present[pairs].sum(axis=1)
+    by_size = np.argsort(n_present, kind="stable")
+    pairs, n_present = pairs[by_size], n_present[by_size]
+    for run in _runs((k + 3) << (n_present + spare - 1), _BITMASK_CELLS):
+        sel, p = pairs[run], int(n_present[run.stop - 1]) + spare
+        cc, there = np.zeros((sel.size, p, k)), present[sel]
+        pair, level = there.nonzero()
+        cc[pair, (there.cumsum(axis=1) - 1)[pair, level]] = counts[sel[pair], level]
+        yield sel, _encoding_scores(cc, _encodings(p))
+
+
+def _exhaustive_scores(counts: np.ndarray, present: np.ndarray):
     """The best objective, its row of bits, and its left and right sizes
     for every pair of ``counts`` (see :func:`_encoding_scores`): the first
-    strict optimum over encodings ``1 .. 2**(Q-1) - 1``, each product
-    scoring at most ``_BITMASK_CELLS`` cells.  One level has no
-    encodings, so its pairs find nothing."""
-    m, q, k = counts.shape
-    best, rows = np.full(m, np.inf), np.zeros((m, q))
+    strict optimum over the patterns of its present levels that keep the
+    last one right.  That is the first over all its encodings too: one
+    that sends an absent level left ties a smaller one that does not, and
+    one that sends the last present level left ties its complement, which
+    is smaller.  One present level has no pattern and finds nothing."""
+    m, q, _ = counts.shape
+    best, rows = np.full(m, np.inf), np.zeros((m, q), dtype=np.int64)
     ln_best, rn_best = np.zeros(m), np.zeros(m)
-    total = count_partitions(q)
-    if not total:
-        return best, rows, ln_best, rn_best
-    span = min(total, max(1, _BITMASK_CELLS // max(k, q)))  # encodings per product
-    per = max(1, _BITMASK_CELLS // (span * k))  # pairs per product
-    for start in range(0, m, per):
-        pairs = np.arange(start, min(start + per, m))
-        cc = counts[pairs].astype(np.float64)
-        at = np.arange(pairs.size)
-        for lo in range(0, total, span):
-            bits = _encodings(q, lo, min(lo + span, total))
-            obj, ln, rn = _encoding_scores(cc, bits)
-            i = obj.argmin(axis=1)
-            better = obj[at, i] < best[pairs]
-            win = pairs[better]
-            best[win], rows[win] = obj[at, i][better], bits[i[better]]
-            ln_best[win], rn_best[win] = ln[at, i][better], rn[at, i][better]
+    rank = present.cumsum(axis=1) - 1  # of each present level among them
+    for sel, (obj, ln, rn) in _pattern_scores(counts, present, np.flatnonzero(rank[:, -1] > 0), 0):
+        at = np.arange(sel.size)
+        i = obj.argmin(axis=1)  # pattern i + 1, the first strict optimum
+        best[sel], ln_best[sel], rn_best[sel] = obj[at, i], ln[at, i], rn[at, i]
+        pair, level = present[sel].nonzero()
+        rows[sel[pair], level] = ((i[pair] + 1) >> rank[sel[pair], level]) & 1
     return best, rows, ln_best, rn_best
 
 
@@ -565,12 +578,11 @@ def _random_scores(counts: np.ndarray, present: np.ndarray, q_all: np.ndarray, r
 
     A draw's objective depends only on its bits at the present levels.
     Where those P levels have at most ``n_candidates`` patterns, every
-    pattern is scored before the draw (as the encodings of P + 1 levels,
-    the last one empty), each draw reads its pattern's score, and only
-    the winning row is kept.  Otherwise each draw's left class counts
-    come from a product with the pair's counts (absent levels count
-    zero), its bits are kept as bytes, and one objective scores all such
-    pairs of a chunk.
+    pattern is scored before the draw (see :func:`_pattern_scores`), each
+    draw reads its pattern's score, and only the winning row is kept.
+    Otherwise each draw's left class counts come from a product with the
+    pair's counts (absent levels count zero), its bits are kept as bytes,
+    and one objective scores all such pairs of a chunk.
     """
     m, q, k = counts.shape
     n_present = present.sum(axis=1)
@@ -583,21 +595,10 @@ def _random_scores(counts: np.ndarray, present: np.ndarray, q_all: np.ndarray, r
     for run in _runs(width, _BITMASK_CELLS):
         chunk = np.arange(m)[run]
         tables = {}  # pair -> score, left and right size of each pattern
-        by_size = chunk[small[chunk]][np.argsort(n_present[chunk][small[chunk]], kind="stable")]
-        for sub in _runs(width[by_size], _BITMASK_CELLS):
-            sel = by_size[sub]
-            p = int(n_present[sel].max())
-            # each pair's present levels first, then empty ones up to p + 1
-            cc = np.zeros((sel.size, p + 1, k))
-            pair, level = present[sel].nonzero()
-            cc[pair, (present[sel].cumsum(axis=1) - 1)[pair, level]] = counts[sel][pair, level]
-            # pattern c at column c - 1; pattern 0 leaves the left daughter empty
-            obj, ln, rn = (
-                np.hstack((np.full((sel.size, 1), v), score))
-                for v, score in zip((np.inf, 0.0, 0.0), _encoding_scores(cc, _encodings(p + 1, 0, (1 << p) - 1)))
-            )
-            for b, a in enumerate(sel.tolist()):
-                tables[a] = obj[b], ln[b], rn[b]
+        for sel, scores in _pattern_scores(counts, present, chunk[small[chunk]], 1):
+            # pattern c at column c; pattern 0 leaves the left daughter empty
+            obj, ln, rn = (np.hstack((np.full((sel.size, 1), v), s)) for v, s in zip((np.inf, 0.0, 0.0), scores))
+            tables.update(zip(sel.tolist(), zip(obj, ln, rn)))
         big = chunk[~small[chunk]]
         lc = np.empty((big.size, n_candidates, k))
         drawn = np.zeros((big.size, n_candidates, q), dtype=np.uint8)
@@ -649,7 +650,7 @@ def bitmask_batch(block: NodeBlock, node: np.ndarray, pred: np.ndarray, rngs, n_
     search = "exhaustive" if rngs is None else "random"
     if dataset.task != CLASSIFICATION:
         raise ValueError(f"{search} bitmask search applies to classification splits")
-    k = dataset.response.n_classes
+    k, n_candidates = dataset.response.n_classes, operator.index(n_candidates)
     m = node.size
     n_all, q_all = block.sizes[node], table.n_levels[pred]
     if rngs is None and q_all.max() > min(limit, EXHAUSTIVE_HARD_LIMIT):
@@ -660,25 +661,20 @@ def bitmask_batch(block: NodeBlock, node: np.ndarray, pred: np.ndarray, rngs, n_
         )
     impurity, sizes = np.full(m, np.inf), np.zeros((m, 2), dtype=np.int64)
     winner: list = [None] * m  # (present levels, winning row of bits)
-    # the random search draws in pair order; the exhaustive one scores
-    # the pairs of one Q together
-    order = np.arange(m) if rngs is not None else np.argsort(q_all, kind="stable")
-    for run in _runs(np.maximum(n_all, (q_all + 1) * (k + 1))[order], _BITMASK_CELLS):
-        idx = order[run]
+    for run in _runs(np.maximum(n_all, (q_all + 1) * (k + 1)), _BITMASK_CELLS):
+        idx = np.arange(m)[run]
         counts = _level_class_counts(block, node[idx], pred[idx], k)
         present = counts.any(axis=2)
         if rngs is None:
-            sels = [np.flatnonzero(q_all[idx] == q) for q in np.unique(q_all[idx]).tolist()]
-            parts = [(sel, _exhaustive_scores(counts[sel, : q_all[idx[sel[0]]]])) for sel in sels]
+            best, rows, ln, rn = _exhaustive_scores(counts, present)
         else:
             draws = [rngs[j] for j in idx.tolist()]
-            parts = [(np.arange(idx.size), _random_scores(counts, present, q_all[idx], draws, n_candidates))]
-        for sel, (best, rows, ln, rn) in parts:
-            found = np.flatnonzero(best < np.inf)
-            impurity[idx[sel[found]]] = best[found]
-            sizes[idx[sel[found]]] = np.stack((ln[found], rn[found]), axis=1)
-            for b in found.tolist():
-                winner[idx[sel[b]]] = (present[sel[b]], rows[b])
+            best, rows, ln, rn = _random_scores(counts, present, q_all[idx], draws, n_candidates)
+        found = np.flatnonzero(best < np.inf)
+        impurity[idx[found]] = best[found]
+        sizes[idx[found]] = np.stack((ln[found], rn[found]), axis=1)
+        for b in found.tolist():
+            winner[idx[b]] = (present[b], rows[b])
 
     def build(j: int) -> CandidateSplit:
         present, row = winner[j]
@@ -736,14 +732,15 @@ def pseudo_value_split(
 def exhaustive_categorical_split(
     dataset: Dataset, rows, predictor: int, limit: int = EXHAUSTIVE_HARD_LIMIT
 ) -> CandidateSplit | None:
-    """Enumerate every level bipartition of a categorical predictor.
+    """Best level bipartition of a categorical predictor.
 
-    Classification only.  Encodings ``1 .. 2**(Q-1) - 1`` are scored in
-    increasing order and the first minimum wins, so among tied optima
-    the smallest encoding wins -- which is the one sending every absent
-    level (and level ``Q``) right.
-    Raises when ``Q`` exceeds ``limit``; use the random search instead.
-    See :func:`bitmask_batch`.
+    Classification only.  The result is the first minimum over the
+    encodings ``1 .. 2**(Q-1) - 1`` in increasing order, so among tied
+    optima the smallest encoding wins -- which is the one sending every
+    absent level (and level ``Q``) right.  Only the bipartitions of the
+    present levels are scored, since an absent level's bit never changes
+    a score.  Raises when ``Q`` exceeds ``limit``; use the random search
+    instead.  See :func:`bitmask_batch`.
     """
     return _one_pair(bitmask_batch, dataset, rows, predictor, None, 1024, limit)
 

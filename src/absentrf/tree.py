@@ -28,8 +28,10 @@ None; an inner node's holds ``predictor``, the child ids ``left`` and
 """
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import operator
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
@@ -51,6 +53,14 @@ from .splits import (
 )
 
 
+def store_ints(config) -> None:
+    """Store each set int field of a frozen dataclass as the int JSON
+    writes (a numpy integer too); a float or string raises TypeError."""
+    for f in dataclasses.fields(config):
+        if f.type.startswith("int") and getattr(config, f.name) is not None:
+            object.__setattr__(config, f.name, operator.index(getattr(config, f.name)))
+
+
 @dataclass(frozen=True)
 class GrowConfig:
     """Knobs for growing one tree."""
@@ -63,14 +73,12 @@ class GrowConfig:
     random_candidates: int = 1024
 
     def __post_init__(self):
+        store_ints(self)
         if self.task not in (REGRESSION, CLASSIFICATION):
             raise ValueError(f"unknown task {self.task!r}")
-        if self.mtry < 1:
-            raise ValueError("mtry must be at least 1")
-        if self.min_node_size < 1:
-            raise ValueError("min_node_size must be at least 1")
-        if self.random_candidates < 1:
-            raise ValueError("random_candidates must be at least 1")
+        for name in ("mtry", "min_node_size", "random_candidates"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
         for name in ("exhaustive_max_q_binary", "exhaustive_max_q_multiclass"):
             if getattr(self, name) > EXHAUSTIVE_HARD_LIMIT:
                 raise ValueError(f"{name} may not exceed {EXHAUSTIVE_HARD_LIMIT}")

@@ -194,9 +194,9 @@ def classification_inputs(tmp_path, n=60, seed=4):
 def reference_rows(forest, ds, policy, coins):
     """Expected predict CSV rows from the reference router: each row's
     tree outputs summed left to right in tree order."""
-    rows = []
+    rows, x = [], ds.matrix()
     for i in range(ds.n_rows):
-        traces = [route(t, ds.row(i), policy, coins, i) for t in forest.tree_dicts]
+        traces = [route(t, x[i], policy, coins, i) for t in forest.tree_dicts]
         absent = str(sum(tr.absent_encountered for tr in traces))
         if forest.task == REGRESSION:
             total = 0.0

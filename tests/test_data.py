@@ -77,7 +77,7 @@ def test_dataset_is_frozen():
 
 def test_row_and_matrix_views():
     ds = small_dataset()
-    assert np.array_equal(ds.row(1), [2.5, 3.0])
+    assert np.array_equal(ds.matrix()[1], [2.5, 3.0])
     assert ds.matrix().shape == (3, 2)
     assert ds.n_rows == 3 and ds.n_predictors == 2
 

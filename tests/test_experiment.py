@@ -424,6 +424,13 @@ def test_config_rejects_bad_values():
         ExperimentConfig(**cfg_kwargs(bucket_width=0.0))
 
 
+def test_config_stores_numpy_integer_counts_as_ints():
+    cfg = ExperimentConfig(**cfg_kwargs(n_trees=np.int64(3), mtry=np.int64(2), seed=np.uint8(7)))
+    assert [type(v) for v in (cfg.n_trees, cfg.mtry, cfg.seed, cfg.sample_size)] == [int, int, int, type(None)]
+    with pytest.raises(TypeError):
+        ExperimentConfig(**cfg_kwargs(n_trees=2.0))
+
+
 def test_baseline_resolution():
     cfg = ExperimentConfig(**cfg_kwargs(heuristics=(Heuristic.LEFT, Heuristic.DBI, Heuristic.STOP)))
     assert cfg.resolved_baseline() == (Heuristic.STOP, Heuristic.DBI)  # canonical order

@@ -38,7 +38,7 @@ from absentrf.forest import (
 )
 from absentrf.heuristics import Heuristic
 from absentrf.seeding import BOOTSTRAP, stream
-from absentrf.tree import route
+from absentrf.tree import GrowConfig, route
 from reference import tree_predict, tree_vote
 
 
@@ -93,6 +93,30 @@ def test_forest_config_validation():
         ForestConfig(n_trees=0)
     with pytest.raises(ValueError):
         ForestConfig(sample_size=0)
+
+
+def test_numpy_integer_settings_grow_and_save_the_forest_of_int_settings(tmp_path):
+    ds = synth.bridge_multiclass(3)  # multiclass: exhaustive and random searches both run
+
+    def saved(i):
+        grow = GrowConfig(
+            CLASSIFICATION, mtry=i(3), min_node_size=i(1), exhaustive_max_q_binary=i(10),
+            exhaustive_max_q_multiclass=i(3), random_candidates=i(64),
+        )
+        forest = train_forest(ds, ForestConfig(n_trees=i(3), sample_size=i(60), seed=i(4), grow=grow))
+        save_forest(forest, tmp_path / f"{i.__name__}.json")
+        return forest_hash(forest), (tmp_path / f"{i.__name__}.json").read_bytes()
+
+    assert saved(np.int64) == saved(int)
+    rows, rngs = np.arange(ds.n_rows), [np.random.default_rng(5) for _ in range(2)]
+    location = [spec.name for spec in ds.schema].index("location")
+    assert splits.random_categorical_split(ds, rows, location, rngs[0], np.int64(64)) == (
+        splits.random_categorical_split(ds, rows, location, rngs[1], 64)
+    )
+    with pytest.raises(TypeError):
+        GrowConfig(CLASSIFICATION, mtry=2.0, min_node_size=1)
+    with pytest.raises(TypeError):
+        ForestConfig(n_trees=2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +206,7 @@ def test_predict_rows_regression_is_tree_average():
     assert np.all(out.oob_tree_counts == forest.n_trees)
     for i in (0, 3, ds.n_rows - 1):
         manual = np.mean(
-            [tree_predict(route(t, ds.row(i), Heuristic.LEFT, coins, i), t) for t in forest.tree_dicts]
+            [tree_predict(route(t, ds.matrix()[i], Heuristic.LEFT, coins, i), t) for t in forest.tree_dicts]
         )
         assert out.predictions[i] == pytest.approx(manual, abs=1e-12)
 
@@ -196,7 +220,7 @@ def test_predict_rows_classification_votes():
     assert np.allclose(shares.sum(axis=1), 1.0, rtol=0, atol=1e-12)
     assert np.all(shares * forest.n_trees == np.round(shares * forest.n_trees))
     assert np.array_equal(out.predictions, np.argmax(shares, axis=1) + 1)
-    votes = [tree_vote(route(t, ds.row(5), Heuristic.LEFT, coins, 5), t) for t in forest.tree_dicts]
+    votes = [tree_vote(route(t, ds.matrix()[5], Heuristic.LEFT, coins, 5), t) for t in forest.tree_dicts]
     assert shares[5, 0] == votes.count(1) / forest.n_trees
 
 
@@ -214,7 +238,7 @@ def test_oob_regression_row_matches_manual_aggregate():
     out = oob_predict_all(forest, ds, [Heuristic.RIGHT], coins)[Heuristic.RIGHT]
     i = int(np.flatnonzero(out.defined)[0])
     vals = [
-        tree_predict(route(t, ds.row(i), Heuristic.RIGHT, coins, i), t)
+        tree_predict(route(t, ds.matrix()[i], Heuristic.RIGHT, coins, i), t)
         for b, t in enumerate(forest.tree_dicts)
         if forest.in_bag[b, i] == 0
     ]
@@ -387,6 +411,7 @@ def _class_counts_not_summing_to_size(d):
         (REGRESSION, lambda d: d.update(task=CLASSIFICATION), "does not match its response"),
         (REGRESSION, lambda d: d["trees"][0].update(nodes=5), "malformed model dump"),
         (REGRESSION, lambda d: d["trees"][0]["nodes"][0].update(split="x"), "malformed model dump"),
+        (REGRESSION, lambda d: d["config"]["grow"].update(mtry=2.5), "malformed model dump"),
         (REGRESSION, lambda d: d["in_bag"].pop(), "in_bag has shape"),
         (REGRESSION, lambda d: d.update(in_bag=d["in_bag"][0]), "in_bag has shape"),
         (REGRESSION, _negative_in_bag_count, "counts >= 0"),
@@ -409,8 +434,8 @@ def test_forest_from_dict_rejects_malformed_dumps(task, corrupt, message):
 
 
 def test_tiny_bitmask_chunks_grow_the_golden_bridge_forest(monkeypatch):
-    # chunks of a few cells split every node's bitmask pairs, and every
-    # exhaustive pair's encodings, across chunks
+    # chunks of a few cells split every node's bitmask pairs across chunks,
+    # each pair's pattern table in a run of its own
     monkeypatch.setattr(splits, "_BITMASK_CELLS", 8)
     forest = train_forest(synth.bridge_multiclass(0), ForestConfig(n_trees=10, seed=11))
     # the hash tests/test_golden.py pins for this forest

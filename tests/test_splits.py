@@ -1002,6 +1002,32 @@ def test_exhaustive_bitmask_batch_keeps_the_first_of_tied_encodings():
     assert want[1] is None and not found[1]  # one present level
 
 
+@pytest.mark.parametrize("p", [1, 2, 3, 6, 16])
+def test_exhaustive_bitmask_batch_scores_only_the_present_levels(p, monkeypatch):
+    # each node holds p of 16 levels, so each pair has 2**(p-1) - 1
+    # bipartitions to score, not the 2**15 - 1 encodings of all 16 levels
+    rng = np.random.default_rng(p)
+    nodes, x = [], []
+    for i in range(6):
+        levels = rng.choice(np.arange(1, 17), size=p, replace=False)
+        nodes.append(np.arange(len(x), len(x) + 3 * p))
+        x.extend(np.repeat(levels, 3).tolist())
+    ds = cat_dataset(x, rng.integers(1, 4, size=len(x)), 16, CLASSIFICATION, k=3)
+    scored = []  # candidates × pairs of each product
+
+    def spy(counts, bits):
+        scored.append(bits.shape[0] * counts.shape[0])
+        return encoding_scores(counts, bits)
+
+    encoding_scores = splits._encoding_scores
+    monkeypatch.setattr(splits, "_encoding_scores", spy)
+    pair = np.arange(len(nodes))
+    scan = bitmask_batch(NodeBlock(ColumnTable(ds), nodes), pair, np.zeros_like(pair), None, 1024, EXHAUSTIVE_HARD_LIMIT)
+    assert sum(scored) <= len(nodes) * count_partitions(p)
+    for j, rows in enumerate(nodes):
+        assert_same_bitmask_split(*scan, j, reference.exhaustive_categorical_split(ds, rows, 0))
+
+
 @pytest.mark.parametrize("cells", [None, 1000])
 @given(seed=st.integers(0, 10**9), k=st.sampled_from([2, 3, 7, 9, 17]), m=st.sampled_from([1, 4, 33, 256, 1024]))
 @settings(max_examples=60, deadline=None)

@@ -332,9 +332,9 @@ def test_grow_config_validation():
 
 def test_grown_tree_routes_like_training_partition():
     ds = mixed_dataset()
-    t = grow(ds)
+    t, x = grow(ds), ds.matrix()
     for i in range(ds.n_rows):
-        tr = route(t, ds.row(i), Heuristic.LEFT)
+        tr = route(t, x[i], Heuristic.LEFT)
         assert not tr.absent_encountered  # training rows only hit seen levels
         ((leaf_id, w),) = tr.entries
         assert w == 1.0 and t["nodes"][leaf_id]["split"] is None
@@ -342,11 +342,11 @@ def test_grown_tree_routes_like_training_partition():
 
 def test_policies_agree_on_rows_without_absence():
     ds = mixed_dataset(task=CLASSIFICATION)
-    t = grow(ds)
+    t, x = grow(ds), ds.matrix()
     coins = Coins(master=5)
     for i in range(ds.n_rows):
         traces = [
-            route(t, ds.row(i), h, coins=coins, obs_id=i)
+            route(t, x[i], h, coins=coins, obs_id=i)
             for h in (Heuristic.LEFT, Heuristic.RIGHT, Heuristic.STOP, Heuristic.MAJORITY,
                       Heuristic.RANDOM, Heuristic.DBI)
         ]
@@ -356,9 +356,9 @@ def test_policies_agree_on_rows_without_absence():
 
 def test_classification_probabilities_sum_to_one():
     ds = mixed_dataset(task=CLASSIFICATION)
-    t = grow(ds)
+    t, x = grow(ds), ds.matrix()
     for i in range(0, ds.n_rows, 7):
-        p = tree_predict(route(t, ds.row(i), Heuristic.DBI), t)
+        p = tree_predict(route(t, x[i], Heuristic.DBI), t)
         assert p.shape == (2,)
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -390,7 +390,7 @@ def test_round_trip_preserves_structure_and_routing(tmp_path):
         assert back.tree_dicts == forest.tree_dicts
         for t, u in zip(forest.tree_dicts, back.tree_dicts):
             assert structure_hash(u) == structure_hash(t)
-            assert_routes_alike(u, t, [ds.row(i) for i in range(ds.n_rows)])
+            assert_routes_alike(u, t, ds.matrix())
 
 
 def test_round_trip_is_float_exact(tmp_path):
