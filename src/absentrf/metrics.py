@@ -16,6 +16,10 @@ import numpy as np
 LOWER_IS_BETTER = "lower"
 HIGHER_IS_BETTER = "higher"
 
+# cells of one chunk of a bucket's paired differences (2 MiB), unless one
+# pair alone holds more
+_DIFF_CELLS = 1 << 18
+
 
 def rmse(truth, predictions) -> float:
     t = np.asarray(truth, dtype=np.float64)
@@ -169,7 +173,9 @@ def paired_difference_summary(
     (the last bucket is closed above); empty buckets are reported with
     count 0 rather than dropped.  A bucket's mean and 95% interval are
     ``.mean()`` and ``np.percentile(..., [2.5, 97.5])`` of its
-    differences, taken for every pair at once, one bucket at a time.
+    differences, taken for a chunk of pairs at once, one bucket at a
+    time; a chunk holds at most ``_DIFF_CELLS`` differences unless one
+    pair alone has more.
     """
     if not 0 < bucket_width <= 1:
         raise ValueError("bucket_width must lie in (0, 1]")
@@ -190,16 +196,22 @@ def paired_difference_summary(
     counts, stats = [], []  # per bucket: its size, and (mean, lo95, hi95) per pair
     for k in range(n_buckets):
         cols = usable[idx == k]
-        counts.append(reps * cols.size)
-        if not counts[-1]:
+        count = reps * cols.size
+        counts.append(count)
+        if not count:
             stats.append([(None, None, None)] * len(pairs))
             continue
-        diffs = np.empty((len(pairs), counts[-1]))
-        for row, (f, s) in zip(diffs, pairs):
-            np.subtract(arrays[f][:, cols], arrays[s][:, cols], out=row.reshape(reps, cols.size))
-        means = diffs.mean(axis=1).tolist()  # before the percentile reorders diffs in place
-        lo, hi = np.percentile(diffs, [2.5, 97.5], axis=1, overwrite_input=True).tolist()
-        stats.append(list(zip(means, lo, hi)))
+        stats.append([])
+        step = max(1, _DIFF_CELLS // count)
+        for start in range(0, len(pairs), step):
+            chunk = pairs[start : start + step]
+            diffs = np.empty((len(chunk), count))
+            for row, (f, s) in zip(diffs, chunk):
+                np.subtract(arrays[f][:, cols], arrays[s][:, cols], out=row.reshape(reps, cols.size))
+            means = diffs.mean(axis=1).tolist()  # before the percentile reorders diffs in place
+            lo, hi = np.percentile(diffs, [2.5, 97.5], axis=1, overwrite_input=True).tolist()
+            stats[-1].extend(zip(means, lo, hi))
+            del diffs  # before the next chunk allocates
 
     return [
         PairedBucket(first, second, float(edges[k]), float(edges[k + 1]), counts[k], *stats[k][p])

@@ -204,7 +204,7 @@ def emulate_zero_imputed_routing(table: GammaTable, pseudo_split: float) -> dict
 # of the nodes are right-padded to a common width, and padded cells sort
 # or bin after every real one.  Prefix sums along a row are exact under
 # padding; a row's full sum is not, since ndarray.sum adds pairwise, so
-# :func:`_row_sums` sums each row over its own length.
+# :func:`_row_sums` sums each row under a mask of its real cells.
 
 # padded cells per batch.  Batches this small ran as fast as one batch per
 # step on the benchmark's workloads, and keep the working arrays at a few
@@ -261,23 +261,19 @@ class NodeBlock:
             raise ValueError("empty mother node")
         self.flat = np.concatenate(nodes)
         self.rows = np.full((len(nodes), int(self.sizes.max())), table.dataset.n_rows)
-        self.rows[np.arange(self.rows.shape[1]) < self.sizes[:, None]] = self.flat
+        cells = np.arange(self.rows.shape[1]) < self.sizes[:, None]
+        self.rows[cells] = self.flat
         self.y = table.response[self.rows]
         if table.dataset.task == REGRESSION:  # each node's ndarray.mean
-            self.mean = _row_sums(self.y, self.sizes) / self.sizes
+            self.mean = _row_sums(self.y, cells) / self.sizes
 
 
-def _row_sums(mat: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """``mat[i, :lengths[i]].sum()`` for every row ``i``, bit for bit.
-
-    Rows of one length are summed by one ``ndarray.sum(axis=1)`` over
-    their common prefix, which adds each row in the same pairwise order
-    as the row's own sum."""
-    out = np.empty(lengths.size)
-    for length in set(lengths.tolist()):
-        same = lengths == length
-        out[same] = mat[same, :length].sum(axis=1)
-    return out
+def _row_sums(mat: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """``mat[i, :lengths[i]].sum()`` for every row ``i``, bit for bit, where
+    ``cells`` masks each row's first ``lengths[i]`` cells: a masked
+    reduction runs numpy's pairwise loop once per unmasked run of a row,
+    here its prefix.  Masked cells are never read, whatever they hold."""
+    return np.add.reduce(mat, axis=1, where=cells)
 
 
 def _runs(widths: np.ndarray, cells: int):
@@ -324,11 +320,10 @@ def ordered_split_batch(block: NodeBlock, node: np.ndarray, pred: np.ndarray):
         xs = xs[at[:, None], order]
         ys = table.response[rows[at[:, None], order]]
         last = n - 1
-        r, c = (xs[:, :-1] != xs[:, 1:]).nonzero()
-        keep = c < last[r]
-        r, c = r[keep], c[keep]
+        cells = np.arange(rows.shape[1]) < n[:, None]
+        r, c = ((xs[:, :-1] != xs[:, 1:]) & cells[:, 1:]).nonzero()  # between two real cells
         if dataset.task == REGRESSION:
-            yc = ys - (_row_sums(ys, n) / n)[:, None]
+            yc = ys - (_row_sums(ys, cells) / n)[:, None]
             cs = yc.cumsum(axis=1)
             css = (yc * yc).cumsum(axis=1)
             obj = _sse(cs[r, c], css[r, c], cs[r, last[r]], css[r, last[r]], c + 1.0, n[r])
@@ -394,21 +389,19 @@ def pseudo_value_batch(block: NodeBlock, node: np.ndarray, pred: np.ndarray):
         order = np.lexsort((gam, ~present), axis=-1)
         at = np.arange(nb)[:, None]
         gs = gam[at, order]
-        n_lvl = present.sum(axis=1)
-        r, c = (gs[:, :-1] != gs[:, 1:]).nonzero()
-        keep = c < n_lvl[r] - 1
-        r, c = r[keep], c[keep]
+        first = present[at, order]  # the mask of each pair's present levels
+        r, c = ((gs[:, :-1] != gs[:, 1:]) & first[:, 1:]).nonzero()
         nl = counts[at, order].cumsum(axis=1)
         if regression:
             yc = (y - block.mean[node[idx], None]).ravel()
             s_lvl = per_level(weights=yc)[at, order]
             ss_lvl = per_level(weights=yc * yc)[at, order]
             cs, css = s_lvl.cumsum(axis=1), ss_lvl.cumsum(axis=1)
-            totals = _row_sums(np.concatenate([s_lvl, ss_lvl]), np.concatenate([n_lvl, n_lvl]))
-            obj = _sse(cs[r, c], css[r, c], totals[:nb][r], totals[nb:][r], nl[r, c].astype(np.float64), n[r])
-        else:
+            st, sst = _row_sums(s_lvl, first)[r], _row_sums(ss_lvl, first)[r]
+            obj = _sse(cs[r, c], css[r, c], st, sst, nl[r, c].astype(np.float64), n[r])
+        else:  # absent levels count 0, so a row's last cell holds its class totals
             cum = np.stack([per_level(sel=y.ravel() == k)[at, order] for k in (1, 2)], axis=-1).cumsum(axis=1)
-            obj = _gini(cum[r, c].astype(np.float64), cum[r, n_lvl[r] - 1].astype(np.float64))[0]
+            obj = _gini(cum[r, c].astype(np.float64), cum[r, -1].astype(np.float64))[0]
         full = np.full(gs.shape, np.inf)
         full[r, c] = obj
         best = full.argmin(axis=1)
@@ -493,17 +486,22 @@ def random_bitmasks(rng: np.random.Generator, n_candidates: int, n_levels: int) 
 # whole step's 1024 × Q draws instead holds megabytes at once.
 _BITMASK_CELLS = 1 << 14
 
-# the encodings of Q levels, by Q
+# the encodings of Q levels, by Q, for the Q <= 11 that the default limits
+# reach (163 kB); larger ones, up to 4 MiB, are built per call
 _ENCODINGS: dict[int, np.ndarray] = {}
+_CACHED_LEVELS = 11
 
 
 def _encodings(q: int) -> np.ndarray:
     """(2**(Q-1) - 1, Q) float 0/1 rows of encodings ``1 .. 2**(Q-1) - 1``:
     column ``q-1`` holds bit ``q-1``, which sends level ``q`` left."""
-    if q not in _ENCODINGS:
+    table = _ENCODINGS.get(q)
+    if table is None:
         masks = np.arange(1, count_partitions(q) + 1, dtype=np.int64)
-        _ENCODINGS[q] = ((masks[:, None] >> np.arange(q)) & 1).astype(np.float64)
-    return _ENCODINGS[q]
+        table = ((masks[:, None] >> np.arange(q)) & 1).astype(np.float64)
+        if q <= _CACHED_LEVELS:
+            _ENCODINGS[q] = table
+    return table
 
 
 def _level_class_counts(block: NodeBlock, node: np.ndarray, pred: np.ndarray, k: int) -> np.ndarray:

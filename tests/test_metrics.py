@@ -5,6 +5,7 @@ comparison AUC, a per-threshold recount for average precision, the
 agreement formula for kappa written with explicit loops -- so that the
 vectorised implementations are checked by a genuinely separate route.
 """
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -282,6 +283,28 @@ def test_paired_difference_summary_equals_np_percentile_per_bucket(n_heuristics,
                 assert np.array_equal(np.isnan(have), np.isnan(want))
                 assert have[~np.isnan(want)].tobytes() == want[~np.isnan(want)].tobytes()
     assert bool(ours) <= bool(theirs)
+
+
+def test_paired_difference_summary_holds_a_chunk_of_pairs_at_a_time():
+    # R = 100 replications of N = 2,000 rows for 7 heuristics, most rows in
+    # one bucket: 21 pairs of up to 200,000 differences, 32 MiB all at once
+    rng = np.random.default_rng(0)
+    values = {f"h{i}": rng.normal(size=(100, 2000)) for i in range(7)}
+    absence = np.clip(0.37 + 0.01 * rng.normal(size=2000), 0.0, 1.0)
+    tracemalloc.start()
+    try:
+        got = paired_difference_summary(values, absence)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2**20
+    bucket = np.minimum((absence / 0.05).astype(np.int64), 19)
+    for out in got:
+        if out.count:
+            k = round(out.bucket_low / 0.05)
+            sel = (values[out.first] - values[out.second])[:, bucket == k].ravel()
+            want = np.array([sel.mean(), *np.percentile(sel, [2.5, 97.5])])
+            assert np.array([out.mean, out.lo95, out.hi95]).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("bucket_values", [[1.5], [2.0, -1.0], [0.5, 0.5], [3.0, 3.0, 3.0, -1.0]])

@@ -7,6 +7,7 @@ under test.
 """
 import contextlib
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -391,19 +392,35 @@ def test_batched_scans_reject_wrong_column_kinds():
         pseudo_value_batch(NodeBlock(ColumnTable(ds), one), zero, zero)
 
 
-@given(seed=st.integers(0, 10**9))
+@given(seed=st.integers(0, 10**9), shape=st.sampled_from(["mixed", "wide", "short"]))
 @settings(max_examples=100, deadline=None)
-def test_row_sums_equal_ndarray_sum_of_each_prefix(seed):
+def test_row_sums_equal_ndarray_sum_of_each_prefix(seed, shape):
     rng = np.random.default_rng(seed)
-    m, w = int(rng.integers(1, 400)), int(rng.integers(1, 600))
-    mat = rng.normal(size=(m, w)) * 10.0 ** rng.integers(-3, 9, size=(m, w))
+    if shape == "wide":  # rows past numpy's 8192-element reduction buffer
+        m, w = int(rng.integers(1, 6)), int(rng.integers(8193, 20000))
+    elif shape == "short":  # many nodes of a few rows, as deep in a tree
+        m, w = int(rng.integers(1000, 3000)), int(rng.integers(1, 12))
+    else:
+        m, w = int(rng.integers(1, 400)), int(rng.integers(1, 600))
+    mat = rng.normal(size=(m, w)) * 10.0 ** rng.integers(-8, 9, size=(m, w))
     mat[rng.random((m, w)) < 0.2] = -0.0
     # as NodeBlock.mean passes them: many rows over a few lengths, or all apart
     pool = rng.integers(1, w + 1, size=int(rng.integers(1, 5)) if seed % 2 else m)
     lengths = rng.choice(pool, size=m)
-    mat[np.arange(w) >= lengths[:, None]] = 0.0
+    cells = np.arange(w) < lengths[:, None]
+    # padding that would poison, or warn in, any sum that read it
+    mat[~cells] = rng.choice([np.nan, np.inf, -np.inf, 1e308, -1e308], size=int((~cells).sum()))
     want = np.array([mat[i, : lengths[i]].sum() for i in range(m)])
-    assert _row_sums(mat, lengths).tobytes() == want.tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _row_sums(mat, cells)
+    assert got.tobytes() == want.tobytes()
+    # and each node's mean, of rows drawn with repeats from a dataset
+    y = rng.normal(size=w) * 10.0 ** rng.integers(-8, 9, size=w)
+    ds = num_dataset(np.zeros(w), y)
+    nodes = [rng.integers(0, w, size=n) for n in lengths.tolist()]
+    block = NodeBlock(ColumnTable(ds), nodes)
+    assert block.mean.tobytes() == np.array([ds.y[rows].mean() for rows in nodes]).tobytes()
 
 
 @given(seed=st.integers(0, 10**9))
@@ -1026,6 +1043,19 @@ def test_exhaustive_bitmask_batch_scores_only_the_present_levels(p, monkeypatch)
     assert sum(scored) <= len(nodes) * count_partitions(p)
     for j, rows in enumerate(nodes):
         assert_same_bitmask_split(*scan, j, reference.exhaustive_categorical_split(ds, rows, 0))
+
+
+def test_exhaustive_bitmask_batch_keeps_no_large_encoding_table():
+    # two nodes holding all 16 levels score the 2**15 - 1 encodings of 16
+    # levels, a 4 MiB table, which must not outlive the call
+    x = np.tile(np.arange(1, 17), 4)
+    ds = cat_dataset(x, np.random.default_rng(0).integers(1, 3, size=x.size), 16, CLASSIFICATION)
+    nodes = [np.arange(32), np.arange(32, 64)]
+    pair = np.arange(2)
+    scan = bitmask_batch(NodeBlock(ColumnTable(ds), nodes), pair, np.zeros_like(pair), None, 1024, 16)
+    for j, rows in enumerate(nodes):
+        assert_same_bitmask_split(*scan, j, reference.exhaustive_categorical_split(ds, rows, 0))
+    assert sum(t.nbytes for t in splits._ENCODINGS.values()) <= 256 * 1024
 
 
 @pytest.mark.parametrize("cells", [None, 1000])
