@@ -173,9 +173,8 @@ def paired_difference_summary(
     (the last bucket is closed above); empty buckets are reported with
     count 0 rather than dropped.  A bucket's mean and 95% interval are
     ``.mean()`` and ``np.percentile(..., [2.5, 97.5])`` of its
-    differences, taken for a chunk of pairs at once, one bucket at a
-    time; a chunk holds at most ``_DIFF_CELLS`` differences unless one
-    pair alone has more.
+    differences, taken one bucket and one chunk of pairs (``_DIFF_CELLS``)
+    at a time.
     """
     if not 0 < bucket_width <= 1:
         raise ValueError("bucket_width must lie in (0, 1]")
