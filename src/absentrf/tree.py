@@ -151,10 +151,10 @@ def _first_best(impurity: np.ndarray, valid: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(impurity[np.arange(first.size), first]), first, best)
 
 
-def _best_splits(block: NodeBlock, at: np.ndarray, sampled: np.ndarray, kinds, rngs, cfg: GrowConfig):
-    """The winning split of each node ``at[r]`` of ``block`` over its
-    sampled predictors ``sampled[r]`` (None where none is valid), scanning
-    them in sampled order and keeping the first strictly lowest objective.
+def _best_splits(block: NodeBlock, sampled: np.ndarray, kinds, rngs, cfg: GrowConfig):
+    """The winning split of each node ``r`` of ``block`` over its sampled
+    predictors ``sampled[r]`` (None where none is valid), scanning them
+    in sampled order and keeping the first strictly lowest objective.
 
     The pairs of each search kind are scored in one batched call, and only
     the winners are built into splits.  The random search takes its pairs
@@ -172,14 +172,14 @@ def _best_splits(block: NodeBlock, at: np.ndarray, sampled: np.ndarray, kinds, r
         r, c = (kind == search).nonzero()  # row-major: (node, rank) order
         if not r.size:
             continue
-        node, pred = at[r], sampled[r, c]
+        pred = sampled[r, c]
         if search == ORDERED:
-            scan = ordered_split_batch(block, node, pred)
+            scan = ordered_split_batch(block, r, pred)
         elif search == PSEUDO:
-            scan = pseudo_value_batch(block, node, pred)
+            scan = pseudo_value_batch(block, r, pred)
         else:
             draw_from = [rngs[i] for i in r.tolist()] if search == RANDOM else None
-            scan = bitmask_batch(block, node, pred, draw_from, cfg.random_candidates, limit)
+            scan = bitmask_batch(block, r, pred, draw_from, cfg.random_candidates, limit)
         impurity[r, c], valid[r, c], scans[search] = scan
         pair[r, c] = np.arange(r.size)
 
@@ -200,12 +200,16 @@ def grow_trees(dataset: Dataset, samples, cfg: GrowConfig, rngs, tree_ids) -> li
     resolved in favour of the earliest sampled predictor.  Nodes are
     numbered in preorder (left subtree before right).
 
-    The trees grow in lock step, each from its own depth-first stack:
-    every step takes the next node of every tree still growing and
-    searches all their splits together (see :func:`_best_splits`).  Each
-    tree draws from its rng exactly as if it were grown alone.
+    The trees grow in lock step, each from its own depth-first stack,
+    with every node's entry and purity found when it is pushed.  A step
+    pops from every tree still growing up to its next node that needs a
+    search, numbering the leaves on the way, and searches those nodes
+    together (see :func:`_best_splits`).  Each tree draws from its rng
+    exactly as if it were grown alone, once per searched node.
     """
     samples = [np.asarray(rows, dtype=np.int64) for rows in samples]
+    if not len(samples) == len(rngs) == len(tree_ids):
+        raise ValueError(f"{len(samples)} samples, {len(rngs)} rngs and {len(tree_ids)} tree ids: need as many of each")
     if any(rows.size == 0 for rows in samples):
         raise ValueError("cannot grow a tree on an empty row multiset")
     if cfg.task != dataset.task:
@@ -222,27 +226,31 @@ def grow_trees(dataset: Dataset, samples, cfg: GrowConfig, rngs, tree_ids) -> li
 
     # explicit stacks (right child pushed first) give preorder ids without
     # recursion-depth limits on deep, min-node-size-1 trees; an entry holds
-    # a node's rows and the split, and its key, that takes the node's id
-    # (a throwaway dict for the root)
-    stacks: list[list[tuple[np.ndarray, dict, str]]] = [[(rows, {}, "left")] for rows in samples]
-    while any(stacks):
-        popped = [(t["nodes"], rng, stack, *stack.pop()) for t, rng, stack in zip(trees, rngs, stacks) if stack]
-        block = NodeBlock(table, [entry[3] for entry in popped])
-        step, sampled = [], []  # the nodes to split: block index, rng, stack, node, rows
-        for i, ((nodes, rng, stack, node_rows, parent, side), node, pure) in enumerate(
-            zip(popped, *_node_entries(block))
-        ):
-            node["id"] = parent[side] = len(nodes)
-            nodes.append(node)
-            if node["size"] > cfg.min_node_size and not pure:
-                sampled.append(rng.choice(p, size=cfg.mtry, replace=False))
-                step.append((i, rng, stack, node, node_rows))
+    # a node's rows, its dict entry and purity, and the parent's split and
+    # key that take the node's id (a throwaway dict for the root)
+    stacks: list[list[tuple]] = [[] for _ in samples]
+    children, links = samples, [(stack, {}, "left") for stack in stacks]  # to push, with their parents
+    while True:
+        if children:
+            pushed = zip(children, *_node_entries(NodeBlock(table, children)), links)
+            for r, node, pure, (stack, split, side) in pushed:
+                stack.append((r, node, pure, split, side))
+        step = []  # the nodes to split: rng, stack, node, rows, sampled predictors
+        for nodes, rng, stack in zip((t["nodes"] for t in trees), rngs, stacks):
+            while stack:
+                node_rows, node, pure, parent, side = stack.pop()
+                node["id"] = parent[side] = len(nodes)
+                nodes.append(node)
+                if node["size"] > cfg.min_node_size and not pure:
+                    step.append((rng, stack, node, node_rows, rng.choice(p, size=cfg.mtry, replace=False)))
+                    break
         if not step:
-            continue
+            return trees
 
-        at, rngs_at, _, _, _ = zip(*step)
-        splits = _best_splits(block, np.array(at), np.array(sampled), kinds, rngs_at, cfg)
-        for (_, _, stack, node, node_rows), best in zip(step, splits):
+        rngs_at, _, _, rows_at, sampled = zip(*step)
+        splits = _best_splits(NodeBlock(table, rows_at), np.array(sampled), kinds, rngs_at, cfg)
+        children, links = [], []
+        for (_, stack, node, node_rows, _), best in zip(step, splits):
             if best is None:
                 continue
             node["split"] = split = _split_entry(best)
@@ -253,9 +261,8 @@ def grow_trees(dataset: Dataset, samples, cfg: GrowConfig, rngs, tree_ids) -> li
                 lut = np.zeros(dataset.schema[best.predictor].n_levels + 1, dtype=bool)
                 lut[list(best.rule.left_levels)] = True
                 mask = lut[x]
-            stack.append((node_rows[~mask], split, "right"))
-            stack.append((node_rows[mask], split, "left"))
-    return trees
+            children += [node_rows[~mask], node_rows[mask]]
+            links += [(stack, split, "right"), (stack, split, "left")]
 
 
 def grow_tree(

@@ -29,7 +29,7 @@ from absentrf.splits import (
     _encode,
     count_partitions,
 )
-from absentrf.tree import NodeTable, PredictionTrace
+from absentrf.tree import GrowConfig, NodeTable, PredictionTrace, _split_entry
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +376,63 @@ def random_categorical_split(
         return rng.integers(0, 2, size=(n_candidates, q), dtype=np.int64)
 
     return _bitmask_split(dataset, rows, predictor, "random", draw)
+
+
+# ---------------------------------------------------------------------------
+# growth, one node at a time
+
+
+def _node_search(dataset: Dataset, cfg: GrowConfig, rows, predictor: int, rng) -> CandidateSplit | None:
+    """The split search that growth runs on a predictor: ordered for a
+    numeric column; for a categorical one the pseudo-value scan under
+    regression or above the binary exhaustive limit, else the exhaustive
+    search up to the task's limit and the random search above it."""
+    spec, k = dataset.schema[predictor], dataset.response.n_classes
+    if spec.kind == NUMERIC:
+        return best_ordered_splits(dataset, rows, [predictor])[0]
+    if cfg.task == REGRESSION or (k == 2 and spec.n_levels > cfg.exhaustive_max_q_binary):
+        return pseudo_value_search(dataset, rows, predictor)
+    limit = cfg.exhaustive_max_q_binary if k == 2 else cfg.exhaustive_max_q_multiclass
+    if spec.n_levels <= limit:
+        return exhaustive_categorical_split(dataset, rows, predictor, limit)
+    return random_categorical_split(dataset, rows, predictor, rng, cfg.random_candidates)
+
+
+def grow_tree_recursively(dataset: Dataset, rows, cfg: GrowConfig, rng, tree_id: int = 0) -> dict:
+    """Grow one tree by plain preorder recursion, in the dict form that
+    ``absentrf.tree.grow_trees`` returns.  A node with more rows than
+    ``min_node_size`` and more than one response value draws ``mtry``
+    predictors with ``rng.choice``, searches them in that order and keeps
+    the first strictly lowest objective; its left subtree is grown before
+    its right one."""
+    k = dataset.response.n_classes
+    nodes: list[dict] = []
+
+    def grow(rows: np.ndarray) -> int:
+        y = dataset.y[rows]
+        node = {"id": len(nodes), "size": int(rows.size), "split": None}
+        if dataset.task == REGRESSION:
+            node["mean"] = node_mean(y)
+        else:
+            node["class_counts"] = np.bincount(y, minlength=k + 1)[1:].tolist()
+        nodes.append(node)
+        if rows.size <= cfg.min_node_size or y.min() == y.max():
+            return node["id"]
+        best = None
+        for j in rng.choice(dataset.n_predictors, cfg.mtry, replace=False).tolist():
+            found = _node_search(dataset, cfg, rows, j, rng)
+            if found is not None and (best is None or found.impurity < best.impurity):
+                best = found
+        if best is not None:
+            node["split"] = split = _split_entry(best)
+            x = dataset.columns[best.predictor][rows]
+            rule = best.rule
+            left = x <= rule.threshold if isinstance(rule, OrderedRule) else np.isin(x, list(rule.left_levels))
+            split["left"], split["right"] = grow(rows[left]), grow(rows[~left])
+        return node["id"]
+
+    grow(np.asarray(rows, dtype=np.int64))
+    return {"tree_id": tree_id, "task": cfg.task, "n_classes": k, "nodes": nodes}
 
 
 # ---------------------------------------------------------------------------

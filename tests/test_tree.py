@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from absentrf import tree as tree_module
 from absentrf.data import (
     CATEGORICAL,
     CLASSIFICATION,
@@ -29,7 +30,7 @@ from absentrf.tree import (
     structure_hash,
 )
 from absentrf.tree import _first_best
-from reference import tree_predict, tree_vote
+from reference import grow_tree_recursively, tree_predict, tree_vote
 from test_predict_engine import ROUTED, cat_rule, hand_forest, leaf, split, tree_dict
 
 # ---------------------------------------------------------------------------
@@ -209,6 +210,72 @@ def test_lock_step_growth_equals_growing_each_tree_alone(task, k, seed, n_trees,
         alone = grow_tree(ds, rows, cfg, stream(seed, b), tree_id=b)
         assert together[b]["tree_id"] == b
         assert structure_hash(together[b]) == structure_hash(alone)
+
+
+@pytest.mark.parametrize("task,k", [(REGRESSION, 0), (CLASSIFICATION, 2), (CLASSIFICATION, 4)])
+@given(seed=st.integers(0, 10**9), n_trees=st.integers(1, 4), min_node_size=st.sampled_from([1, 5]))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_lock_step_growth_equals_recursive_reference_growth(task, k, seed, n_trees, min_node_size):
+    # random_candidates=64 on 4 classes: bitmask draws interleave with the mtry draws
+    ds = lock_step_dataset(seed, task, k)
+    rng = np.random.default_rng(seed)
+    cfg = GrowConfig(task, int(rng.integers(1, 5)), min_node_size, random_candidates=64)
+    samples = [rng.integers(0, ds.n_rows, size=ds.n_rows) for _ in range(n_trees)]
+    grown = grow_trees(ds, samples, cfg, [stream(seed, b) for b in range(n_trees)], list(range(n_trees)))
+    for b, rows in enumerate(samples):
+        assert structure_hash(grown[b]) == structure_hash(grow_tree_recursively(ds, rows, cfg, stream(seed, b), b))
+
+
+def rows_of_nodes(ds, tree, rows):
+    """The rows of every node of a grown tree, in node id order."""
+    out = {}
+
+    def walk(v, rows):
+        out[v] = rows
+        s = tree["nodes"][v]["split"]
+        if s is not None:
+            x = ds.columns[s["predictor"]][rows]
+            left = x <= s["threshold"] if s["kind"] == "ordered" else np.isin(x, s["left_levels"])
+            walk(s["left"], rows[left])
+            walk(s["right"], rows[~left])
+
+    walk(0, np.asarray(rows))
+    return [out[v] for v in range(len(tree["nodes"]))]
+
+
+@pytest.mark.parametrize("task,k", [(REGRESSION, 0), (CLASSIFICATION, 2), (CLASSIFICATION, 4)])
+@pytest.mark.parametrize("min_node_size", [1, 5])
+def test_a_step_searches_one_node_that_needs_it_per_growing_tree(monkeypatch, task, k, min_node_size):
+    ds = lock_step_dataset(3, task, k)
+    rng = np.random.default_rng(3)
+    cfg = GrowConfig(task, 2, min_node_size, random_candidates=64)
+    samples = [rng.integers(0, ds.n_rows, size=ds.n_rows) for _ in range(5)]
+    best_splits, blocks = tree_module._best_splits, []
+
+    def spy(block, *args):
+        blocks.append((block, args[-2]))  # the nodes searched and their trees' rngs
+        return best_splits(block, *args)
+
+    monkeypatch.setattr(tree_module, "_best_splits", spy)
+    trees = grow_trees(ds, samples, cfg, [stream(3, b) for b in range(5)], list(range(5)))
+    for block, rngs in blocks:
+        for i, size in enumerate(block.sizes.tolist()):
+            y = ds.y[block.rows[i, :size]]
+            assert size > min_node_size and y.min() < y.max()
+        assert len({id(r) for r in rngs}) == len(rngs) == block.sizes.size
+    searched = [
+        sum(r.size > min_node_size and np.ptp(ds.y[r]) > 0 for r in rows_of_nodes(ds, t, rows))
+        for t, rows in zip(trees, samples)
+    ]
+    assert min(searched) > 1 and len(blocks) == max(searched)
+
+
+@pytest.mark.parametrize("n_samples,n_rngs,n_ids", [(2, 2, 3), (3, 2, 2)])
+def test_grow_trees_rejects_lists_of_different_lengths(n_samples, n_rngs, n_ids):
+    ds = mixed_dataset()
+    rows, rngs = [np.arange(ds.n_rows)] * n_samples, [stream(0, b) for b in range(n_rngs)]
+    with pytest.raises(ValueError, match=f"{n_samples} samples, {n_rngs} rngs and {n_ids} tree ids"):
+        grow_trees(ds, rows, GrowConfig(REGRESSION, 2, 5), rngs, list(range(n_ids)))
 
 
 @given(
