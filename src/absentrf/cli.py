@@ -219,7 +219,7 @@ def main(argv=None) -> int:
     except (DataError, ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except RuntimeError as exc:
+    except (RuntimeError, MemoryError) as exc:  # numpy names a refused allocation
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

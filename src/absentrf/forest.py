@@ -123,6 +123,8 @@ def train_forest(dataset: Dataset, config: ForestConfig, workers: int = 1) -> Fo
     """
     if dataset.y is None:
         raise ValueError("cannot train on an unlabeled dataset")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     grow_cfg = config.grow if config.grow is not None else default_grow_config(dataset)
     if grow_cfg.task != dataset.task:
         raise ValueError(f"grow config task {grow_cfg.task!r} does not match the dataset")

@@ -31,9 +31,10 @@ The per-node functions run it on one pair.  Every scan scores its
 candidates with one objective per task: :func:`_gini` for classes,
 :func:`_sse` for a numeric response.  Both bitmask searches read scores
 from one table of the patterns of a pair's present levels
-(:func:`_pattern_scores`), unless a random pair has fewer draws.  The
-tests check every scan
-against a plain per-node form of its search in ``tests/reference.py``.
+(:func:`_pattern_scores`), unless a random pair has fewer draws.  Class
+counts are exact, so the ordered scan cumulates K - 1 classes and takes
+the last as the rest.  The tests check every scan against a plain
+per-node form of its search in ``tests/reference.py``.
 """
 from __future__ import annotations
 
@@ -120,23 +121,30 @@ def _gini(lc: np.ndarray, totals: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     left class counts are ``lc[..., k]``, given the class totals
     ``totals[..., k]`` broadcast against them; the objective is ``inf``
     where a daughter is empty.  Counts are float64 integers far below
-    2**53, so every sum and product of them is exact.  ``lc`` must be
-    C-contiguous: ndarray.sum then adds each candidate's squared shares
-    pairwise along one row, as the per-node objectives of
-    ``tests/reference.py`` do, where a strided view from 8 classes up
-    adds them in another order."""
-    k, ones = lc.shape[-1], np.ones(lc.shape[-1])
+    2**53, so every sum and product of them is exact, in any order.  The
+    squared shares add as ndarray.sum(axis=-1) adds them in the per-node
+    objectives of ``tests/reference.py``: below 8 classes numpy's pairwise
+    sum adds a row left to right from 0, as the column adds here do, many
+    times faster on such short rows; from 8 classes up it adds pairwise,
+    and ``lc`` must be C-contiguous, where a strided view adds in another
+    order."""
     rc = totals - lc
-    # counts add exactly in any order, and one product adds all their short
-    # rows many times faster than ndarray.sum, which the shares keep
-    ln = (lc.reshape(-1, k) @ ones).reshape(lc.shape[:-1])
-    n = (totals.reshape(-1, k) @ ones).reshape(totals.shape[:-1])
+    ln, n = _column_sum(lc), _column_sum(totals)
     rn = n - ln
+    shares = _column_sum if lc.shape[-1] < 8 else operator.methodcaller("sum", axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        gl = 1.0 - ((lc / ln[..., None]) ** 2).sum(axis=-1)
-        gr = 1.0 - ((rc / rn[..., None]) ** 2).sum(axis=-1)
+        gl = 1.0 - shares((lc / ln[..., None]) ** 2)
+        gr = 1.0 - shares((rc / rn[..., None]) ** 2)
         obj = (ln * gl + rn * gr) / n
     return np.where(ln * rn > 0, obj, np.inf), ln, rn
+
+
+def _column_sum(a: np.ndarray) -> np.ndarray:
+    """``a[..., 0] + a[..., 1] + ...``, added left to right."""
+    total = a[..., 0]
+    for k in range(1, a.shape[-1]):
+        total = total + a[..., k]
+    return total
 
 
 def _sse(sl, ssl, st, sst, nl, n) -> np.ndarray:
@@ -307,35 +315,40 @@ def ordered_split_batch(block: NodeBlock, node: np.ndarray, pred: np.ndarray):
     n_all = block.sizes[node]
     impurity, threshold = np.empty(m), np.empty(m)
     left, found = np.empty(m, dtype=np.int64), np.empty(m, dtype=bool)
-    k_classes = dataset.response.n_classes if dataset.task == CLASSIFICATION else 1
+    # cells per pair: n, times the K - 1 classes that classification cumulates
+    planes = dataset.response.n_classes - 1 if dataset.task == CLASSIFICATION else 1
     widest = np.argsort(-n_all, kind="stable")
-    for run in _runs(n_all[widest] * k_classes, _BATCH_CELLS):
+    for run in _runs(n_all[widest] * planes, _BATCH_CELLS):
         idx = widest[run]
-        n = n_all[idx]
-        rows = block.rows[node[idx], : int(n[0])]
-        at = np.arange(idx.size)
+        n, w = n_all[idx], int(n_all[idx[0]])
+        rows = block.rows[node[idx], :w]
         xs = table.values[table.row[pred[idx]][:, None], rows]
-        # stable: the NaN padding stays behind every value, NaN included
-        order = xs.argsort(axis=1, kind="stable")
-        xs = xs[at[:, None], order]
-        ys = table.response[rows[at[:, None], order]]
-        last = n - 1
-        cells = np.arange(rows.shape[1]) < n[:, None]
+        # flat gathers, row i from start[i]; stable: the NaN padding stays
+        # behind every value, NaN included
+        start = np.arange(0, idx.size * w, w)
+        order = xs.argsort(axis=1, kind="stable") + start[:, None]
+        xs = xs.take(order)
+        ys = table.response[rows.take(order)]
+        last = start + n - 1
+        cells = np.arange(w) < n[:, None]
         r, c = ((xs[:, :-1] != xs[:, 1:]) & cells[:, 1:]).nonzero()  # between two real cells
+        cut = start[r] + c
         if dataset.task == REGRESSION:
             yc = ys - (_row_sums(ys, cells) / n)[:, None]
-            cs = yc.cumsum(axis=1)
-            css = (yc * yc).cumsum(axis=1)
-            obj = _sse(cs[r, c], css[r, c], cs[r, last[r]], css[r, last[r]], c + 1.0, n[r])
-        else:
-            classes = np.arange(1, k_classes + 1)
-            cum = (ys[:, None, :] == classes[:, None]).cumsum(axis=2)
-            obj = _gini(cum[r, :, c].astype(np.float64), cum[r, :, last[r]].astype(np.float64))[0]
+            cs, css = yc.cumsum(axis=1), (yc * yc).cumsum(axis=1)
+            obj = _sse(cs.take(cut), css.take(cut), cs.take(last[r]), css.take(last[r]), c + 1.0, n[r])
+        else:  # the last class is the rest of the cells
+            cum = (ys[..., None] == np.arange(1, planes + 1)).cumsum(axis=1).reshape(-1, planes)
+            lc, totals = np.empty((2, cut.size, planes + 1))
+            for counts, at, size in ((lc, cut, c + 1), (totals, last[r], n[r])):
+                counts[:, :-1] = cum.take(at, axis=0)
+                counts[:, -1] = size - _column_sum(counts[:, :-1])
+            obj = _gini(lc, totals)[0]
         full = np.full(xs.shape, np.inf)
-        full[r, c] = obj
+        full.put(cut, obj)
         best = full.argmin(axis=1)
-        impurity[idx], threshold[idx], left[idx] = full[at, best], xs[at, best], best + 1
-        found[idx] = (n > 1) & (xs[at, 0] != xs[at, last])
+        impurity[idx], threshold[idx], left[idx] = full.take(start + best), xs.take(start + best), best + 1
+        found[idx] = (n > 1) & (xs[:, 0] != xs.take(last))
 
     def build(j: int) -> CandidateSplit:
         k = int(left[j])
@@ -382,8 +395,8 @@ def pseudo_value_batch(block: NodeBlock, node: np.ndarray, pred: np.ndarray):
         present = counts > 0
         if regression:
             sums = per_level(weights=y.ravel())
-        else:
-            sums = per_level(sel=y.ravel() == 1).astype(np.float64)
+        else:  # of class 1; class 2 is the rest of a level's count
+            sums = per_level(sel=y.ravel() == 1)
         gam = np.divide(sums, counts, out=np.zeros(sums.shape), where=present)
         # present levels first, by pseudo value, ties in level order
         order = np.lexsort((gam, ~present), axis=-1)
@@ -400,7 +413,7 @@ def pseudo_value_batch(block: NodeBlock, node: np.ndarray, pred: np.ndarray):
             st, sst = _row_sums(s_lvl, first)[r], _row_sums(ss_lvl, first)[r]
             obj = _sse(cs[r, c], css[r, c], st, sst, nl[r, c].astype(np.float64), n[r])
         else:  # absent levels count 0, so a row's last cell holds its class totals
-            cum = np.stack([per_level(sel=y.ravel() == k)[at, order] for k in (1, 2)], axis=-1).cumsum(axis=1)
+            cum = np.stack((sums, counts - sums), axis=-1)[at, order].cumsum(axis=1)
             obj = _gini(cum[r, c].astype(np.float64), cum[r, -1].astype(np.float64))[0]
         full = np.full(gs.shape, np.inf)
         full[r, c] = obj

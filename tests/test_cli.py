@@ -423,6 +423,29 @@ def test_experiment_subcommand(tmp_path):
     assert (tmp_path / "out" / "summary.csv").is_file()
 
 
+@pytest.mark.parametrize("flag", ["--trees", "--sample-size"])
+def test_train_refuses_a_huge_count_with_the_runtime_code(tmp_path, capsys, flag):
+    # numpy refuses the petabyte array before it allocates anything
+    _, data, spec = regression_inputs(tmp_path)
+    model = tmp_path / "model.json"
+    argv = ["train", "--data", data, "--schema", spec, "--out", str(model), "--trees", "2"]
+    code = main(argv + [flag, "10000000000000"])
+    err = capsys.readouterr().err
+    assert code == EXIT_RUNTIME
+    assert err.startswith("error: Unable to allocate") and "Traceback" not in err
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_train_rejects_workers_below_one(tmp_path, capsys, workers):
+    _, data, spec = regression_inputs(tmp_path)
+    model = tmp_path / "model.json"
+    argv = ["train", "--data", data, "--schema", spec, "--out", str(model), "--trees", "2"]
+    assert main(argv + ["--workers", workers]) == EXIT_DATA
+    assert "error: workers must be at least 1" in capsys.readouterr().err
+    assert not model.exists()
+
+
 def test_experiment_failure_exit_code(tmp_path, capsys):
     _, data, spec = regression_inputs(tmp_path)
     cfg = tmp_path / "cfg.json"
