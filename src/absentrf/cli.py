@@ -37,9 +37,9 @@ EXIT_DATA = 3
 EXIT_RUNTIME = 4
 
 
-def _add_data_args(p: argparse.ArgumentParser) -> None:
+def _add_data_args(p: argparse.ArgumentParser, schema_help: str = "schema JSON file") -> None:
     p.add_argument("--data", required=True, help="CSV file of rows")
-    p.add_argument("--schema", required=True, help="schema JSON file")
+    p.add_argument("--schema", required=True, help=schema_help)
     p.add_argument("--missing-token", default="?", help="field value that drops a row (default '?')")
     p.add_argument("--skip-header", action="store_true", help="ignore the first CSV row")
 
@@ -81,6 +81,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     forest = load_forest(args.model)
+    if load_schema(args.schema) != (forest.schema, forest.response):
+        raise DataError(f"{args.schema}: schema differs from the one in the model dump {args.model}")
     policy = parse_heuristic(args.heuristic)
     if policy is Heuristic.ONE_HOT:
         raise DataError(
@@ -177,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("predict", help="predict rows with a trained model")
-    _add_data_args(p)
+    _add_data_args(p, "schema JSON file; must equal the schema in the model dump")
     p.add_argument("--model", required=True, help="model dump from 'train'")
     p.add_argument("--heuristic", required=True, help="routing heuristic token")
     p.add_argument(

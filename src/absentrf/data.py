@@ -259,9 +259,8 @@ def ingest_csv(
     class_index = {label: i + 1 for i, label in enumerate(response.classes)}
 
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
         row_no = 0
-        for record in reader:
+        for record in _records(fh, path):
             if skip_header:  # the header row does not count as a data row
                 skip_header = False
                 continue
@@ -319,6 +318,15 @@ def ingest_csv(
         raise DataError(f"{path}: no usable rows")
     y = raw_y if has_response else None
     return from_arrays(schema, response, raw_cols, y), dropped
+
+
+def _records(fh, path):
+    """The ``csv.reader`` records of ``fh``; one it refuses raises DataError."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:  # e.g. a field beyond csv.field_size_limit()
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 def write_csv(dataset: Dataset, path) -> None:

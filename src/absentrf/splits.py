@@ -27,10 +27,11 @@ on them.
 
 Each search has one implementation: a batched scan over the (node,
 predictor) pairs of many nodes, which tree growth calls once per step.
-The per-node functions run it on one pair.  Every scan scores its
-candidates with one objective per task: :func:`_gini` for classes,
-:func:`_sse` for a numeric response.  Both bitmask searches read scores
-from one table of the patterns of a pair's present levels
+A scan writes each winner as the split entry that a model dump holds;
+the per-node functions turn it into a :class:`CandidateSplit`.  Every
+scan scores its candidates with one objective per task: :func:`_gini`
+for classes, :func:`_sse` for a numeric response.  Both bitmask searches
+read scores from one table of the patterns of a pair's present levels
 (:func:`_pattern_scores`), unless a random pair has fewer draws.  Class
 counts are exact, so the ordered scan cumulates K - 1 classes and takes
 the last as the rest.  The tests check every scan against a plain
@@ -161,6 +162,20 @@ def _sse(sl, ssl, st, sst, nl, n) -> np.ndarray:
 def _encode(levels) -> int:
     """Little-endian bitmask of a level set: bit ``q-1`` on for level ``q``."""
     return sum(1 << (q - 1) for q in levels)
+
+
+def _split(predictor, left_size: int, right_size: int, **rule) -> dict:
+    """A split entry in the dump form (:mod:`absentrf.tree`'s module notes), its child ids None."""
+    return dict(predictor=int(predictor), left=None, right=None, left_size=left_size, right_size=right_size, **rule)
+
+
+def _categorical(present: np.ndarray, left: list, bitmask: int, pseudo_split=None, gamma=None) -> dict:
+    """The rule of a categorical split entry sending sorted ``left`` left:
+    ``present`` masks levels 1..Q, and ``gamma`` holds their pseudo values."""
+    there, absent = ((mask.nonzero()[0] + 1).tolist() for mask in (present, ~present))
+    gamma = None if gamma is None else [[q, g] for q, g in zip(there, gamma[present].tolist())]
+    rule = dict(kind="categorical", left_levels=left, present=there, absent=absent, bitmask=bitmask)
+    return dict(rule, pseudo_split=pseudo_split, gamma=gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +319,8 @@ def ordered_split_batch(block: NodeBlock, node: np.ndarray, pred: np.ndarray):
 
     Pair ``j`` is node ``node[j]`` of ``block`` and predictor ``pred[j]``.
     Returns the best objective of each pair, whether the pair has a split
-    at all, and a function that builds pair ``j``'s
-    :class:`CandidateSplit`.  They equal ``best_ordered_splits`` of
+    at all, and a function that gives pair ``j``'s split entry in the dump
+    form (see :func:`_split`).  They equal ``best_ordered_splits`` of
     ``tests/reference.py`` on that node and predictor bit for bit.
     """
     table = block.table
@@ -350,12 +365,10 @@ def ordered_split_batch(block: NodeBlock, node: np.ndarray, pred: np.ndarray):
         impurity[idx], threshold[idx], left[idx] = full.take(start + best), xs.take(start + best), best + 1
         found[idx] = (n > 1) & (xs[:, 0] != xs.take(last))
 
-    def build(j: int) -> CandidateSplit:
-        k = int(left[j])
-        rule = OrderedRule(float(threshold[j]))
-        return CandidateSplit(int(pred[j]), rule, float(impurity[j]), k, int(n_all[j]) - k)
+    def entry(j: int) -> dict:
+        return _split(pred[j], int(left[j]), int(n_all[j] - left[j]), kind="ordered", threshold=float(threshold[j]))
 
-    return impurity, found, build
+    return impurity, found, entry
 
 
 def pseudo_value_batch(block: NodeBlock, node: np.ndarray, pred: np.ndarray):
@@ -424,22 +437,13 @@ def pseudo_value_batch(block: NodeBlock, node: np.ndarray, pred: np.ndarray):
         for a, j in enumerate(idx.tolist()):
             where[j] = (batch, a, int(best[a]))
 
-    def build(j: int) -> CandidateSplit:
+    def entry(j: int) -> dict:
         (gam, present, order, gs, nl), a, c = where[j]
-        levels = np.flatnonzero(present[a]) + 1
-        left = frozenset((order[a, : c + 1] + 1).tolist())
-        rule = CategoricalRule(
-            left_levels=left,
-            present=frozenset(levels.tolist()),
-            absent=frozenset(range(1, int(q_all[j]) + 1)) - frozenset(levels.tolist()),
-            bitmask=_encode(left),
-            pseudo_split=float(gs[a, c]),
-            gamma=tuple(zip(levels.tolist(), gam[a, levels - 1].tolist())),
-        )
-        n_left = int(nl[a, c])
-        return CandidateSplit(int(pred[j]), rule, float(impurity[j]), n_left, int(n_all[j]) - n_left)
+        left = sorted((order[a, : c + 1] + 1).tolist())
+        rule = _categorical(present[a, : q_all[j]], left, _encode(left), float(gs[a, c]), gam[a, : q_all[j]])
+        return _split(pred[j], int(nl[a, c]), int(n_all[j] - nl[a, c]), **rule)
 
-    return impurity, found, build
+    return impurity, found, entry
 
 
 # ---------------------------------------------------------------------------
@@ -670,8 +674,8 @@ def bitmask_batch(block: NodeBlock, node: np.ndarray, pred: np.ndarray, rngs, n_
             f"{count_partitions(q)} bipartitions of {q} levels exceed the exhaustive "
             f"limit ({min(limit, EXHAUSTIVE_HARD_LIMIT)} levels); use random_categorical_split"
         )
-    impurity, sizes = np.full(m, np.inf), np.zeros((m, 2), dtype=np.int64)
-    winner: list = [None] * m  # (present levels, winning row of bits)
+    impurity = np.full(m, np.inf)
+    winner: list = [None] * m  # (present levels, winning row of bits, daughter sizes)
     for run in _runs(np.maximum(n_all, (q_all + 1) * (k + 1)), _BITMASK_CELLS):
         idx = np.arange(m)[run]
         counts = _level_class_counts(block, node[idx], pred[idx], k)
@@ -683,22 +687,16 @@ def bitmask_batch(block: NodeBlock, node: np.ndarray, pred: np.ndarray, rngs, n_
             best, rows, ln, rn = _random_scores(counts, present, q_all[idx], draws, n_candidates)
         found = np.flatnonzero(best < np.inf)
         impurity[idx[found]] = best[found]
-        sizes[idx[found]] = np.stack((ln[found], rn[found]), axis=1)
         for b in found.tolist():
-            winner[idx[b]] = (present[b], rows[b])
+            winner[idx[b]] = (present[b], rows[b], int(ln[b]), int(rn[b]))
 
-    def build(j: int) -> CandidateSplit:
-        present, row = winner[j]
-        levels, bits = (np.flatnonzero(present) + 1).tolist(), row.tolist()
-        rule = CategoricalRule(
-            left_levels=frozenset(q for q in levels if bits[q - 1]),
-            present=frozenset(levels),
-            absent=frozenset(range(1, int(q_all[j]) + 1)).difference(levels),
-            bitmask=_encode(q for q, bit in enumerate(bits, 1) if bit),
-        )
-        return CandidateSplit(int(pred[j]), rule, float(impurity[j]), int(sizes[j, 0]), int(sizes[j, 1]))
+    def entry(j: int) -> dict:
+        present, row, n_left, n_right = winner[j]
+        left = ((present & (row == 1)).nonzero()[0] + 1).tolist()
+        bitmask = _encode((row.nonzero()[0] + 1).tolist())  # a random draw's absent-level bits too
+        return _split(pred[j], n_left, n_right, **_categorical(present[: q_all[j]], left, bitmask))
 
-    return impurity, np.isfinite(impurity), build
+    return impurity, np.isfinite(impurity), entry
 
 
 # ---------------------------------------------------------------------------
@@ -709,8 +707,19 @@ def _one_pair(scan, dataset: Dataset, rows, predictor: int, *args) -> CandidateS
     """``scan(block, node, pred, *args)`` on the one pair of ``rows`` and
     ``predictor``: its split, or None where the scan found none."""
     node = np.zeros(1, dtype=np.int64)
-    _, found, build = scan(NodeBlock(ColumnTable(dataset), [rows]), node, node + predictor, *args)
-    return build(0) if found[0] else None
+    impurity, found, entry = scan(NodeBlock(ColumnTable(dataset), [rows]), node, node + predictor, *args)
+    return _candidate(entry(0), float(impurity[0])) if found[0] else None
+
+
+def _candidate(split: dict, impurity: float) -> CandidateSplit:
+    """The :class:`CandidateSplit` of a split entry that scored ``impurity``."""
+    if split["kind"] == "ordered":
+        rule = OrderedRule(split["threshold"])
+    else:
+        gamma = None if split["gamma"] is None else tuple(map(tuple, split["gamma"]))
+        levels = (frozenset(split[key]) for key in ("left_levels", "present", "absent"))
+        rule = CategoricalRule(*levels, split["bitmask"], split["pseudo_split"], gamma)
+    return CandidateSplit(split["predictor"], rule, impurity, split["left_size"], split["right_size"])
 
 
 def best_ordered_split(dataset: Dataset, rows, predictor: int) -> CandidateSplit | None:

@@ -43,10 +43,8 @@ from .heuristics import Heuristic, RoutingContext, resolve
 from .seeding import Coins
 from .splits import (
     EXHAUSTIVE_HARD_LIMIT,
-    CandidateSplit,
     ColumnTable,
     NodeBlock,
-    OrderedRule,
     bitmask_batch,
     ordered_split_batch,
     pseudo_value_batch,
@@ -103,22 +101,6 @@ def _node_entries(block: NodeBlock) -> tuple[list[dict], list[bool]]:
     return [{"id": 0, "size": s, "class_counts": c, "split": None} for s, c in counted], pure
 
 
-def _split_entry(best: CandidateSplit) -> dict:
-    """The split of a node that ``best`` won; its child ids are filled in
-    when the children are popped."""
-    rule = best.rule
-    out = {"predictor": best.predictor, "left": None, "right": None}
-    out.update(left_size=best.left_size, right_size=best.right_size)
-    if isinstance(rule, OrderedRule):
-        out.update(kind="ordered", threshold=rule.threshold)
-        return out
-    out.update(kind="categorical", left_levels=sorted(rule.left_levels))
-    out.update(present=sorted(rule.present), absent=sorted(rule.absent), bitmask=rule.bitmask)
-    gamma = None if rule.gamma is None else [[q, g] for q, g in rule.gamma]  # as JSON reads them back
-    out.update(pseudo_split=rule.pseudo_split, gamma=gamma)
-    return out
-
-
 # the split search of a predictor
 ORDERED, PSEUDO, EXHAUSTIVE, RANDOM = range(4)
 
@@ -152,12 +134,12 @@ def _first_best(impurity: np.ndarray, valid: np.ndarray) -> np.ndarray:
 
 
 def _best_splits(block: NodeBlock, sampled: np.ndarray, kinds, rngs, cfg: GrowConfig):
-    """The winning split of each node ``r`` of ``block`` over its sampled
-    predictors ``sampled[r]`` (None where none is valid), scanning them
-    in sampled order and keeping the first strictly lowest objective.
+    """The split entry that each node ``r`` of ``block`` wins over its
+    sampled predictors ``sampled[r]`` (None where none is valid), scanning
+    them in sampled order and keeping the first strictly lowest objective.
 
     The pairs of each search kind are scored in one batched call, and only
-    the winners are built into splits.  The random search takes its pairs
+    the winners' entries are written.  The random search takes its pairs
     in (node, sampled rank) order, each drawing from its node's
     ``rngs[r]``.
     """
@@ -183,10 +165,8 @@ def _best_splits(block: NodeBlock, sampled: np.ndarray, kinds, rngs, cfg: GrowCo
         impurity[r, c], valid[r, c], scans[search] = scan
         pair[r, c] = np.arange(r.size)
 
-    out = []
-    for r, (c, has) in enumerate(zip(_first_best(impurity, valid).tolist(), valid.any(axis=1).tolist())):
-        out.append(scans[kind[r, c]](int(pair[r, c])) if has else None)
-    return out
+    best = zip(_first_best(impurity, valid).tolist(), valid.any(axis=1).tolist())
+    return [scans[kind[r, c]](int(pair[r, c])) if has else None for r, (c, has) in enumerate(best)]
 
 
 def grow_trees(dataset: Dataset, samples, cfg: GrowConfig, rngs, tree_ids) -> list[dict]:
@@ -250,16 +230,16 @@ def grow_trees(dataset: Dataset, samples, cfg: GrowConfig, rngs, tree_ids) -> li
         rngs_at, _, _, rows_at, sampled = zip(*step)
         splits = _best_splits(NodeBlock(table, rows_at), np.array(sampled), kinds, rngs_at, cfg)
         children, links = [], []
-        for (_, stack, node, node_rows, _), best in zip(step, splits):
-            if best is None:
+        for (_, stack, node, node_rows, _), split in zip(step, splits):
+            if split is None:
                 continue
-            node["split"] = split = _split_entry(best)
-            x = dataset.columns[best.predictor][node_rows]
-            if isinstance(best.rule, OrderedRule):
-                mask = x <= best.rule.threshold
+            node["split"] = split
+            x = dataset.columns[split["predictor"]][node_rows]
+            if split["kind"] == "ordered":
+                mask = x <= split["threshold"]
             else:
-                lut = np.zeros(dataset.schema[best.predictor].n_levels + 1, dtype=bool)
-                lut[list(best.rule.left_levels)] = True
+                lut = np.zeros(dataset.schema[split["predictor"]].n_levels + 1, dtype=bool)
+                lut[split["left_levels"]] = True
                 mask = lut[x]
             children += [node_rows[~mask], node_rows[mask]]
             links += [(stack, split, "right"), (stack, split, "left")]

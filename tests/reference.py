@@ -29,7 +29,7 @@ from absentrf.splits import (
     _encode,
     count_partitions,
 )
-from absentrf.tree import GrowConfig, NodeTable, PredictionTrace, _split_entry
+from absentrf.tree import GrowConfig, NodeTable, PredictionTrace
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +396,21 @@ def _node_search(dataset: Dataset, cfg: GrowConfig, rows, predictor: int, rng) -
     if spec.n_levels <= limit:
         return exhaustive_categorical_split(dataset, rows, predictor, limit)
     return random_categorical_split(dataset, rows, predictor, rng, cfg.random_candidates)
+
+
+def _split_entry(best: CandidateSplit) -> dict:
+    """The dump form of the split that ``best`` won, child ids None."""
+    rule = best.rule
+    out = {"predictor": best.predictor, "left": None, "right": None}
+    out.update(left_size=best.left_size, right_size=best.right_size)
+    if isinstance(rule, OrderedRule):
+        out.update(kind="ordered", threshold=rule.threshold)
+        return out
+    out.update(kind="categorical", left_levels=sorted(rule.left_levels))
+    out.update(present=sorted(rule.present), absent=sorted(rule.absent), bitmask=rule.bitmask)
+    gamma = None if rule.gamma is None else [[q, g] for q, g in rule.gamma]  # as JSON reads them back
+    out.update(pseudo_split=rule.pseudo_split, gamma=gamma)
+    return out
 
 
 def grow_tree_recursively(dataset: Dataset, rows, cfg: GrowConfig, rng, tree_id: int = 0) -> dict:

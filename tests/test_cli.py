@@ -169,6 +169,43 @@ def test_predict_rejects_unknown_heuristic(trained, capsys):
     assert "unknown heuristic" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [None, lambda obj: obj["columns"][1]["levels"].__setitem__(0, "red"), lambda obj: obj["response"]["classes"].pop()],
+    ids=["missing-file", "renamed-level", "other-classes"],
+)
+def test_predict_rejects_a_schema_other_than_the_models(tmp_path, capsys, edit):
+    _, data, spec = classification_inputs(tmp_path)
+    model, other, out = tmp_path / "model.json", tmp_path / "other.json", tmp_path / "pred.csv"
+    assert main(["train", "--data", data, "--schema", spec, "--out", str(model), "--trees", "5"]) == EXIT_OK
+    capsys.readouterr()
+    if edit is not None:
+        obj = json.loads(Path(spec).read_text())
+        edit(obj)
+        other.write_text(json.dumps(obj))
+    argv = ["predict", "--data", data, "--schema", str(other), "--model", str(model), "--heuristic", "left"]
+    assert main(argv + ["--out", str(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert ("No such file" if edit is None else "schema differs from the one in the model dump") in err
+    assert not out.exists()
+
+
+def test_predict_output_is_unchanged_under_an_equal_schema(tmp_path):
+    # the same schema written another way (keys reordered, no indent)
+    _, data, spec = classification_inputs(tmp_path)
+    model, same = tmp_path / "model.json", tmp_path / "same.json"
+    assert main(["train", "--data", data, "--schema", spec, "--out", str(model), "--trees", "5"]) == EXIT_OK
+    obj = json.loads(Path(spec).read_text())
+    same.write_text(json.dumps(dict(reversed(list(obj.items())))))
+    outs = []
+    for schema in (spec, str(same)):
+        outs.append(tmp_path / f"{len(outs)}.csv")
+        argv = ["predict", "--data", data, "--schema", schema, "--model", str(model), "--heuristic", "dbi"]
+        assert main(argv + ["--out", str(outs[-1])]) == EXIT_OK
+    assert outs[0].read_bytes() == outs[1].read_bytes() != b""
+
+
 def classification_inputs(tmp_path, n=60, seed=4):
     """Three classes; the 6-level colour column has rare levels, so
     bootstraps miss them and rows meet absent levels."""
@@ -525,6 +562,28 @@ def test_bad_csv_exits_with_data_code(tmp_path, capsys):
     code = main(["train", "--data", str(bad), "--schema", spec, "--out", str(tmp_path / "m.json")])
     assert code == EXIT_DATA
     assert "not numeric" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "transform", "predict", "experiment"])
+def test_a_field_beyond_the_csv_field_limit_exits_with_data_code(trained, tmp_path, capsys, command):
+    _, _, spec, model = trained
+    big = tmp_path / "big.csv"
+    big.write_text("0.5,ash,1.0\n" + "7" * (csv.field_size_limit() + 1) + ",ash,1.0\n")
+    cfg = tmp_path / "cfg.json"
+    out = str(tmp_path / "out")
+    config = {"dataset_path": str(big), "schema_path": spec, "output_dir": out, "heuristics": ["left"]}
+    cfg.write_text(json.dumps(config))
+    data = ["--data", str(big), "--schema", spec]
+    argv = {
+        "train": ["train", *data, "--out", str(tmp_path / "m.json")],
+        "transform": ["transform", *data, "--out-data", out + ".csv", "--out-schema", out + ".json"],
+        "predict": ["predict", *data, "--model", model, "--heuristic", "left"],
+        "experiment": ["experiment", "--config", str(cfg)],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {big}: line 2: field larger than field limit") and "Traceback" not in err
 
 
 def test_usage_error_exits_two():

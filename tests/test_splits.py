@@ -7,6 +7,8 @@ under test.
 """
 import contextlib
 import dataclasses
+import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -322,6 +324,12 @@ def batch_instance(seed, task, k=2):
     return ds, nodes, rng
 
 
+def assert_same_entry(got: dict, want):
+    """``got`` is the dump form of ``want``, its list order and float reprs
+    included: the split entry that growth writes."""
+    assert json.dumps(got, sort_keys=True) == json.dumps(reference._split_entry(want), sort_keys=True)
+
+
 def assert_same_split(got, want):
     assert got == want
     assert repr(got.impurity) == repr(want.impurity)
@@ -344,7 +352,7 @@ def test_ordered_split_batch_equals_per_node_kernel(task, k, seed):
     if not numeric:
         return
     pairs = np.array([(i, p) for i in range(len(nodes)) for p in numeric if rng.random() < 0.8] or [(0, numeric[0])])
-    impurity, found, build = ordered_split_batch(NodeBlock(ColumnTable(ds), nodes), pairs[:, 0], pairs[:, 1])
+    impurity, found, entry = ordered_split_batch(NodeBlock(ColumnTable(ds), nodes), pairs[:, 0], pairs[:, 1])
     assert len(impurity) == len(found) == len(pairs)
     for j, (i, p) in enumerate(pairs.tolist()):
         want = best_ordered_splits(ds, nodes[i], [p])[0]
@@ -353,7 +361,7 @@ def test_ordered_split_batch_equals_per_node_kernel(task, k, seed):
         assert (one is None) == (want is None)
         if want is not None:
             assert repr(float(impurity[j])) == repr(want.impurity)
-            assert_same_split(build(j), want)
+            assert_same_entry(entry(j), want)
             assert_same_split(one, want)
 
 
@@ -366,7 +374,7 @@ def test_pseudo_value_batch_equals_per_node_kernel(task, seed):
     if not cats:
         return
     pairs = np.array([(i, p) for i in range(len(nodes)) for p in cats if rng.random() < 0.8] or [(0, cats[0])])
-    impurity, found, build = pseudo_value_batch(NodeBlock(ColumnTable(ds), nodes), pairs[:, 0], pairs[:, 1])
+    impurity, found, entry = pseudo_value_batch(NodeBlock(ColumnTable(ds), nodes), pairs[:, 0], pairs[:, 1])
     assert len(impurity) == len(found) == len(pairs)
     for j, (i, p) in enumerate(pairs.tolist()):
         want = pseudo_value_search(ds, nodes[i], p)
@@ -375,7 +383,7 @@ def test_pseudo_value_batch_equals_per_node_kernel(task, seed):
         assert (one is None) == (want is None)
         if want is not None:
             assert repr(float(impurity[j])) == repr(want.impurity)
-            assert_same_split(build(j), want)
+            assert_same_entry(entry(j), want)
             assert_same_split(one, want)
 
 
@@ -996,11 +1004,10 @@ def chunk_cells(cells):
         yield
 
 
-def assert_same_bitmask_split(impurity, found, build, j, want):
+def assert_same_bitmask_split(impurity, found, entry, j, want):
     assert found[j] == (want is not None)
     if want is not None:
-        got = build(j)
-        assert got == want  # rule (levels, bitmask), impurity and daughter sizes
+        assert_same_entry(entry(j), want)  # levels, bitmask and daughter sizes
         assert repr(float(impurity[j])) == repr(want.impurity)
 
 
@@ -1012,11 +1019,11 @@ def test_exhaustive_bitmask_batch_equals_per_node_search(cells, k, seed, max_q):
     ds, nodes, pairs = bitmask_batch_instance(np.random.default_rng(seed), k, max_q)
     with chunk_cells(cells):
         block = NodeBlock(ColumnTable(ds), nodes)
-        impurity, found, build = bitmask_batch(block, pairs[:, 0], pairs[:, 1], None, 1024, max_q)
+        impurity, found, entry = bitmask_batch(block, pairs[:, 0], pairs[:, 1], None, 1024, max_q)
     assert len(impurity) == len(found) == len(pairs)
     for j, (i, p) in enumerate(pairs.tolist()):
         want = reference.exhaustive_categorical_split(ds, nodes[i], p, max_q)
-        assert_same_bitmask_split(impurity, found, build, j, want)
+        assert_same_bitmask_split(impurity, found, entry, j, want)
         assert exhaustive_categorical_split(ds, nodes[i], p, max_q) == want
 
 
@@ -1027,9 +1034,9 @@ def test_exhaustive_bitmask_batch_keeps_the_first_of_tied_encodings():
     nodes = [np.arange(4), np.array([2, 3])]
     want = [reference.exhaustive_categorical_split(ds, rows, 0) for rows in nodes]
     block = NodeBlock(ColumnTable(ds), nodes)
-    impurity, found, build = bitmask_batch(block, np.array([0, 1]), np.array([0, 0]), None, 1024, EXHAUSTIVE_HARD_LIMIT)
+    impurity, found, entry = bitmask_batch(block, np.array([0, 1]), np.array([0, 0]), None, 1024, EXHAUSTIVE_HARD_LIMIT)
     assert want[0].impurity == 0.0 and want[0].rule.bitmask == 3
-    assert_same_bitmask_split(impurity, found, build, 0, want[0])
+    assert_same_bitmask_split(impurity, found, entry, 0, want[0])
     assert want[1] is None and not found[1]  # one present level
 
 
@@ -1072,6 +1079,31 @@ def test_exhaustive_bitmask_batch_keeps_no_large_encoding_table():
     assert sum(t.nbytes for t in splits._ENCODINGS.values()) <= 256 * 1024
 
 
+@pytest.mark.parametrize("k", [2, 7])
+def test_exhaustive_bitmask_batch_holds_one_pattern_table_at_a_time(k):
+    # every pair holds all 16 levels, so each scores the 2**15 - 1
+    # patterns of 16 levels in a table of several MiB; runs of such pairs
+    # take one pair each, so 32 pairs peak about where one pair does
+    def traced(n_pairs):
+        x = np.tile(np.arange(1, 17), 2 * n_pairs)
+        ds = cat_dataset(x, np.random.default_rng(k).integers(1, k + 1, size=x.size), 16, CLASSIFICATION, k=k)
+        block = NodeBlock(ColumnTable(ds), [np.arange(32 * i, 32 * (i + 1)) for i in range(n_pairs)])
+        pair = np.arange(n_pairs)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            scan = bitmask_batch(block, pair, np.zeros_like(pair), None, 1024, 16)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert scan[1].all()
+        return peak - before, held - before  # bytes at the peak, and still held with the results
+
+    (one, held_one), (peak, held) = traced(1), traced(32)
+    assert peak <= 16 * 2**20 and peak <= one + 2**20
+    assert max(held_one, held) <= 256 * 1024
+
+
 @pytest.mark.parametrize("cells", [None, 1000])
 @given(seed=st.integers(0, 10**9), k=st.sampled_from([2, 3, 7, 9, 17]), m=st.sampled_from([1, 4, 33, 256, 1024]))
 @settings(max_examples=60, deadline=None)
@@ -1084,10 +1116,10 @@ def test_random_bitmask_batch_equals_sequential_per_node_searches(cells, seed, k
     draw_from = [got_rngs[i] for i in pairs[:, 0].tolist()]
     with chunk_cells(cells):
         block = NodeBlock(ColumnTable(ds), nodes)
-        impurity, found, build = bitmask_batch(block, pairs[:, 0], pairs[:, 1], draw_from, m, EXHAUSTIVE_HARD_LIMIT)
+        impurity, found, entry = bitmask_batch(block, pairs[:, 0], pairs[:, 1], draw_from, m, EXHAUSTIVE_HARD_LIMIT)
     for j, (i, p) in enumerate(pairs.tolist()):  # in pair order, as the batch draws
         want = reference.random_categorical_split(ds, nodes[i], p, want_rngs[i], m)
-        assert_same_bitmask_split(impurity, found, build, j, want)
+        assert_same_bitmask_split(impurity, found, entry, j, want)
         assert random_categorical_split(ds, nodes[i], p, one_rngs[i], m) == want
     for got_rng, want_rng, one_rng in zip(got_rngs, want_rngs, one_rngs):
         assert got_rng.bit_generator.state == want_rng.bit_generator.state

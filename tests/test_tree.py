@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from absentrf import splits, synth
 from absentrf import tree as tree_module
 from absentrf.data import (
     CATEGORICAL,
@@ -19,7 +20,7 @@ from absentrf.data import (
     ResponseSpec,
     from_arrays,
 )
-from absentrf.forest import ForestConfig, load_forest, save_forest, train_forest
+from absentrf.forest import ForestConfig, forest_hash, load_forest, save_forest, train_forest
 from absentrf.heuristics import Heuristic
 from absentrf.seeding import Coins, stream
 from absentrf.tree import (
@@ -268,6 +269,26 @@ def test_a_step_searches_one_node_that_needs_it_per_growing_tree(monkeypatch, ta
         for t, rows in zip(trees, samples)
     ]
     assert min(searched) > 1 and len(blocks) == max(searched)
+
+
+@pytest.mark.parametrize("generator", ["price_regression", "rollcall_binary", "bridge_multiclass"])
+def test_growth_builds_no_split_objects(monkeypatch, generator):
+    """Each scan writes its winners' split entries itself: with the split
+    and rule constructors failing, every split search still grows the
+    golden forests, and every float of an entry is a Python float."""
+    from test_golden import GOLDEN
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a split object was built")
+
+    for name in ("CandidateSplit", "OrderedRule", "CategoricalRule"):
+        monkeypatch.setattr(splits, name, refuse)
+    forest = train_forest(getattr(synth, generator)(0), ForestConfig(n_trees=10, seed=11))
+    assert forest_hash(forest) == GOLDEN[(generator, False)]
+    entries = [node["split"] for t in forest.tree_dicts for node in t["nodes"] if node["split"]]
+    floats = [s["threshold"] if s["kind"] == "ordered" else s["pseudo_split"] for s in entries]
+    floats += [g for s in entries if s["kind"] == "categorical" and s["gamma"] for _, g in s["gamma"]]
+    assert {type(v) for v in floats} <= {float, type(None)}
 
 
 @pytest.mark.parametrize("n_samples,n_rngs,n_ids", [(2, 2, 3), (3, 2, 2)])
