@@ -34,8 +34,11 @@ for classes, :func:`_sse` for a numeric response.  Both bitmask searches
 read scores from one table of the patterns of a pair's present levels
 (:func:`_pattern_scores`), unless a random pair has fewer draws.  Class
 counts are exact, so the ordered scan cumulates K - 1 classes and takes
-the last as the rest.  The tests check every scan against a plain
-per-node form of its search in ``tests/reference.py``.
+the last as the rest, and scores a two-valued classification column,
+such as a one-hot dummy, by counting the rows of its rarer value
+without sorting; regression sorts, as its sums run in sorted order.  The
+tests check every scan against a plain per-node form of its search in
+``tests/reference.py``.
 """
 from __future__ import annotations
 
@@ -240,7 +243,10 @@ class ColumnTable:
     one float matrix and its categorical columns as rows of one int matrix
     (predictor ``p`` is row ``row[p]`` of its kind's matrix), each row
     ending in one padding cell.  The padding reads as NaN in a numeric
-    column, as level 0 in a categorical one, and as 0 in ``response``."""
+    column, as level 0 in a categorical one, and as 0 in ``response``.
+    Numeric row ``r`` of a classification table that holds two values,
+    neither NaN nor -0.0, has lower value ``low[r]`` and rarer value
+    ``rare[r]`` (else NaN) in rows ``rare_rows[rare_at[r] : rare_at[r + 1]]``."""
 
     def __init__(self, dataset: Dataset):
         if dataset.y is None:
@@ -259,6 +265,14 @@ class ColumnTable:
             mats.append(mat)
         self.values, self.levels = mats
         self.response = np.append(dataset.y, dataset.y.dtype.type(0))
+        vals = self.values[:, :-1] if dataset.task == CLASSIFICATION else self.values[:, -1:]  # regression: NaN
+        lo, hi = vals.min(axis=1), vals.max(axis=1)  # NaN where a NaN is held
+        at_lo = vals == lo[:, None]
+        two = (lo < hi) & (at_lo | (vals == hi[:, None])).all(axis=1) & ~((vals == 0) & np.signbit(vals)).any(axis=1)
+        rare_low = 2 * at_lo.sum(axis=1) <= dataset.n_rows
+        self.low, self.rare = np.where(two, lo, np.nan), np.where(two, np.where(rare_low, lo, hi), np.nan)
+        r, self.rare_rows = ((at_lo == rare_low[:, None]) & two[:, None]).nonzero()  # grouped by r
+        self.rare_at = np.append(0, np.bincount(r, minlength=two.size).cumsum())
 
     def check(self, pred: np.ndarray, numeric: bool) -> None:
         """Raise ValueError unless every predictor in ``pred`` is of the kind."""
@@ -321,18 +335,35 @@ def ordered_split_batch(block: NodeBlock, node: np.ndarray, pred: np.ndarray):
     Returns the best objective of each pair, whether the pair has a split
     at all, and a function that gives pair ``j``'s split entry in the dump
     form (see :func:`_split`).  They equal ``best_ordered_splits`` of
-    ``tests/reference.py`` on that node and predictor bit for bit.
+    ``tests/reference.py`` on that node and predictor bit for bit.  Pairs
+    on a table's two-valued columns go to :func:`_two_valued_scan`, the
+    rest to :func:`_sorting_scan`.
     """
     table = block.table
-    dataset = table.dataset
     table.check(pred, numeric=True)
-    m = node.size
+    out = impurity, threshold, left, found = [np.empty(node.size, t) for t in (float, float, np.int64, bool)]
+    two = ~np.isnan(table.low[table.row[pred]])
+    if two.any():
+        _two_valued_scan(block, node, pred, np.flatnonzero(two), out)
+    _sorting_scan(block, node, pred, np.flatnonzero(~two), out)
+
+    def entry(j: int) -> dict:
+        n_right = int(block.sizes[node[j]] - left[j])
+        return _split(pred[j], int(left[j]), n_right, kind="ordered", threshold=float(threshold[j]))
+
+    return impurity, found, entry
+
+
+def _sorting_scan(block: NodeBlock, node: np.ndarray, pred: np.ndarray, pairs: np.ndarray, out) -> None:
+    """Write the objective, threshold, left size and found flag of pairs
+    ``pairs`` into ``out``, scoring every cut of the sorted values."""
+    table = block.table
+    dataset = table.dataset
     n_all = block.sizes[node]
-    impurity, threshold = np.empty(m), np.empty(m)
-    left, found = np.empty(m, dtype=np.int64), np.empty(m, dtype=bool)
+    impurity, threshold, left, found = out
     # cells per pair: n, times the K - 1 classes that classification cumulates
     planes = dataset.response.n_classes - 1 if dataset.task == CLASSIFICATION else 1
-    widest = np.argsort(-n_all, kind="stable")
+    widest = pairs[np.argsort(-n_all[pairs], kind="stable")]
     for run in _runs(n_all[widest] * planes, _BATCH_CELLS):
         idx = widest[run]
         n, w = n_all[idx], int(n_all[idx[0]])
@@ -365,10 +396,36 @@ def ordered_split_batch(block: NodeBlock, node: np.ndarray, pred: np.ndarray):
         impurity[idx], threshold[idx], left[idx] = full.take(start + best), xs.take(start + best), best + 1
         found[idx] = (n > 1) & (xs[:, 0] != xs.take(last))
 
-    def entry(j: int) -> dict:
-        return _split(pred[j], int(left[j]), int(n_all[j] - left[j]), kind="ordered", threshold=float(threshold[j]))
 
-    return impurity, found, entry
+def _two_valued_scan(block: NodeBlock, node: np.ndarray, pred: np.ndarray, pairs: np.ndarray, out) -> None:
+    """:func:`_sorting_scan` on two-valued columns: the one cut puts the
+    lower value left, with the class counts of the rarer value's rows in
+    the node, or the node's totals less them.  Per chunk of nodes, a pair
+    with no more such rows than the chunk's widest node reads them alone,
+    weighted by their count in the node; others read the node's rows.
+    Counts are exact, so :func:`_gini` gets the sorting scan's values."""
+    table = block.table
+    big, k = table.dataset.n_rows + 1, table.dataset.response.n_classes
+    nodes, local = np.unique(node[pairs], return_inverse=True)
+    for run in _runs(np.full(nodes.size, big), 4 * _BATCH_CELLS):  # row counts: n_rows + 1 per node
+        span = np.arange(run.stop - run.start)[:, None]
+        rows = block.rows[nodes[run], : int(block.sizes[nodes[run]].max())]
+        totals = np.bincount((table.response[rows] + span * (k + 1)).ravel(), minlength=span.size * (k + 1))
+        sel = np.flatnonzero((local >= run.start) & (local < run.stop))
+        idx, a, c = pairs[sel], local[sel] - run.start, table.row[pred[pairs[sel]]]
+        rare = table.rare_at[c + 1] - table.rare_at[c]
+        rare[rare > rows.shape[1]] = 0  # such pairs read their node's rows
+        one = np.repeat(np.arange(idx.size), rare)  # the pair of each rarer-value row read
+        rr = table.rare_rows[np.arange(one.size) + np.repeat(table.rare_at[c] + rare - rare.cumsum(), rare)]
+        mult = np.bincount((rows + span * big).ravel(), minlength=span.size * big) if one.size else one  # none read
+        many = np.flatnonzero(rare == 0)
+        r, cell = (table.values[c[many, None], rows[a[many]]] == table.rare[c[many], None]).nonzero()  # padding: NaN
+        bins = np.concatenate((one * k + table.response[rr], many[r] * k + table.response[rows[a[many[r]], cell]])) - 1
+        weights = np.concatenate((mult[a[one] * big + rr], np.ones(r.size)))
+        rc = np.bincount(bins, weights=weights, minlength=idx.size * k).reshape(-1, k)
+        tot = totals.reshape(-1, k + 1)[a, 1:].astype(np.float64)
+        obj, ln, rn = _gini(np.where((table.rare == table.low)[c, None], rc, tot - rc), tot)
+        out[0][idx], out[1][idx], out[2][idx], out[3][idx] = obj, table.low[c], ln, ln * rn > 0
 
 
 def pseudo_value_batch(block: NodeBlock, node: np.ndarray, pred: np.ndarray):
@@ -514,8 +571,11 @@ def _encodings(q: int) -> np.ndarray:
     column ``q-1`` holds bit ``q-1``, which sends level ``q`` left."""
     table = _ENCODINGS.get(q)
     if table is None:
-        masks = np.arange(1, count_partitions(q) + 1, dtype=np.int64)
-        table = ((masks[:, None] >> np.arange(q)) & 1).astype(np.float64)
+        # encodings 0, 1, ...: bit b is on in the upper half of each 2**(b+1)
+        table = np.zeros((count_partitions(q) + 1, q))
+        for b in range(q - 1):
+            table.reshape(-1, 2 << b, q)[:, 1 << b :, b] = 1.0
+        table = table[1:]
         if q <= _CACHED_LEVELS:
             _ENCODINGS[q] = table
     return table

@@ -1,4 +1,5 @@
 """Smoke tests of the helper scripts, run as a user runs them."""
+import importlib.util
 import json
 import os
 import subprocess
@@ -59,3 +60,41 @@ def test_run_all_experiments_reports_a_failed_config(tmp_path):
     assert proc.returncode == 1
     assert "FAILED" in proc.stdout
     assert "1 of 1 configs failed" in proc.stdout
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def result_line(op_ref_s, output_bytes, correct=True):
+    metrics = {"op_ref_s": {"value": op_ref_s, "unit": "s"}, "output_bytes": {"value": output_bytes, "unit": "bytes"}}
+    return json.dumps({"correct": correct, "attempted": 4, "failed": 0 if correct else 1, "metrics": metrics})
+
+
+def test_paired_bench_summarizes_alternated_pairs():
+    bench = load_script("paired_bench")
+    assert bench.parse_seeds("3,51-53") == [3, 51, 52, 53]
+    report = json.dumps({"workload": "rollcall-experiment", "timings": {}})
+    canned = {  # seed -> (base, change) op_ref_s; output_bytes equal but on seed 53
+        51: (0.40, 0.35),
+        52: (0.38, 0.39),
+        53: (0.42, 0.30),
+        54: (0.36, 0.36),
+    }
+    runs = []
+    for seed, (base, change) in canned.items():
+        for side, value in (("base", base), ("change", change)):
+            run = bench.parse_result(report + "\n" + result_line(value, 100.0 - (seed == 53) * (side == "change")))
+            runs.append({"seed": seed, "side": side, "order": 0, **run})
+    runs.append({"seed": 55, "side": "base", "order": 0, **bench.parse_result(result_line(0.1, 100.0))})  # no pair
+    summary = bench.summarize(runs)
+    assert summary["op_ref_s"]["pairs"] == 4
+    assert summary["op_ref_s"]["change_lower"] == 2  # ties are not lower
+    assert summary["op_ref_s"]["base"] == {"median": 0.39, "q1": 0.375, "q3": 0.405}
+    assert summary["op_ref_s"]["change"]["median"] == 0.355
+    assert summary["output_bytes"]["change_lower"] == 1
+    assert runs[0]["correct"] is True and runs[0]["metrics"] == {"op_ref_s": 0.40, "output_bytes": 100.0}
+

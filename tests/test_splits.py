@@ -7,6 +7,7 @@ under test.
 """
 import contextlib
 import dataclasses
+import functools
 import json
 import tracemalloc
 import warnings
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from absentrf import splits
+from absentrf import splits, synth
 from absentrf.data import (
     CATEGORICAL,
     CLASSIFICATION,
@@ -27,7 +28,9 @@ from absentrf.data import (
     ColumnSchema,
     ResponseSpec,
     from_arrays,
+    one_hot_transform,
 )
+from absentrf.forest import ForestConfig, forest_hash, train_forest
 from absentrf.splits import (
     EXHAUSTIVE_HARD_LIMIT,
     LEFT,
@@ -52,6 +55,7 @@ from absentrf.splits import (
 from absentrf.splits import _column_sum, _gini, _row_sums, _runs
 
 import reference
+from test_golden import GOLDEN
 from reference import (
     _masked_gini_objective,
     best_ordered_splits,
@@ -363,6 +367,90 @@ def test_ordered_split_batch_equals_per_node_kernel(task, k, seed):
             assert repr(float(impurity[j])) == repr(want.impurity)
             assert_same_entry(entry(j), want)
             assert_same_split(one, want)
+
+
+# values of two-valued columns: both orders of the rarer value, 0/1 and others, ±inf
+PAIR_VALUES = [(0.0, 1.0), (1.0, 0.0), (-2.5, 3.0), (7.0, -np.inf), (-np.inf, np.inf), (np.inf, 0.5), (1e300, -1e-300)]
+
+
+@st.composite
+def two_valued_instances(draw):
+    """A dataset of two-valued numeric columns (the rarer value drawn first
+    or second), with columns that must still be sorted: one holding -0.0
+    beside 0.0 or another value, one holding NaN, one of a single value
+    and one of three values; and nodes with repeated rows, nodes holding
+    one value and one-row nodes."""
+    task = draw(st.sampled_from([CLASSIFICATION] * 4 + [REGRESSION]))
+    k = draw(st.sampled_from([2, 3, 7, 9]))
+    n_rows = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["two"] * 4 + ["-0.0", "nan", "one", "three"]))
+        pair = draw(st.sampled_from(PAIR_VALUES))
+        col = np.where(rng.random(n_rows) < draw(st.sampled_from([0.05, 0.3, 0.5, 0.9])), *pair)
+        if kind == "-0.0":
+            col[rng.integers(0, n_rows)] = -0.0
+        elif kind == "nan":
+            col[rng.integers(0, n_rows)] = np.nan
+        elif kind == "one":
+            col[:] = pair[0]
+        elif kind == "three":
+            col[rng.integers(0, n_rows)] = 0.25
+        columns.append(col)
+    y = rng.normal(0, 2, n_rows) if task == REGRESSION else rng.integers(1, k + 1, n_rows)
+    nodes = []
+    for _ in range(draw(st.integers(1, 6))):
+        size = draw(st.sampled_from([1, 1, 2, 5, 17, 60]))
+        if draw(st.booleans()):  # the rows of one value of column 0 only
+            among = np.flatnonzero(columns[0] == columns[0][rng.integers(0, n_rows)])
+            nodes.append(rng.choice(among, size=size))
+        else:
+            nodes.append(rng.integers(0, n_rows, size=size))  # repeated row ids count twice
+    return nums_dataset(columns, y, task, k), nodes
+
+
+def is_two_valued(ds, p) -> bool:
+    col = ds.columns[p]
+    if ds.task != CLASSIFICATION or np.isnan(col).any() or ((col == 0) & np.signbit(col)).any():
+        return False
+    return np.unique(col).size == 2
+
+
+@given(two_valued_instances())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_ordered_split_batch_scores_two_valued_columns_without_sorting(case):
+    ds, nodes = case
+    sorted_preds = []
+
+    def spy(block, node, pred, pairs, out):
+        sorted_preds.extend(pred[pairs].tolist())
+        return sorting_scan(block, node, pred, pairs, out)
+
+    sorting_scan = splits._sorting_scan
+    pairs = np.array([(i, p) for i in range(len(nodes)) for p in range(ds.n_predictors)])
+    splits._sorting_scan = spy
+    try:
+        impurity, found, entry = ordered_split_batch(NodeBlock(ColumnTable(ds), nodes), pairs[:, 0], pairs[:, 1])
+    finally:
+        splits._sorting_scan = sorting_scan
+    assert sorted(sorted_preds) == sorted(p for p in pairs[:, 1].tolist() if not is_two_valued(ds, p))
+    for j, (i, p) in enumerate(pairs.tolist()):
+        want = best_ordered_splits(ds, nodes[i], [p])[0]
+        assert found[j] == (want is not None)
+        if want is not None:
+            assert repr(float(impurity[j])) == repr(want.impurity)
+            assert_same_entry(entry(j), want)
+
+
+def test_column_table_lists_two_valued_columns_of_classification_data_only():
+    columns = [[1.0, 0.0, 0.0, 0.0], [3.0, 3.0, -np.inf, 3.0], [0.0, -0.0, 1.0, 1.0], [0.0, np.nan, 1.0, 1.0], [2.0] * 4]
+    table = ColumnTable(nums_dataset(columns, [1, 2, 2, 1], CLASSIFICATION))
+    assert repr(table.low.tolist()) == repr([0.0, -np.inf, np.nan, np.nan, np.nan])
+    assert repr(table.rare.tolist()) == repr([1.0, -np.inf, np.nan, np.nan, np.nan])
+    assert table.rare_at.tolist() == [0, 1, 2, 2, 2, 2] and table.rare_rows.tolist() == [0, 2]
+    table = ColumnTable(nums_dataset(columns, [0.5, 1.0, 2.0, 1.0], REGRESSION))
+    assert np.isnan(table.low).all() and np.isnan(table.rare).all() and table.rare_rows.size == 0
 
 
 @pytest.mark.parametrize("task", [REGRESSION, CLASSIFICATION])
@@ -1079,6 +1167,21 @@ def test_exhaustive_bitmask_batch_keeps_no_large_encoding_table():
     assert sum(t.nbytes for t in splits._ENCODINGS.values()) <= 256 * 1024
 
 
+def test_an_uncached_encoding_table_is_built_in_place():
+    # 2**15 - 1 encodings of 16 levels are a 4 MiB float table; building it
+    # through an int table of the same size peaked at 8.25 MiB
+    masks = np.arange(1, count_partitions(16) + 1)
+    assert 16 > splits._CACHED_LEVELS
+    tracemalloc.start()
+    try:
+        table = splits._encodings(16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * 2**20
+    assert table.tobytes() == ((masks[:, None] >> np.arange(16)) & 1).astype(np.float64).tobytes()
+
+
 @pytest.mark.parametrize("k", [2, 7])
 def test_exhaustive_bitmask_batch_holds_one_pattern_table_at_a_time(k):
     # every pair holds all 16 levels, so each scores the 2**15 - 1
@@ -1140,3 +1243,52 @@ def test_bitmask_batch_rejections():
         search(cat_dataset([1, 2, 1], [1, 2, 1], 17, CLASSIFICATION))
     with pytest.raises(ValueError, match="exceed the exhaustive limit"):
         search(cat_dataset([1, 2, 1], [1, 2, 1], 4, CLASSIFICATION), limit=3)
+
+
+# ---------------------------------------------------------------------------
+# two-valued columns in the golden one-hot forests
+
+
+@functools.cache
+def grown_one_hot(generator):
+    """The golden 10-tree forest of ``generator`` on its one-hot data
+    (``tests/test_golden.py``), and the predictors of every pair that
+    reached the sorting scan while it grew."""
+    d = one_hot_transform(getattr(synth, generator)(0))
+    sorted_preds = []
+
+    def spy(block, node, pred, pairs, out):
+        sorted_preds.extend(pred[pairs].tolist())
+        return sorting_scan(block, node, pred, pairs, out)
+
+    sorting_scan = splits._sorting_scan
+    splits._sorting_scan = spy
+    try:
+        forest = train_forest(d, ForestConfig(n_trees=10, seed=11))
+    finally:
+        splits._sorting_scan = sorting_scan
+    return d, forest, sorted_preds
+
+
+@pytest.mark.parametrize("generator", ["rollcall_binary", "bridge_multiclass"])
+def test_no_two_valued_pair_reaches_the_sorting_scan_of_a_golden_forest(generator):
+    d, forest, sorted_preds = grown_one_hot(generator)
+    assert forest_hash(forest) == GOLDEN[(generator, True)]
+    assert sorted_preds and not any(is_two_valued(d, p) for p in set(sorted_preds))
+
+
+@pytest.mark.parametrize("generator", ["price_regression", "rollcall_binary", "bridge_multiclass"])
+def test_indicator_splits_send_an_unseen_level_left(generator):
+    # every split on a two-valued column holds its lower value, so an
+    # unseen level, all zeros in the dummies of its column, goes left at
+    # every dummy's split: the side zero-imputation takes with two classes
+    d, forest, _ = grown_one_hot(generator)
+    assert forest_hash(forest) == GOLDEN[(generator, True)]
+    splits_seen = [node["split"] for tree in forest.tree_dicts for node in tree["nodes"] if node["split"]]
+    dummies = [s for s in splits_seen if "=" in d.schema[s["predictor"]].name]
+    assert dummies and all(is_two_valued(d, s["predictor"]) or d.task == REGRESSION for s in dummies)
+    for s in splits_seen:
+        col = d.columns[s["predictor"]]
+        if np.unique(col).size == 2:
+            assert s["threshold"] == col.min()
+    assert all(s["threshold"] == 0.0 for s in dummies)
