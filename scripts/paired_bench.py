@@ -2,17 +2,20 @@
 """Compare two checkouts on one benchmark workload in alternated pairs.
 
 Runs ``perfbench/run.py`` from the root of each checkout, once per seed
-on each side, and alternates which side runs first from one seed to the
-next, so that a drift in machine speed falls on both sides alike.  The
+on each side, and rotates which side runs first from one seed to the
+next, so that a drift in machine speed falls on every side alike.  With
+``--control``, a third checkout, a second copy of the base, runs in the
+rotation too: how far its medians lie from the base's shows the spread
+that an effect must exceed, which matters for effects under 3%.  The
 result goes into a JSON file keyed by workload (an existing file keeps
 its other workloads): every run's metrics, and per metric each side's
-median and quartiles and the number of pairs in which the change reads
-lower than the base.
+median and quartiles and the number of pairs in which the change (and
+the control) reads lower than the base.
 
-    python3 scripts/paired_bench.py --base ../parent --change . \\
+    python3 scripts/paired_bench.py --base ../parent --change . --control ../parent-copy \\
         --workload rollcall-experiment --seeds 51-60 --seconds 35 --out BENCH_7.json
 
-Stdlib only; both checkouts need what ``perfbench/run.py`` needs.
+Stdlib only; every checkout needs what ``perfbench/run.py`` needs.
 """
 from __future__ import annotations
 
@@ -24,6 +27,7 @@ import sys
 from pathlib import Path
 
 SIDES = ("base", "change")
+CONTROL = "control"
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -51,7 +55,9 @@ def quartiles(values: list[float]) -> dict:
 def summarize(runs: list[dict]) -> dict:
     """Per metric: each side's median and quartiles over its runs, the
     number of complete pairs (one run of each side on a seed), and in how
-    many of them the change reads lower."""
+    many of them the change reads lower.  Where control runs exist, also
+    the control's quartiles over the pairs that have one, and in how many
+    of those it reads lower than the base."""
     by_seed: dict[int, dict] = {}
     for run in runs:
         by_seed.setdefault(run["seed"], {})[run["side"]] = run["metrics"]
@@ -63,8 +69,19 @@ def summarize(runs: list[dict]) -> dict:
         entry = {side: quartiles([p[side][name] for p in complete]) for side in SIDES if complete}
         entry["pairs"] = len(complete)
         entry["change_lower"] = sum(p["change"][name] < p["base"][name] for p in complete)
+        controlled = [p for p in complete if name in p.get(CONTROL, {})]
+        if controlled:
+            entry[CONTROL] = quartiles([p[CONTROL][name] for p in controlled])
+            entry["control_lower"] = sum(p[CONTROL][name] < p["base"][name] for p in controlled)
         summary[name] = entry
     return summary
+
+
+def rotation(sides: tuple, i: int) -> tuple:
+    """The order in which ``sides`` run on the ``i``-th seed: each side
+    first in turn."""
+    k = i % len(sides)
+    return sides[k:] + sides[:k]
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -80,6 +97,7 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--base", type=Path, required=True, help="checkout of the parent")
     p.add_argument("--change", type=Path, required=True, help="checkout of the change")
+    p.add_argument("--control", type=Path, default=None, help="a second checkout of the parent")
     p.add_argument("--workload", required=True)
     p.add_argument("--seeds", type=parse_seeds, required=True, help="e.g. 51-60 or 1,3,5")
     p.add_argument("--seconds", type=float, default=35.0)
@@ -88,8 +106,9 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
 
     runs = []
+    sides = SIDES + ((CONTROL,) if args.control else ())
     for i, seed in enumerate(args.seeds):
-        for order, side in enumerate(SIDES if i % 2 == 0 else SIDES[::-1]):
+        for order, side in enumerate(rotation(sides, i)):
             run = run_once(getattr(args, side), args.workload, seed, args.seconds, args.trace)
             runs.append({"seed": seed, "side": side, "order": order, **run})
             print(f"{args.workload} seed {seed} {side}: {json.dumps(run['metrics'], sort_keys=True)}", flush=True)

@@ -6,6 +6,7 @@ configuration or model dump, 4 runtime failure inside a computation.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -159,6 +160,7 @@ def _cmd_inspect(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built once per process; parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="absentrf",
@@ -210,8 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except BrokenPipeError:

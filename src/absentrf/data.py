@@ -356,11 +356,21 @@ def _cell(v) -> str:
     return repr(v) if isinstance(v, float) else str(v)
 
 
+def _column(c) -> list[str]:
+    """:func:`_cell` of each cell; a float or int ndarray in one pass."""
+    if not (isinstance(c, np.ndarray) and c.dtype.kind in "fiu"):
+        return [_cell(v) for v in (c.tolist() if isinstance(c, np.ndarray) else c)]
+    cells = list(map(repr if c.dtype.kind == "f" else str, c.tolist()))
+    for i in np.flatnonzero(np.isnan(c)).tolist():
+        cells[i] = ""
+    return cells
+
+
 def _rows(columns):
     """The rows of a table given column by column, each column formatted
     once: floats by ``repr`` (shortest round trip), ints and labels by
     ``str``, NaN and None as empty cells, booleans as ``true``/``false``."""
-    return zip(*[[_cell(v) for v in (c.tolist() if isinstance(c, np.ndarray) else c)] for c in columns])
+    return zip(*map(_column, columns))
 
 
 def write_table(fh, header: list[str], columns) -> None:

@@ -4,10 +4,11 @@ Each replication trains *one* forest and evaluates every non-one-hot
 heuristic on it out-of-bag, so heuristics see byte-identical trees and
 any metric difference is attributable to absent-level routing alone;
 the one-hot heuristic trains its own forest on the dummy-coded data
-from the same replication seed.  All outputs are plain CSV/JSON written
-with a fixed row order and shortest-round-trip float formatting, so a
-rerun of the same config file reproduces every artifact byte for byte
-regardless of the worker count.
+from the same replication seed, in one lock step with the shared forest
+(:func:`absentrf.forest.train_forests`).  All outputs are plain CSV/JSON
+written with a fixed row order and shortest-round-trip float formatting,
+so a rerun of the same config file reproduces every artifact byte for
+byte regardless of the worker count.
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ from .forest import (
     oob_predict_all,
     pooled_absence_proportions,
     prediction_columns,
-    train_forest,
+    train_forests,
 )
 from .heuristics import MISSING_DATA_SET, Heuristic, parse_heuristic
 from .metrics import (
@@ -341,13 +342,15 @@ def run_experiment_on(
     try:
         for r, seed_r in enumerate(seeds):
             forest_cfg = ForestConfig(cfg.n_trees, cfg.sample_size, seed_r, grow)
-            forest = train_forest(dataset, forest_cfg, workers=cfg.workers)
+            pairs = [(dataset, forest_cfg)]
+            if onehot_data is not None:
+                pairs.append((onehot_data, dataclasses.replace(forest_cfg, grow=_grow_settings(onehot_data, settings))))
+            forest, *onehot = train_forests(pairs, workers=cfg.workers)
             coins = Coins(master=cfg.seed, replication=r)
             sets = oob_predict_all(forest, dataset, routed, coins)
             onehot_tree_hashes = None
-            if onehot_data is not None:
-                onehot_cfg = dataclasses.replace(forest_cfg, grow=_grow_settings(onehot_data, settings))
-                onehot_forest = train_forest(onehot_data, onehot_cfg, workers=cfg.workers)
+            if onehot:
+                (onehot_forest,) = onehot
                 onehot_tree_hashes = forest_tree_hashes(onehot_forest)
                 # no categorical columns remain, so the routing policy is
                 # never consulted; LEFT is an arbitrary stand-in

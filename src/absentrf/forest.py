@@ -1,9 +1,10 @@
 """Bootstrap ensembles of trees with out-of-bag bookkeeping.
 
-Training is embarrassingly parallel *by construction*: every tree's
-bootstrap draw and growth rng come from seeds derived independently of
-the other trees, so the same forest materialises whether trees are
-grown serially or across any number of worker processes.
+Every tree's bootstrap draw and growth rng come from seeds derived
+independently of the other trees, so the same forest materialises
+whether its trees grow serially, across any number of worker processes,
+or in one lock step with those of forests on data that shares its rows
+and response, such as its one-hot transform (:func:`train_forests`).
 """
 from __future__ import annotations
 
@@ -105,60 +106,59 @@ class Forest:
         return NodeTable(self.tree_dicts, self.task, self.n_classes, self.schema)
 
 
-def _grow_task(
-    dataset: Dataset, grow_cfg: GrowConfig, chunk: list[tuple[int, int, np.ndarray]]
-) -> list[dict]:
-    """Grow a chunk of (tree id, growth seed, bootstrap counts) in lock step."""
-    samples = [np.repeat(np.arange(counts.size), counts) for _, _, counts in chunk]
-    rngs = [np.random.default_rng(seed) for _, seed, _ in chunk]
-    return grow_trees(dataset, samples, grow_cfg, rngs, [b for b, _, _ in chunk])
+def _grow_task(datasets: tuple, grow_cfgs: tuple, chunk: list[tuple[int, int, int, np.ndarray]]) -> list[dict]:
+    """Grow a chunk of (dataset index, tree id, growth seed, bootstrap
+    counts) in one lock step."""
+    samples = [np.repeat(np.arange(counts.size), counts) for _, _, _, counts in chunk]
+    rngs = [np.random.default_rng(seed) for _, _, seed, _ in chunk]
+    return grow_trees(datasets, samples, grow_cfgs, rngs, [b for _, b, _, _ in chunk], [g for g, _, _, _ in chunk])
 
 
-def train_forest(dataset: Dataset, config: ForestConfig, workers: int = 1) -> Forest:
-    """Train ``config.n_trees`` trees on independent bootstrap samples.
-
-    Tree ``b`` draws its bootstrap from seed ``derive(seed, BOOTSTRAP, b)``
-    and grows from ``derive(seed, TREE, b)``; outputs are identical for
-    any ``workers`` count.
+def train_forests(pairs: list[tuple[Dataset, ForestConfig]], workers: int = 1) -> list[Forest]:
+    """Train the forest of each (dataset, config) pair, growing all their
+    trees in one lock step.  The datasets must share their rows, response
+    and ``y``, and their growth settings may differ only in ``mtry`` and
+    ``min_node_size``.  Tree ``b`` of a forest draws its bootstrap from
+    seed ``derive(seed, BOOTSTRAP, b)`` and grows from ``derive(seed,
+    TREE, b)``; outputs are identical for any ``workers`` count.
     """
-    if dataset.y is None:
-        raise ValueError("cannot train on an unlabeled dataset")
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    grow_cfg = config.grow if config.grow is not None else default_grow_config(dataset)
-    if grow_cfg.task != dataset.task:
-        raise ValueError(f"grow config task {grow_cfg.task!r} does not match the dataset")
-    n = dataset.n_rows
-    sample_size = config.sample_size if config.sample_size is not None else n
-    resolved = dataclasses.replace(config, sample_size=sample_size, grow=grow_cfg)
+    forests, tasks = [], []
+    for g, (dataset, config) in enumerate(pairs):
+        if dataset.y is None:
+            raise ValueError("cannot train on an unlabeled dataset")
+        grow_cfg = config.grow if config.grow is not None else default_grow_config(dataset)
+        if grow_cfg.task != dataset.task:
+            raise ValueError(f"grow config task {grow_cfg.task!r} does not match the dataset")
+        n = dataset.n_rows
+        sample_size = config.sample_size if config.sample_size is not None else n
+        in_bag = np.zeros((config.n_trees, n), dtype=np.int64)
+        for b in range(config.n_trees):
+            draws = bootstrap_sample(n, sample_size, stream(config.seed, BOOTSTRAP, b))
+            in_bag[b] = np.bincount(draws, minlength=n)
+            tasks.append((g, b, derive(config.seed, TREE, b), in_bag[b]))
+        resolved = dataclasses.replace(config, sample_size=sample_size, grow=grow_cfg)
+        k, fingerprint = dataset.response.n_classes, dataset.fingerprint()
+        forests.append(Forest([], in_bag, resolved, fingerprint, dataset.task, k, dataset.schema, dataset.response))
 
-    in_bag = np.zeros((config.n_trees, n), dtype=np.int64)
-    tasks = []
-    for b in range(config.n_trees):
-        draws = bootstrap_sample(n, sample_size, stream(config.seed, BOOTSTRAP, b))
-        in_bag[b] = np.bincount(draws, minlength=n)
-        tasks.append((b, derive(config.seed, TREE, b), in_bag[b]))
-
-    grow = functools.partial(_grow_task, dataset, grow_cfg)
+    grow = functools.partial(_grow_task, tuple(d for d, _ in pairs), tuple(f.config.grow for f in forests))
     if workers <= 1:
         trees = grow(tasks)
     else:
-        # one contiguous chunk of trees, so one pickled dataset, per worker
+        # one contiguous chunk of trees, so one pickled set of datasets, per worker
         size = -(-len(tasks) // workers)
         chunks = [tasks[k : k + size] for k in range(0, len(tasks), size)]
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             trees = [tree for grown in pool.map(grow, chunks) for tree in grown]
+    for (g, _, _, _), tree in zip(tasks, trees):
+        forests[g].tree_dicts.append(tree)
+    return forests
 
-    return Forest(
-        tree_dicts=trees,
-        in_bag=in_bag,
-        config=resolved,
-        fingerprint=dataset.fingerprint(),
-        task=dataset.task,
-        n_classes=dataset.response.n_classes,
-        schema=dataset.schema,
-        response=dataset.response,
-    )
+
+def train_forest(dataset: Dataset, config: ForestConfig, workers: int = 1) -> Forest:
+    """Train ``config.n_trees`` trees on bootstrap samples: :func:`train_forests` of one pair."""
+    return train_forests([(dataset, config)], workers)[0]
 
 
 def default_coins(forest: Forest, replication: int = 0) -> Coins:
@@ -380,7 +380,7 @@ def save_forest(forest: Forest, path) -> None:
     ``"trees"`` sorts last, so the bytes equal ``json.dump``'s."""
     obj = forest_to_dict(forest)
     trees = obj.pop("trees")
-    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(encode(obj)[:-1] + ',"trees":[')
         for i, tree in enumerate(trees):

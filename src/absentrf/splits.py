@@ -239,46 +239,60 @@ _BATCH_CELLS = 1 << 12
 
 
 class ColumnTable:
-    """A dataset laid out for batched scans: its numeric columns as rows of
-    one float matrix and its categorical columns as rows of one int matrix
-    (predictor ``p`` is row ``row[p]`` of its kind's matrix), each row
-    ending in one padding cell.  The padding reads as NaN in a numeric
-    column, as level 0 in a categorical one, and as 0 in ``response``.
-    Numeric row ``r`` of a classification table that holds two values,
-    neither NaN nor -0.0, has lower value ``low[r]`` and rarer value
-    ``rare[r]`` (else NaN) in rows ``rare_rows[rare_at[r] : rare_at[r + 1]]``."""
+    """Datasets that share their rows, response and ``y`` (``dataset`` is
+    the first) laid out for batched scans: their numeric columns as rows
+    of one float matrix and their categorical columns as rows of one int
+    matrix, each row ending in one padding cell.  Table predictor
+    ``offset[g] + p`` is ``own[offset[g] + p]`` = ``p`` of dataset ``g``,
+    and row ``row[offset[g] + p]`` of its kind's matrix.  The padding reads
+    as NaN in a numeric column, as level 0 in a categorical one, and as 0
+    in ``response``.  Numeric row ``r`` that holds one value, not NaN,
+    has it as ``const[r]`` (else NaN); that of a classification table
+    that holds two values, neither NaN nor -0.0, has lower value
+    ``low[r]`` and rarer value ``rare[r]`` (else NaN) in rows
+    ``rare_rows[rare_at[r] : rare_at[r + 1]]``."""
 
-    def __init__(self, dataset: Dataset):
+    def __init__(self, *datasets: Dataset):
+        dataset = self.dataset = datasets[0]
         if dataset.y is None:
             raise ValueError("dataset has no response")
-        self.dataset = dataset
-        self.numeric = np.array([spec.kind == NUMERIC for spec in dataset.schema], dtype=bool)
-        self.n_levels = np.array([spec.n_levels for spec in dataset.schema], dtype=np.int64)
-        self.row = np.zeros(dataset.n_predictors, dtype=np.int64)
+        if not all(d.response == dataset.response and np.array_equal(d.y, dataset.y, equal_nan=True) for d in datasets):
+            raise ValueError("the datasets of one table must share their rows, response and y")
+        self.schema = tuple(spec for d in datasets for spec in d.schema)
+        columns = [col for d in datasets for col in d.columns]
+        self.offset = np.cumsum([0] + [d.n_predictors for d in datasets])
+        self.own = np.arange(len(self.schema)) - np.repeat(self.offset[:-1], np.diff(self.offset))
+        self.numeric = np.array([spec.kind == NUMERIC for spec in self.schema], dtype=bool)
+        self.n_levels = np.array([spec.n_levels for spec in self.schema], dtype=np.int64)
+        self.row = np.zeros(len(self.schema), dtype=np.int64)
         mats = []
         for numeric, pad in ((True, np.nan), (False, 0)):
             ps = np.flatnonzero(self.numeric == numeric)
             self.row[ps] = np.arange(ps.size)
             mat = np.full((ps.size, dataset.n_rows + 1), pad)
             for k, p in enumerate(ps.tolist()):
-                mat[k, :-1] = dataset.columns[p]
+                mat[k, :-1] = columns[p]
             mats.append(mat)
         self.values, self.levels = mats
         self.response = np.append(dataset.y, dataset.y.dtype.type(0))
-        vals = self.values[:, :-1] if dataset.task == CLASSIFICATION else self.values[:, -1:]  # regression: NaN
+        vals = self.values[:, :-1]
         lo, hi = vals.min(axis=1), vals.max(axis=1)  # NaN where a NaN is held
+        sign = np.signbit(vals)
+        self.const = np.where((lo == hi) & (sign == sign[:, :1]).all(axis=1), lo, np.nan)
         at_lo = vals == lo[:, None]
-        two = (lo < hi) & (at_lo | (vals == hi[:, None])).all(axis=1) & ~((vals == 0) & np.signbit(vals)).any(axis=1)
+        two = (lo < hi) & (at_lo | (vals == hi[:, None])).all(axis=1) & ~((vals == 0) & sign).any(axis=1)
+        two &= dataset.task == CLASSIFICATION  # regression sorts, as its sums run in sorted order
         rare_low = 2 * at_lo.sum(axis=1) <= dataset.n_rows
         self.low, self.rare = np.where(two, lo, np.nan), np.where(two, np.where(rare_low, lo, hi), np.nan)
         r, self.rare_rows = ((at_lo == rare_low[:, None]) & two[:, None]).nonzero()  # grouped by r
         self.rare_at = np.append(0, np.bincount(r, minlength=two.size).cumsum())
+        self.any_const, self.any_two = bool((self.const == self.const).any()), bool(two.any())
 
     def check(self, pred: np.ndarray, numeric: bool) -> None:
         """Raise ValueError unless every predictor in ``pred`` is of the kind."""
         kind = self.numeric[pred]
         if not (kind if numeric else ~kind).all():
-            name = self.dataset.schema[int(pred[np.argmin(kind == numeric)])].name
+            name = self.schema[int(pred[np.argmin(kind == numeric)])].name
             raise ValueError(f"column {name!r} is not {'ordered' if numeric else 'categorical'}")
 
 
@@ -334,36 +348,48 @@ def ordered_split_batch(block: NodeBlock, node: np.ndarray, pred: np.ndarray):
     Pair ``j`` is node ``node[j]`` of ``block`` and predictor ``pred[j]``.
     Returns the best objective of each pair, whether the pair has a split
     at all, and a function that gives pair ``j``'s split entry in the dump
-    form (see :func:`_split`).  They equal ``best_ordered_splits`` of
-    ``tests/reference.py`` on that node and predictor bit for bit.  Pairs
+    form (see :func:`_split`), or a list for an index array ``j``.  They
+    equal ``best_ordered_splits`` of ``tests/reference.py`` bit for bit.  Pairs
     on a table's two-valued columns go to :func:`_two_valued_scan`, the
     rest to :func:`_sorting_scan`.
     """
     table = block.table
     table.check(pred, numeric=True)
     out = impurity, threshold, left, found = [np.empty(node.size, t) for t in (float, float, np.int64, bool)]
-    two = ~np.isnan(table.low[table.row[pred]])
-    if two.any():
-        _two_valued_scan(block, node, pred, np.flatnonzero(two), out)
-    _sorting_scan(block, node, pred, np.flatnonzero(~two), out)
+    if not table.any_two:
+        _sorting_scan(block, node, pred, slice(None), out)
+    else:
+        two = ~np.isnan(table.low[table.row[pred]])
+        if two.any():
+            _two_valued_scan(block, node, pred, np.flatnonzero(two), out)
+        _sorting_scan(block, node, pred, np.flatnonzero(~two), out)
 
-    def entry(j: int) -> dict:
-        n_right = int(block.sizes[node[j]] - left[j])
-        return _split(pred[j], int(left[j]), n_right, kind="ordered", threshold=float(threshold[j]))
+    def entry(j):
+        at = np.atleast_1d(j)
+        cols = (a.tolist() for a in (table.own[pred[at]], left[at], block.sizes[node[at]] - left[at], threshold[at]))
+        entries = [_split(p, nl, nr, kind="ordered", threshold=t) for p, nl, nr, t in zip(*cols)]
+        return entries if np.ndim(j) else entries[0]
 
     return impurity, found, entry
 
 
-def _sorting_scan(block: NodeBlock, node: np.ndarray, pred: np.ndarray, pairs: np.ndarray, out) -> None:
+def _sorting_scan(block: NodeBlock, node: np.ndarray, pred: np.ndarray, pairs, out) -> None:
     """Write the objective, threshold, left size and found flag of pairs
-    ``pairs`` into ``out``, scoring every cut of the sorted values."""
+    ``pairs`` (an index array, or ``slice(None)``: all) into ``out``,
+    scoring every cut of the sorted values, unsorted where there is none."""
     table = block.table
     dataset = table.dataset
     n_all = block.sizes[node]
     impurity, threshold, left, found = out
+    if table.any_const:
+        pairs = np.arange(node.size)[pairs]
+        const = table.const[table.row[pred[pairs]]]
+        one, pairs = pairs[const == const], pairs[const != const]  # NaN: not constant
+        impurity[one], threshold[one], left[one], found[one] = np.inf, const[const == const], 1, False
     # cells per pair: n, times the K - 1 classes that classification cumulates
     planes = dataset.response.n_classes - 1 if dataset.task == CLASSIFICATION else 1
-    widest = pairs[np.argsort(-n_all[pairs], kind="stable")]
+    widest = np.argsort(-n_all[pairs], kind="stable")
+    widest = widest if isinstance(pairs, slice) else pairs[widest]
     for run in _runs(n_all[widest] * planes, _BATCH_CELLS):
         idx = widest[run]
         n, w = n_all[idx], int(n_all[idx[0]])
@@ -498,7 +524,7 @@ def pseudo_value_batch(block: NodeBlock, node: np.ndarray, pred: np.ndarray):
         (gam, present, order, gs, nl), a, c = where[j]
         left = sorted((order[a, : c + 1] + 1).tolist())
         rule = _categorical(present[a, : q_all[j]], left, _encode(left), float(gs[a, c]), gam[a, : q_all[j]])
-        return _split(pred[j], int(nl[a, c]), int(n_all[j] - nl[a, c]), **rule)
+        return _split(table.own[pred[j]], int(nl[a, c]), int(n_all[j] - nl[a, c]), **rule)
 
     return impurity, found, entry
 
@@ -754,7 +780,7 @@ def bitmask_batch(block: NodeBlock, node: np.ndarray, pred: np.ndarray, rngs, n_
         present, row, n_left, n_right = winner[j]
         left = ((present & (row == 1)).nonzero()[0] + 1).tolist()
         bitmask = _encode((row.nonzero()[0] + 1).tolist())  # a random draw's absent-level bits too
-        return _split(pred[j], n_left, n_right, **_categorical(present[: q_all[j]], left, bitmask))
+        return _split(table.own[pred[j]], n_left, n_right, **_categorical(present[: q_all[j]], left, bitmask))
 
     return impurity, np.isfinite(impurity), entry
 

@@ -2,12 +2,12 @@
 
 Growth follows the classic recipe -- recursive binary splitting of a
 row multiset, minimising squared error (regression) or size-weighted
-Gini impurity (classification) -- with the categorical search method
-chosen per predictor from the cardinality and task, matching the
-long-standing library defaults: regression always uses the pseudo-value
-scan; binary classification enumerates bitmasks up to 10 levels and
-falls back to the pseudo-value scan above that; multiclass enumerates
-below 10 levels and uses the random bitmask search otherwise.
+Gini impurity (classification) -- with the categorical search chosen
+per predictor as the long-standing library defaults choose it:
+regression uses the pseudo-value scan; binary classification enumerates
+bitmasks up to 10 levels, pseudo values above; multiclass enumerates
+below 10 levels, random bitmasks above.  Trees grow in lock step, on
+one dataset or on several that share rows and y (:func:`grow_trees`).
 
 Routing is where the absent-level heuristics plug in: a categorical
 rule answers directly for levels that were present when it was learned
@@ -45,6 +45,7 @@ from .splits import (
     EXHAUSTIVE_HARD_LIMIT,
     ColumnTable,
     NodeBlock,
+    _row_sums,
     bitmask_batch,
     ordered_split_batch,
     pseudo_value_batch,
@@ -82,20 +83,21 @@ class GrowConfig:
                 raise ValueError(f"{name} may not exceed {EXHAUSTIVE_HARD_LIMIT}")
 
 
-def _node_entries(block: NodeBlock) -> tuple[list[dict], list[bool]]:
-    """The node entry of every node of ``block``, its id and split still
-    to be filled in, and whether each is pure (one class, or one response
-    value)."""
-    dataset, sizes = block.table.dataset, block.sizes
+def _node_entries(table: ColumnTable, rows: np.ndarray, sizes: np.ndarray) -> tuple[list[dict], list[bool]]:
+    """The node entry of every node whose rows are the next ``sizes[i]``
+    of ``rows`` in turn, its id and split still to be filled in, and
+    whether each is pure (one class, or one response value)."""
+    dataset, y = table.dataset, table.response[rows]
     if dataset.task == REGRESSION:
-        y = dataset.y[block.flat]
         starts = np.cumsum(sizes) - sizes
         pure = np.minimum.reduceat(y, starts) == np.maximum.reduceat(y, starts)
-        means = zip(sizes.tolist(), block.mean.tolist())
+        cells = np.arange(sizes.max()) < sizes[:, None]
+        padded = np.zeros(cells.shape)
+        padded[cells] = y
+        means = zip(sizes.tolist(), (_row_sums(padded, cells) / sizes).tolist())
         return [{"id": 0, "size": s, "mean": mu, "split": None} for s, mu in means], pure.tolist()
     k = dataset.response.n_classes
-    bins = block.y + (np.arange(sizes.size) * (k + 1))[:, None]  # padding in class 0
-    counts = np.bincount(bins.ravel(), minlength=sizes.size * (k + 1)).reshape(-1, k + 1)[:, 1:]
+    counts = np.bincount(np.repeat(np.arange(sizes.size) * k - 1, sizes) + y, minlength=sizes.size * k).reshape(-1, k)
     pure = (counts.max(axis=1) == sizes).tolist()
     counted = zip(sizes.tolist(), counts.tolist())
     return [{"id": 0, "size": s, "class_counts": c, "split": None} for s, c in counted], pure
@@ -135,13 +137,14 @@ def _first_best(impurity: np.ndarray, valid: np.ndarray) -> np.ndarray:
 
 def _best_splits(block: NodeBlock, sampled: np.ndarray, kinds, rngs, cfg: GrowConfig):
     """The split entry that each node ``r`` of ``block`` wins over its
-    sampled predictors ``sampled[r]`` (None where none is valid), scanning
-    them in sampled order and keeping the first strictly lowest objective.
+    sampled table predictors ``sampled[r]`` (None where none is valid; a
+    kind no search takes marks padding), scanning them in sampled order
+    and keeping the first strictly lowest objective.
 
     The pairs of each search kind are scored in one batched call, and only
-    the winners' entries are written.  The random search takes its pairs
-    in (node, sampled rank) order, each drawing from its node's
-    ``rngs[r]``.
+    the winners' entries are written, the ordered ones in one call.  The
+    random search takes its pairs in (node, sampled rank) order, each
+    drawing from its node's ``rngs[r]``.
     """
     dataset = block.table.dataset
     limit = cfg.exhaustive_max_q_binary if dataset.response.n_classes == 2 else cfg.exhaustive_max_q_multiclass
@@ -165,14 +168,48 @@ def _best_splits(block: NodeBlock, sampled: np.ndarray, kinds, rngs, cfg: GrowCo
         impurity[r, c], valid[r, c], scans[search] = scan
         pair[r, c] = np.arange(r.size)
 
-    best = zip(_first_best(impurity, valid).tolist(), valid.any(axis=1).tolist())
-    return [scans[kind[r, c]](int(pair[r, c])) if has else None for r, (c, has) in enumerate(best)]
+    r = np.flatnonzero(valid.any(axis=1))
+    c = _first_best(impurity, valid)[r]
+    splits = [None] * sampled.shape[0]
+    for search, entry in scans.items():
+        at = kind[r, c] == search
+        won = pair[r[at], c[at]]
+        for i, split in zip(r[at].tolist(), entry(won) if search == ORDERED else map(entry, won.tolist())):
+            splits[i] = split
+    return splits
 
 
-def grow_trees(dataset: Dataset, samples, cfg: GrowConfig, rngs, tree_ids) -> list[dict]:
+def _children(block: NodeBlock, splits: list, offset: list) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of the children of the nodes of ``block`` that ``splits``
+    split (node ``i`` on table predictor ``offset[i]`` plus its entry's),
+    flat, every right child's then every left one's; and their sizes."""
+    table, m = block.table, len(splits)
+    pred, threshold = np.zeros(m, dtype=np.int64), np.full(m, np.nan)
+    lut = np.zeros((m, table.n_levels.max(initial=0) + 1), dtype=bool)  # the levels each node sends left
+    for i, s in enumerate(splits):
+        if s is not None:  # an ordered split, or a categorical one
+            pred[i], threshold[i] = s["predictor"] + offset[i], s.get("threshold", np.nan)
+            lut[i, s.get("left_levels", [])] = True
+    won = np.array([s is not None for s in splits])
+    cell = np.repeat(np.arange(m), block.sizes)  # the node of each of block.flat
+    rows, cell = block.flat[won[cell]], cell[won[cell]]
+    at, numeric, cat = table.row[pred[cell]], table.numeric[pred[cell]], ~table.numeric[pred[cell]]
+    go_left = np.empty(rows.size, dtype=bool)
+    go_left[numeric] = table.values[at[numeric], rows[numeric]] <= threshold[cell[numeric]]
+    go_left[cat] = lut[cell[cat], table.levels[at[cat], rows[cat]]]
+    n, n_left = np.bincount(cell, minlength=m), np.bincount(cell[go_left], minlength=m)
+    return np.concatenate((rows[~go_left], rows[go_left])), np.concatenate(((n - n_left)[won], n_left[won]))
+
+
+def grow_trees(dataset, samples, cfg, rngs, tree_ids, group=None) -> list[dict]:
     """Grow one tree per row multiset of ``samples`` (indices may repeat;
     repeats count), tree ``b`` drawing from ``rngs[b]`` and numbered
     ``tree_ids[b]``; each is returned in its dict form (module notes).
+    ``dataset`` and ``cfg`` are one dataset and its config, or equally
+    long sequences of them, and tree ``b`` grows on ``dataset[group[b]]``
+    with ``cfg[group[b]]`` (on the first where ``group`` is None).  The
+    datasets must share their rows, response and ``y``, and the configs
+    may differ only in ``mtry`` and ``min_node_size``.
 
     A node is split while it holds more rows than ``min_node_size``, is
     impure, and at least one of ``mtry`` predictors sampled without
@@ -181,68 +218,71 @@ def grow_trees(dataset: Dataset, samples, cfg: GrowConfig, rngs, tree_ids) -> li
     numbered in preorder (left subtree before right).
 
     The trees grow in lock step, each from its own depth-first stack,
-    with every node's entry and purity found when it is pushed.  A step
-    pops from every tree still growing up to its next node that needs a
-    search, numbering the leaves on the way, and searches those nodes
-    together (see :func:`_best_splits`).  Each tree draws from its rng
-    exactly as if it were grown alone, once per searched node.
+    with every node's entry and purity found when it is pushed, and its
+    rows kept only if it needs a search.  A step pops from every tree
+    still growing up to its next node that needs a search, numbering the
+    leaves on the way, and searches those nodes together (see
+    :func:`_best_splits`), each tree drawing from its rng exactly as if
+    grown alone.  Every right child is pushed, then every left one.
     """
     samples = [np.asarray(rows, dtype=np.int64) for rows in samples]
-    if not len(samples) == len(rngs) == len(tree_ids):
+    datasets, cfgs = ([dataset], [cfg]) if isinstance(dataset, Dataset) else (list(dataset), list(cfg))
+    group = [0] * len(samples) if group is None else [operator.index(g) for g in group]
+    if not len(samples) == len(rngs) == len(tree_ids) == len(group):
         raise ValueError(f"{len(samples)} samples, {len(rngs)} rngs and {len(tree_ids)} tree ids: need as many of each")
     if any(rows.size == 0 for rows in samples):
         raise ValueError("cannot grow a tree on an empty row multiset")
-    if cfg.task != dataset.task:
-        raise ValueError(f"config task {cfg.task!r} does not match dataset task {dataset.task!r}")
-    p = dataset.n_predictors
-    if cfg.mtry > p:
-        raise ValueError(f"mtry={cfg.mtry} exceeds the {p} available predictors")
-    if dataset.y is None:
-        raise ValueError("dataset has no response")
-    n_classes = dataset.response.n_classes
-    trees = [{"tree_id": b, "task": cfg.task, "n_classes": n_classes, "nodes": []} for b in tree_ids]
-    table = ColumnTable(dataset)
-    kinds = _search_kinds(dataset, cfg)
+    for data, c in zip(datasets, cfgs):
+        if c.task != data.task:
+            raise ValueError(f"config task {c.task!r} does not match dataset task {data.task!r}")
+        if c.mtry > data.n_predictors:
+            raise ValueError(f"mtry={c.mtry} exceeds the {data.n_predictors} available predictors")
+        if dataclasses.replace(c, mtry=cfgs[0].mtry, min_node_size=cfgs[0].min_node_size) != cfgs[0]:
+            raise ValueError("the growth settings of one lock step may differ only in mtry and min_node_size")
+    n_classes = datasets[0].response.n_classes
+    trees = [{"tree_id": b, "task": cfgs[0].task, "n_classes": n_classes, "nodes": []} for b in tree_ids]
+    table = ColumnTable(*datasets)
+    # the search of each table predictor, then -1, which no search takes, for the padding of `sampled`
+    kinds = np.concatenate([_search_kinds(d, c) for d, c in zip(datasets, cfgs)] + [[-1]])
+    p, offset = [datasets[g].n_predictors for g in group], table.offset[group].tolist()
+    mtry, min_size = ([getattr(cfgs[g], name) for g in group] for name in ("mtry", "min_node_size"))
 
-    # explicit stacks (right child pushed first) give preorder ids without
-    # recursion-depth limits on deep, min-node-size-1 trees; an entry holds
-    # a node's rows, its dict entry and purity, and the parent's split and
-    # key that take the node's id (a throwaway dict for the root)
+    # explicit stacks give preorder ids without recursion-depth limits on
+    # deep, min-node-size-1 trees; an entry holds a copy of a node's rows
+    # (None for a leaf; a view would keep its step's children alive), its
+    # dict entry, and the parent's split and key that take the node's id
     stacks: list[list[tuple]] = [[] for _ in samples]
-    children, links = samples, [(stack, {}, "left") for stack in stacks]  # to push, with their parents
+    rows, sizes = np.concatenate(samples), np.array([r.size for r in samples])
+    links = [(b, {}, "left") for b in range(len(samples))]  # to push: tree, parent split (throwaway), key
     while True:
-        if children:
-            pushed = zip(children, *_node_entries(NodeBlock(table, children)), links)
-            for r, node, pure, (stack, split, side) in pushed:
-                stack.append((r, node, pure, split, side))
-        step = []  # the nodes to split: rng, stack, node, rows, sampled predictors
-        for nodes, rng, stack in zip((t["nodes"] for t in trees), rngs, stacks):
+        if sizes.size:
+            entries, pure = _node_entries(table, rows, sizes)
+            ends = np.cumsum(sizes).tolist()
+            for (b, split, side), node, is_pure, size, end in zip(links, entries, pure, sizes.tolist(), ends):
+                searched = size > min_size[b] and not is_pure
+                stacks[b].append((rows[end - size : end].copy() if searched else None, node, split, side))
+        step = []  # the nodes to split: tree, rows, node
+        for b, (nodes, stack) in enumerate(zip((t["nodes"] for t in trees), stacks)):
             while stack:
-                node_rows, node, pure, parent, side = stack.pop()
+                node_rows, node, parent, side = stack.pop()
                 node["id"] = parent[side] = len(nodes)
                 nodes.append(node)
-                if node["size"] > cfg.min_node_size and not pure:
-                    step.append((rng, stack, node, node_rows, rng.choice(p, size=cfg.mtry, replace=False)))
+                if node_rows is not None:
+                    step.append((b, node_rows, node))
                     break
         if not step:
             return trees
 
-        rngs_at, _, _, rows_at, sampled = zip(*step)
-        splits = _best_splits(NodeBlock(table, rows_at), np.array(sampled), kinds, rngs_at, cfg)
-        children, links = [], []
-        for (_, stack, node, node_rows, _), split in zip(step, splits):
-            if split is None:
-                continue
+        at, rows_at, nodes_at = zip(*step)
+        sampled = np.full((len(step), max(mtry[b] for b in at)), table.offset[-1])  # padding
+        for i, b in enumerate(at):
+            sampled[i, : mtry[b]] = rngs[b].choice(p[b], size=mtry[b], replace=False) + offset[b]
+        block = NodeBlock(table, rows_at)
+        splits = _best_splits(block, sampled, kinds, [rngs[b] for b in at], cfgs[0])
+        for node, split in zip(nodes_at, splits):
             node["split"] = split
-            x = dataset.columns[split["predictor"]][node_rows]
-            if split["kind"] == "ordered":
-                mask = x <= split["threshold"]
-            else:
-                lut = np.zeros(dataset.schema[split["predictor"]].n_levels + 1, dtype=bool)
-                lut[split["left_levels"]] = True
-                mask = lut[x]
-            children += [node_rows[~mask], node_rows[mask]]
-            links += [(stack, split, "right"), (stack, split, "left")]
+        rows, sizes = _children(block, splits, [offset[b] for b in at])
+        links = [(at[i], splits[i], side) for side in ("right", "left") for i, s in enumerate(splits) if s is not None]
 
 
 def grow_tree(
@@ -561,5 +601,5 @@ def structure_hash(tree: dict) -> str:
     in a forest (``tree_id``) is deliberately excluded.
     """
     obj = {key: value for key, value in tree.items() if key != "tree_id"}
-    blob = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    blob = json.dumps(obj, sort_keys=True, separators=(",", ":"), check_circular=False)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

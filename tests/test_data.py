@@ -20,6 +20,7 @@ from absentrf.data import (
     save_schema,
     write_csv,
 )
+from absentrf.data import _cell, _rows
 from absentrf import synth
 
 SCHEMA = (
@@ -252,3 +253,20 @@ def test_level_counts_with_repeats():
     assert np.array_equal(counts, [3, 0, 1])
     with pytest.raises(DataError):
         level_counts(ds, 0, np.arange(3))
+
+
+def test_columns_format_as_cell_by_cell_formatting():
+    """A float or int ndarray column is formatted in one pass, and every
+    other column cell by cell; both give what ``_cell`` gives each cell."""
+    columns = [
+        np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 0.1, 1e300, 5e-324]),
+        np.array([np.nan, np.inf, -np.inf, -0.0, 0.1, 1.5, 3.0, 7.25], dtype=np.float32),
+        np.array([0, -1, 2**62, -(2**63), 5, 6, 7, 8], dtype=np.int64),
+        np.array([0, 1, 2, 255, 3, 4, 5, 6], dtype=np.uint8),
+        np.array([True, False, True, True, False, False, True, False]),
+        np.array([None, "a", 1.5, np.nan, 2, True, -0.0, np.float64(np.inf)], dtype=object),
+        ["x", None, 1.0, float("nan"), 3, False, "", "y,z"],
+    ]
+    want = [[_cell(v) for v in (c.tolist() if isinstance(c, np.ndarray) else c)] for c in columns]
+    assert list(_rows(columns)) == list(zip(*want))
+    assert want[0][:5] == ["", "inf", "-inf", "-0.0", "0.0"] and want[4][:2] == ["true", "false"]

@@ -29,7 +29,7 @@ from absentrf.experiment import (
     run_experiment,
     run_experiment_on,
 )
-from absentrf.forest import ForestConfig, forest_hash, forest_tree_hashes, train_forest
+from absentrf.forest import ForestConfig, forest_hash, forest_tree_hashes, train_forest, train_forests
 from absentrf.heuristics import Heuristic
 from absentrf.metrics import cohen_kappa, log_loss
 from absentrf.synth import bridge_multiclass, rollcall_binary
@@ -331,13 +331,12 @@ def test_onehot_forest_follows_the_config_growth_settings(tmp_path, monkeypatch)
     dataset = rollcall_binary(0)
     onehot_forests = []
 
-    def train_and_keep(data, config, workers=1):
-        forest = train_forest(data, config, workers=workers)
-        if data is not dataset:
-            onehot_forests.append(forest)
-        return forest
+    def train_and_keep(pairs, workers=1):
+        forests = train_forests(pairs, workers=workers)
+        onehot_forests.extend(forest for (data, _), forest in zip(pairs, forests) if data is not dataset)
+        return forests
 
-    monkeypatch.setattr(experiment, "train_forest", train_and_keep)
+    monkeypatch.setattr(experiment, "train_forests", train_and_keep)
     base = dict(
         dataset_path="data.csv",
         schema_path="schema.json",

@@ -1,11 +1,15 @@
 """Forest training, out-of-bag prediction, and persistence."""
+import dataclasses
 import json
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from absentrf import splits, synth
+from absentrf import tree as tree_module
 from absentrf.data import (
     CATEGORICAL,
     CLASSIFICATION,
@@ -16,6 +20,7 @@ from absentrf.data import (
     ColumnSchema,
     ResponseSpec,
     from_arrays,
+    one_hot_transform,
 )
 from absentrf.forest import (
     Forest,
@@ -35,11 +40,13 @@ from absentrf.forest import (
     predict_rows,
     save_forest,
     train_forest,
+    train_forests,
 )
 from absentrf.heuristics import Heuristic
 from absentrf.seeding import BOOTSTRAP, stream
 from absentrf.tree import GrowConfig, route
 from reference import tree_predict, tree_vote
+from test_tree import lock_step_dataset
 
 
 def make_dataset(seed=0, n=60, task=REGRESSION):
@@ -440,3 +447,90 @@ def test_tiny_bitmask_chunks_grow_the_golden_bridge_forest(monkeypatch):
     forest = train_forest(synth.bridge_multiclass(0), ForestConfig(n_trees=10, seed=11))
     # the hash tests/test_golden.py pins for this forest
     assert forest_hash(forest) == "3c0baf3529da435d9199463a39976b01b919106b9af431fb4029f5c87a31e035"
+
+
+# ---------------------------------------------------------------------------
+# several forests in one lock step
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("task,k", [(REGRESSION, 0), (CLASSIFICATION, 2), (CLASSIFICATION, 7)])
+@given(seed=st.integers(0, 10**9))
+@settings(max_examples=6, deadline=None, derandomize=True)
+def test_train_forests_equals_training_each_forest_alone(task, k, workers, seed):
+    # 7 classes: the high-cardinality column takes the random search, whose
+    # bitmask draws interleave with the mtry draws of each tree's rng
+    ds = lock_step_dataset(seed, task, k)
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for g, data in enumerate((ds, one_hot_transform(ds))):
+        grow = dataclasses.replace(default_grow_config(data), min_node_size=int(rng.choice([1, 5])), random_candidates=64)
+        pairs.append((data, ForestConfig(n_trees=int(rng.integers(1, 5)), seed=seed + g, grow=grow)))
+    together = train_forests(pairs, workers=workers)
+    assert len(together) == len(pairs)
+    for forest, (data, config) in zip(together, pairs):
+        alone = train_forest(data, config)
+        assert forest_tree_hashes(forest) == forest_tree_hashes(alone)
+        assert [t["tree_id"] for t in forest.tree_dicts] == list(range(config.n_trees))
+        assert np.array_equal(forest.in_bag, alone.in_bag)
+        assert (forest.config, forest.fingerprint, forest.schema) == (alone.config, alone.fingerprint, alone.schema)
+
+
+def test_train_forests_rejects_forests_that_cannot_share_a_lock_step():
+    ds = make_dataset(task=CLASSIFICATION)
+    config = ForestConfig(n_trees=3, seed=1)
+    others = [
+        make_dataset(n=59, task=CLASSIFICATION),  # other rows
+        from_arrays(ds.schema, ResponseSpec(RESPONSE_CLASS, ("no", "yes")), ds.columns, ds.y),  # other response
+        from_arrays(ds.schema, ds.response, ds.columns, 3 - ds.y),  # other y
+    ]
+    for other in others:
+        with pytest.raises(ValueError, match="must share their rows, response and y"):
+            train_forests([(ds, config), (other, config)])
+    grow = default_grow_config(ds)
+    changes = [dict(exhaustive_max_q_binary=3), dict(exhaustive_max_q_multiclass=4), dict(random_candidates=8)]
+    for change in changes:
+        pairs = [(ds, ForestConfig(3, grow=grow)), (ds, ForestConfig(3, grow=dataclasses.replace(grow, **change)))]
+        with pytest.raises(ValueError, match="may differ only in mtry and min_node_size"):
+            train_forests(pairs)
+    other = dataclasses.replace(grow, mtry=3, min_node_size=4)
+    forests = train_forests([(ds, ForestConfig(3, grow=grow)), (ds, ForestConfig(2, seed=5, grow=other))])
+    assert [f.n_trees for f in forests] == [3, 2]
+
+
+def test_a_step_builds_one_block_over_the_searched_nodes_of_both_forests(monkeypatch):
+    ds = synth.rollcall_binary(0)
+    onehot = one_hot_transform(ds)
+    blocks, steps = [], []
+
+    class CountingBlock(splits.NodeBlock):
+        def __init__(self, *args):
+            super().__init__(*args)
+            blocks.append(self)
+
+    best_splits = tree_module._best_splits
+
+    def spy(block, sampled, *args):
+        steps.append((block, sampled))
+        return best_splits(block, sampled, *args)
+
+    monkeypatch.setattr(tree_module, "NodeBlock", CountingBlock)
+    monkeypatch.setattr(tree_module, "_best_splits", spy)
+    config = ForestConfig(n_trees=4, seed=11)
+    forests = train_forests([(ds, config), (onehot, config)])
+    assert len(blocks) == len(steps) and all(b is block for b, (block, _) in zip(blocks, steps))
+    # nodes with more rows than min_node_size (1) that are impure are searched, and only they
+    searched = [
+        node for f in forests for t in f.tree_dicts for node in t["nodes"]
+        if node["size"] > 1 and max(node["class_counts"]) < node["size"]
+    ]
+    assert sum(block.sizes.size for block in blocks) == len(searched)
+    for block, _ in steps:
+        for i, size in enumerate(block.sizes.tolist()):
+            y = ds.y[block.rows[i, :size]]
+            assert size > 1 and y.min() < y.max()
+    # a row whose first sampled table predictor is below P is a native node, else a one-hot one
+    native = [sampled[:, 0] < ds.n_predictors for _, sampled in steps]
+    assert all(n.size == block.sizes.size for n, (block, _) in zip(native, steps))
+    mixed = [n.any() and not n.all() for n in native]
+    assert mixed[0] and sum(mixed) > len(steps) // 2

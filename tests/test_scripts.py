@@ -98,3 +98,31 @@ def test_paired_bench_summarizes_alternated_pairs():
     assert summary["output_bytes"]["change_lower"] == 1
     assert runs[0]["correct"] is True and runs[0]["metrics"] == {"op_ref_s": 0.40, "output_bytes": 100.0}
 
+
+
+def test_paired_bench_rotates_a_control_and_reports_its_medians():
+    bench = load_script("paired_bench")
+    sides = ("base", "change", "control")
+    assert [bench.rotation(sides, i) for i in range(4)] == [
+        sides,
+        ("change", "control", "base"),
+        ("control", "base", "change"),
+        sides,
+    ]
+    assert [bench.rotation(bench.SIDES, i) for i in range(2)] == [("base", "change"), ("change", "base")]
+    canned = {  # seed -> (base, change, control) op_ref_s
+        61: (0.40, 0.35, 0.41),
+        62: (0.38, 0.33, 0.37),
+        63: (0.42, 0.36, 0.42),
+    }
+    runs = []
+    for seed, values in canned.items():
+        for order, (side, value) in enumerate(zip(sides, values)):
+            runs.append({"seed": seed, "side": side, "order": order, **bench.parse_result(result_line(value, 100.0))})
+    runs.append({"seed": 64, "side": "control", "order": 0, **bench.parse_result(result_line(0.1, 100.0))})  # no pair
+    summary = bench.summarize(runs)["op_ref_s"]
+    assert summary["pairs"] == 3 and summary["change_lower"] == 3
+    assert summary["control"] == {"median": 0.41, "q1": 0.39, "q3": 0.415}
+    assert summary["control_lower"] == 1  # ties are not lower
+    assert summary["base"]["median"] == 0.40
+    assert "control" not in bench.summarize([r for r in runs if r["side"] != "control"])["op_ref_s"]

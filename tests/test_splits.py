@@ -443,6 +443,67 @@ def test_ordered_split_batch_scores_two_valued_columns_without_sorting(case):
             assert_same_entry(entry(j), want)
 
 
+@st.composite
+def constant_column_instances(draw):
+    """Numeric columns that hold one value (0.0, -0.0, ±inf or another),
+    or nearly: NaN in every row, 0.0 beside -0.0, one other value; beside
+    columns of many values, on regression or classification data; and
+    nodes with repeated rows and one-row nodes."""
+    task = draw(st.sampled_from([REGRESSION, CLASSIFICATION]))
+    n_rows = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["one"] * 3 + ["nan", "zeros", "other", "many"]))
+        col = np.full(n_rows, draw(st.sampled_from([0.0, -0.0, 1.5, -np.inf, np.inf])))
+        if kind == "nan":
+            col[:] = np.nan
+        elif kind == "zeros":
+            col[:] = 0.0
+            col[rng.integers(0, n_rows)] = -0.0
+        elif kind == "other":
+            col[rng.integers(0, n_rows)] = 2.0
+        elif kind == "many":
+            col = np.round(rng.normal(size=n_rows), 1)
+        columns.append(col)
+    y = rng.normal(0, 2, n_rows) if task == REGRESSION else rng.integers(1, 4, n_rows)
+    nodes = [rng.integers(0, n_rows, size=draw(st.sampled_from([1, 2, 9, 40]))) for _ in range(draw(st.integers(1, 4)))]
+    return nums_dataset(columns, y, task, 3), nodes
+
+
+@given(constant_column_instances())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_ordered_split_batch_dispatch_on_constant_columns_and_regression_tables(case):
+    ds, nodes = case
+    pairs = np.array([(i, p) for i in range(len(nodes)) for p in range(ds.n_predictors)])
+    table = ColumnTable(ds)
+    one = [np.unique(c.view(np.int64)).size == 1 and not np.isnan(c[0]) for c in ds.columns]  # bitwise
+    assert repr(table.const.tolist()) == repr([float(c[0]) if o else np.nan for c, o in zip(ds.columns, one)])
+    sorted_pairs, sorting_scan = [], splits._sorting_scan
+
+    def spy(block, node, pred, pairs, out):
+        sorted_pairs.append(pairs)
+        return sorting_scan(block, node, pred, pairs, out)
+
+    splits._sorting_scan = spy
+    try:
+        impurity, found, entry = ordered_split_batch(NodeBlock(table, nodes), pairs[:, 0], pairs[:, 1])
+    finally:
+        splits._sorting_scan = sorting_scan
+    if not table.any_two:  # every regression table: no lookup, every pair to the sorting scan at once
+        assert len(sorted_pairs) == 1 and sorted_pairs[0] == slice(None)
+    for j, (i, p) in enumerate(pairs.tolist()):
+        want = best_ordered_splits(ds, nodes[i], [p])[0]
+        assert found[j] == (want is not None)
+        if want is not None:
+            assert repr(float(impurity[j])) == repr(want.impurity)
+            assert_same_entry(entry(j), want)
+        elif one[p]:  # the outputs of a sorting scan that finds no cut
+            got = entry(j)
+            assert impurity[j] == np.inf and got["left_size"] == 1
+            assert repr(got["threshold"]) == repr(float(ds.columns[p][0]))
+
+
 def test_column_table_lists_two_valued_columns_of_classification_data_only():
     columns = [[1.0, 0.0, 0.0, 0.0], [3.0, 3.0, -np.inf, 3.0], [0.0, -0.0, 1.0, 1.0], [0.0, np.nan, 1.0, 1.0], [2.0] * 4]
     table = ColumnTable(nums_dataset(columns, [1, 2, 2, 1], CLASSIFICATION))
