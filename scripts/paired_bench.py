@@ -9,8 +9,12 @@ rotation too: how far its medians lie from the base's shows the spread
 that an effect must exceed, which matters for effects under 3%.  The
 result goes into a JSON file keyed by workload (an existing file keeps
 its other workloads): every run's metrics, and per metric each side's
-median and quartiles and the number of pairs in which the change (and
-the control) reads lower than the base.
+median and quartiles, the number of pairs in which the change (and the
+control) reads lower than the base, and the verdict: ``claim_met``, the
+change better in at least 9 of 10 pairs by a median gap wider than the
+base's interquartile range, and ``within_bound``, the change's median no
+worse than the base's by more than the bound in the base checkout's
+``BENCHMARK.json`` (None for a metric without one).
 
     python3 scripts/paired_bench.py --base ../parent --change . --control ../parent-copy \\
         --workload rollcall-experiment --seeds 51-60 --seconds 35 --out BENCH_7.json
@@ -52,12 +56,21 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(runs: list[dict]) -> dict:
+def load_bounds(checkout: Path) -> dict:
+    """Per metric of the checkout's ``BENCHMARK.json``: whether lower or
+    higher is better, and its bound (None where it has none)."""
+    spec = json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
+    return {m["name"]: (m["better"], m.get("bound")) for m in spec["end_to_end"] + spec.get("per_layer", [])}
+
+
+def summarize(runs: list[dict], bounds: dict | None = None) -> dict:
     """Per metric: each side's median and quartiles over its runs, the
-    number of complete pairs (one run of each side on a seed), and in how
-    many of them the change reads lower.  Where control runs exist, also
-    the control's quartiles over the pairs that have one, and in how many
-    of those it reads lower than the base."""
+    number of complete pairs (one run of each side on a seed), in how
+    many of them the change reads lower, and the verdict (module notes)
+    by the direction and bound in ``bounds`` (:func:`load_bounds`; lower
+    is better, without a bound, where it names none).  Where control runs
+    exist, also the control's quartiles over the pairs that have one, and
+    in how many of those it reads lower than the base."""
     by_seed: dict[int, dict] = {}
     for run in runs:
         by_seed.setdefault(run["seed"], {})[run["side"]] = run["metrics"]
@@ -69,6 +82,14 @@ def summarize(runs: list[dict]) -> dict:
         entry = {side: quartiles([p[side][name] for p in complete]) for side in SIDES if complete}
         entry["pairs"] = len(complete)
         entry["change_lower"] = sum(p["change"][name] < p["base"][name] for p in complete)
+        if complete:
+            better, bound = (bounds or {}).get(name, ("lower", None))
+            sign = 1 if better == "lower" else -1  # > 0: the change is better
+            won = sum(sign * (p["base"][name] - p["change"][name]) > 0 for p in complete)
+            base, change = entry["base"], entry["change"]
+            gap = sign * (base["median"] - change["median"])
+            entry["claim_met"] = 10 * won >= 9 * len(complete) and gap > base["q3"] - base["q1"]
+            entry["within_bound"] = None if bound is None else -gap <= bound * abs(base["median"])
         controlled = [p for p in complete if name in p.get(CONTROL, {})]
         if controlled:
             entry[CONTROL] = quartiles([p[CONTROL][name] for p in controlled])
@@ -118,7 +139,7 @@ def main(argv=None) -> int:
         "trace": args.trace,
         "seeds": args.seeds,
         "runs": runs,
-        "summary": summarize(runs),
+        "summary": summarize(runs, load_bounds(args.base)),
     }
     args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     return 0 if all(run["correct"] for run in runs) else 1

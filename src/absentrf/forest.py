@@ -30,7 +30,7 @@ from .data import (
 )
 from .heuristics import Heuristic
 from .seeding import BOOTSTRAP, COIN, TREE, Coins, derive, stream
-from .tree import GrowConfig, NodeTable, grow_trees, store_ints, structure_hash
+from .tree import GrownTrees, GrowConfig, NodeTable, grow_arrays, store_ints, structure_hash
 
 FOREST_FORMAT = "absentrf-forest"
 FOREST_FORMAT_VERSION = 1
@@ -85,7 +85,9 @@ def bootstrap_sample(n_rows: int, sample_size: int, rng: np.random.Generator) ->
 class Forest:
     """A forest whose trees are kept in their dict form (see
     :mod:`absentrf.tree`), which saving and hashing use as they are.
-    ``table``, what prediction routes through, is built on first use."""
+    ``table`` is what prediction routes through: :func:`train_forests`
+    compiles it from the arrays the trees grew in, and a forest built
+    otherwise reads it from the dicts, with every check, on first use."""
 
     tree_dicts: list[dict]
     in_bag: np.ndarray  # (B, N) multiplicity counts
@@ -102,16 +104,17 @@ class Forest:
 
     @functools.cached_property
     def table(self) -> NodeTable:
-        """The checked node table (see :class:`NodeTable`)."""
+        """The node table read from the tree dicts and checked against the
+        schema (see :class:`NodeTable`), unless training set it."""
         return NodeTable(self.tree_dicts, self.task, self.n_classes, self.schema)
 
 
-def _grow_task(datasets: tuple, grow_cfgs: tuple, chunk: list[tuple[int, int, int, np.ndarray]]) -> list[dict]:
+def _grow_task(datasets: tuple, grow_cfgs: tuple, chunk: list[tuple[int, int, int, np.ndarray]]) -> GrownTrees:
     """Grow a chunk of (dataset index, tree id, growth seed, bootstrap
     counts) in one lock step."""
     samples = [np.repeat(np.arange(counts.size), counts) for _, _, _, counts in chunk]
     rngs = [np.random.default_rng(seed) for _, _, seed, _ in chunk]
-    return grow_trees(datasets, samples, grow_cfgs, rngs, [b for _, b, _, _ in chunk], [g for g, _, _, _ in chunk])
+    return grow_arrays(datasets, samples, grow_cfgs, rngs, [b for _, b, _, _ in chunk], [g for g, _, _, _ in chunk])
 
 
 def train_forests(pairs: list[tuple[Dataset, ForestConfig]], workers: int = 1) -> list[Forest]:
@@ -144,15 +147,18 @@ def train_forests(pairs: list[tuple[Dataset, ForestConfig]], workers: int = 1) -
 
     grow = functools.partial(_grow_task, tuple(d for d, _ in pairs), tuple(f.config.grow for f in forests))
     if workers <= 1:
-        trees = grow(tasks)
+        grown = grow(tasks)
     else:
         # one contiguous chunk of trees, so one pickled set of datasets, per worker
         size = -(-len(tasks) // workers)
         chunks = [tasks[k : k + size] for k in range(0, len(tasks), size)]
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            trees = [tree for grown in pool.map(grow, chunks) for tree in grown]
-    for (g, _, _, _), tree in zip(tasks, trees):
-        forests[g].tree_dicts.append(tree)
+            grown = GrownTrees.concat(list(pool.map(grow, chunks)))
+    start = 0
+    for forest in forests:  # its trees follow those of the forests before it
+        own = grown.trees(start, start + forest.config.n_trees)
+        forest.tree_dicts, forest.table = own.tree_dicts(), own.table()
+        start += forest.config.n_trees
     return forests
 
 

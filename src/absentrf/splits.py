@@ -162,23 +162,99 @@ def _sse(sl, ssl, st, sst, nl, n) -> np.ndarray:
     return np.maximum(sse_l, 0.0) + np.maximum(sse_r, 0.0)
 
 
-def _encode(levels) -> int:
-    """Little-endian bitmask of a level set: bit ``q-1`` on for level ``q``."""
-    return sum(1 << (q - 1) for q in levels)
+# the split search of a predictor
+ORDERED, PSEUDO, EXHAUSTIVE, RANDOM = range(4)
+# the columns of Splits.head, and the planes of Splits.masks
+SEARCH, PREDICTOR, N_LEFT, N_RIGHT, THRESHOLD, LEVELS = range(6)
+PRESENT, SENT_LEFT, BITS = range(3)
 
 
-def _split(predictor, left_size: int, right_size: int, **rule) -> dict:
-    """A split entry in the dump form (:mod:`absentrf.tree`'s module notes), its child ids None."""
-    return dict(predictor=int(predictor), left=None, right=None, left_size=left_size, right_size=right_size, **rule)
+@dataclass
+class Splits:
+    """Splits as arrays.  Row ``i`` of ``head`` holds split ``i``'s search,
+    its predictor in its own dataset, its daughter sizes, its threshold
+    (NaN unless ordered) and the levels Q of its predictor (0 unless
+    categorical), all as floats: the integers are exact.  The categorical
+    splits, in row order, have one row each in ``masks``, whose planes
+    mark the levels 1, 2, ... (as many as the widest column's) that are
+    ``PRESENT`` in the node, ``SENT_LEFT``, and on in the ``BITS`` of the
+    bitmask (the left levels, or a random draw, which may set absent
+    ones), and one in ``values``: a pseudo-value split's pseudo split
+    value, then each level's pseudo value (NaN and zeros otherwise)."""
+
+    head: np.ndarray
+    masks: np.ndarray
+    values: np.ndarray
+
+    def take(self, rows: np.ndarray) -> Splits:
+        """The splits of ``rows``, in that order."""
+        if len(self.masks) == len(self.head):  # every split categorical
+            return Splits(self.head[rows], self.masks[rows], self.values[rows])
+        cat = self.head[:, SEARCH] > ORDERED
+        at = (np.cumsum(cat) - 1)[rows[cat[rows]]]  # their categorical rows
+        return Splits(self.head[rows], self.masks[at], self.values[at])
+
+    @staticmethod
+    def concat(parts: list) -> Splits:
+        return Splits(*(np.concatenate(arrays) for arrays in zip(*(vars(s).values() for s in parts))))
 
 
-def _categorical(present: np.ndarray, left: list, bitmask: int, pseudo_split=None, gamma=None) -> dict:
-    """The rule of a categorical split entry sending sorted ``left`` left:
-    ``present`` masks levels 1..Q, and ``gamma`` holds their pseudo values."""
-    there, absent = ((mask.nonzero()[0] + 1).tolist() for mask in (present, ~present))
-    gamma = None if gamma is None else [[q, g] for q, g in zip(there, gamma[present].tolist())]
-    rule = dict(kind="categorical", left_levels=left, present=there, absent=absent, bitmask=bitmask)
-    return dict(rule, pseudo_split=pseudo_split, gamma=gamma)
+def _splits(table: ColumnTable, search: int, pred, n_left, n_right, threshold=np.nan, masks=None, values=None):
+    """The :class:`Splits` of a scan of ``search`` over table predictors
+    ``pred``: a categorical scan's ``masks`` and ``values``, or none."""
+    head = np.empty((pred.size, 6))
+    head[:, SEARCH], head[:, PREDICTOR], head[:, N_LEFT], head[:, N_RIGHT] = search, table.own[pred], n_left, n_right
+    head[:, THRESHOLD], head[:, LEVELS] = threshold, 0 if search == ORDERED else table.n_levels[pred]
+    if masks is None:
+        masks, values = _level_planes(table, 0)
+    return Splits(head, masks, values)
+
+
+def _level_planes(table: ColumnTable, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Empty ``masks`` and ``values`` of ``m`` categorical splits."""
+    width = int(table.n_levels.max(initial=0))
+    values = np.zeros((m, width + 1))
+    values[:, 0] = np.nan
+    return np.zeros((m, 3, width), dtype=bool), values
+
+
+def _level_lists(mask: np.ndarray, values: np.ndarray) -> list[list]:
+    """Per row of ``mask``, the list of ``values`` (broadcast to it) at its
+    true cells."""
+    ends = mask.sum(axis=1).cumsum().tolist()
+    flat = np.broadcast_to(values, mask.shape)[mask].tolist()
+    return [flat[a:b] for a, b in zip([0] + ends, ends)]
+
+
+def split_entries(s: Splits, left, right) -> list[dict]:
+    """The split entry, in the dump form (:mod:`absentrf.tree`'s module
+    notes), of every row of ``s``, row ``i`` with child ids ``left[i]`` and
+    ``right[i]``: each value a Python int, float or list of them."""
+    entries = [None] * len(s.head)
+    cat = s.head[:, SEARCH] > ORDERED
+    ints = s.head[:, [PREDICTOR, N_LEFT, N_RIGHT]].astype(np.int64)
+
+    def common(rows):  # per split of rows: its row, child ids, and predictor and daughter sizes
+        children = (np.asarray(ids)[rows].tolist() for ids in (left, right))
+        return zip(np.flatnonzero(rows).tolist(), *children, ints[rows].tolist())
+
+    for (i, lo, hi, (p, nl, nr)), t in zip(common(~cat), s.head[~cat, THRESHOLD].tolist()):
+        entries[i] = {"predictor": p, "left": lo, "right": hi, "left_size": nl, "right_size": nr,
+                      "kind": "ordered", "threshold": t}
+    number = np.arange(1, s.masks.shape[2] + 1)
+    present = s.masks[:, PRESENT]
+    absent = (number <= s.head[cat, LEVELS, None]) & ~present
+    lists = [_level_lists(mask, number) for mask in (s.masks[:, SENT_LEFT], present, absent)]
+    bits = np.packbits(s.masks[:, BITS], axis=1, bitorder="little")
+    pseudo = s.head[cat, SEARCH] == PSEUDO
+    gamma = _level_lists(present & pseudo[:, None], s.values[:, 1:])
+    rules = zip(*lists, map(bytes, bits), s.values[:, 0].tolist(), gamma, pseudo.tolist())
+    for (i, lo, hi, (p, nl, nr)), (ll, there, gone, bitmask, split, g, has) in zip(common(cat), rules):
+        entries[i] = {"predictor": p, "left": lo, "right": hi, "left_size": nl, "right_size": nr,
+                      "kind": "categorical", "left_levels": ll, "present": there, "absent": gone,
+                      "bitmask": int.from_bytes(bitmask, "little"), "pseudo_split": split if has else None,
+                      "gamma": [[q, v] for q, v in zip(there, g)] if has else None}
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -347,11 +423,10 @@ def ordered_split_batch(block: NodeBlock, node: np.ndarray, pred: np.ndarray):
 
     Pair ``j`` is node ``node[j]`` of ``block`` and predictor ``pred[j]``.
     Returns the best objective of each pair, whether the pair has a split
-    at all, and a function that gives pair ``j``'s split entry in the dump
-    form (see :func:`_split`), or a list for an index array ``j``.  They
-    equal ``best_ordered_splits`` of ``tests/reference.py`` bit for bit.  Pairs
-    on a table's two-valued columns go to :func:`_two_valued_scan`, the
-    rest to :func:`_sorting_scan`.
+    at all, and each pair's best split as row ``j`` of a :class:`Splits`.
+    They equal ``best_ordered_splits`` of ``tests/reference.py`` bit for
+    bit.  Pairs on a table's two-valued columns go to
+    :func:`_two_valued_scan`, the rest to :func:`_sorting_scan`.
     """
     table = block.table
     table.check(pred, numeric=True)
@@ -364,13 +439,7 @@ def ordered_split_batch(block: NodeBlock, node: np.ndarray, pred: np.ndarray):
             _two_valued_scan(block, node, pred, np.flatnonzero(two), out)
         _sorting_scan(block, node, pred, np.flatnonzero(~two), out)
 
-    def entry(j):
-        at = np.atleast_1d(j)
-        cols = (a.tolist() for a in (table.own[pred[at]], left[at], block.sizes[node[at]] - left[at], threshold[at]))
-        entries = [_split(p, nl, nr, kind="ordered", threshold=t) for p, nl, nr, t in zip(*cols)]
-        return entries if np.ndim(j) else entries[0]
-
-    return impurity, found, entry
+    return impurity, found, _splits(table, ORDERED, pred, left, block.sizes[node] - left, threshold)
 
 
 def _sorting_scan(block: NodeBlock, node: np.ndarray, pred: np.ndarray, pairs, out) -> None:
@@ -470,7 +539,8 @@ def pseudo_value_batch(block: NodeBlock, node: np.ndarray, pred: np.ndarray):
     m = node.size
     n_all, q_all = block.sizes[node], table.n_levels[pred]
     impurity, found = np.empty(m), np.zeros(m, dtype=bool)
-    where: list = [None] * m
+    n_left = np.empty(m, dtype=np.int64)
+    masks, values = _level_planes(table, m)
     cells = np.maximum(n_all, q_all + 1)  # row and level cells
     widest = np.argsort(-cells, kind="stable")
     for run in _runs(cells[widest], _BATCH_CELLS):
@@ -516,17 +586,15 @@ def pseudo_value_batch(block: NodeBlock, node: np.ndarray, pred: np.ndarray):
         best = full.argmin(axis=1)
         impurity[idx] = full[at[:, 0], best]
         found[idx[r]] = True
-        batch = (gam, present, order, gs, nl)
-        for a, j in enumerate(idx.tolist()):
-            where[j] = (batch, a, int(best[a]))
+        rank = np.empty_like(order)  # of each level in its pair's order
+        rank[at, order] = np.arange(width - 1)
+        left = rank <= best[:, None]
+        for plane, mask in ((PRESENT, present), (SENT_LEFT, left), (BITS, left)):
+            masks[idx, plane, : width - 1] = mask
+        values[idx, 0], values[idx, 1:width] = gs[at[:, 0], best], gam
+        n_left[idx] = nl[at[:, 0], best]
 
-    def entry(j: int) -> dict:
-        (gam, present, order, gs, nl), a, c = where[j]
-        left = sorted((order[a, : c + 1] + 1).tolist())
-        rule = _categorical(present[a, : q_all[j]], left, _encode(left), float(gs[a, c]), gam[a, : q_all[j]])
-        return _split(table.own[pred[j]], int(nl[a, c]), int(n_all[j] - nl[a, c]), **rule)
-
-    return impurity, found, entry
+    return impurity, found, _splits(table, PSEUDO, pred, n_left, n_all - n_left, np.nan, masks, values)
 
 
 # ---------------------------------------------------------------------------
@@ -760,29 +828,23 @@ def bitmask_batch(block: NodeBlock, node: np.ndarray, pred: np.ndarray, rngs, n_
             f"{count_partitions(q)} bipartitions of {q} levels exceed the exhaustive "
             f"limit ({min(limit, EXHAUSTIVE_HARD_LIMIT)} levels); use random_categorical_split"
         )
-    impurity = np.full(m, np.inf)
-    winner: list = [None] * m  # (present levels, winning row of bits, daughter sizes)
+    impurity, n_left, n_right = np.full(m, np.inf), np.zeros(m), np.zeros(m)
+    masks, values = _level_planes(table, m)
     for run in _runs(np.maximum(n_all, (q_all + 1) * (k + 1)), _BITMASK_CELLS):
         idx = np.arange(m)[run]
         counts = _level_class_counts(block, node[idx], pred[idx], k)
         present = counts.any(axis=2)
         if rngs is None:
-            best, rows, ln, rn = _exhaustive_scores(counts, present)
+            best, rows, n_left[idx], n_right[idx] = _exhaustive_scores(counts, present)
         else:
             draws = [rngs[j] for j in idx.tolist()]
-            best, rows, ln, rn = _random_scores(counts, present, q_all[idx], draws, n_candidates)
-        found = np.flatnonzero(best < np.inf)
-        impurity[idx[found]] = best[found]
-        for b in found.tolist():
-            winner[idx[b]] = (present[b], rows[b], int(ln[b]), int(rn[b]))
+            best, rows, n_left[idx], n_right[idx] = _random_scores(counts, present, q_all[idx], draws, n_candidates)
+        impurity[idx] = best
+        q, bits = present.shape[1], rows == 1  # a random draw's absent levels too
+        masks[idx, PRESENT, :q], masks[idx, SENT_LEFT, :q], masks[idx, BITS, :q] = present, present & bits, bits
 
-    def entry(j: int) -> dict:
-        present, row, n_left, n_right = winner[j]
-        left = ((present & (row == 1)).nonzero()[0] + 1).tolist()
-        bitmask = _encode((row.nonzero()[0] + 1).tolist())  # a random draw's absent-level bits too
-        return _split(table.own[pred[j]], n_left, n_right, **_categorical(present[: q_all[j]], left, bitmask))
-
-    return impurity, np.isfinite(impurity), entry
+    kind = EXHAUSTIVE if rngs is None else RANDOM
+    return impurity, np.isfinite(impurity), _splits(table, kind, pred, n_left, n_right, np.nan, masks, values)
 
 
 # ---------------------------------------------------------------------------
@@ -793,8 +855,8 @@ def _one_pair(scan, dataset: Dataset, rows, predictor: int, *args) -> CandidateS
     """``scan(block, node, pred, *args)`` on the one pair of ``rows`` and
     ``predictor``: its split, or None where the scan found none."""
     node = np.zeros(1, dtype=np.int64)
-    impurity, found, entry = scan(NodeBlock(ColumnTable(dataset), [rows]), node, node + predictor, *args)
-    return _candidate(entry(0), float(impurity[0])) if found[0] else None
+    impurity, found, best = scan(NodeBlock(ColumnTable(dataset), [rows]), node, node + predictor, *args)
+    return _candidate(split_entries(best, [None], [None])[0], float(impurity[0])) if found[0] else None
 
 
 def _candidate(split: dict, impurity: float) -> CandidateSplit:

@@ -7,7 +7,10 @@ per predictor as the long-standing library defaults choose it:
 regression uses the pseudo-value scan; binary classification enumerates
 bitmasks up to 10 levels, pseudo values above; multiclass enumerates
 below 10 levels, random bitmasks above.  Trees grow in lock step, on
-one dataset or on several that share rows and y (:func:`grow_trees`).
+one dataset or on several that share rows and y (:func:`grow_arrays`),
+into flat node arrays (:class:`GrownTrees`): each tree's dict form is
+written once, when the lock step ends, and a grown forest's node table
+is compiled from the same arrays.
 
 Routing is where the absent-level heuristics plug in: a categorical
 rule answers directly for levels that were present when it was learned
@@ -42,13 +45,28 @@ from .data import CLASSIFICATION, NUMERIC, REGRESSION, Dataset
 from .heuristics import Heuristic, RoutingContext, resolve
 from .seeding import Coins
 from .splits import (
+    EXHAUSTIVE,
     EXHAUSTIVE_HARD_LIMIT,
+    LEVELS,
+    N_LEFT,
+    N_RIGHT,
+    ORDERED,
+    PREDICTOR,
+    PRESENT,
+    PSEUDO,
+    RANDOM,
+    SEARCH,
+    SENT_LEFT,
+    THRESHOLD,
     ColumnTable,
     NodeBlock,
+    Splits,
     _row_sums,
+    _splits,
     bitmask_batch,
     ordered_split_batch,
     pseudo_value_batch,
+    split_entries,
 )
 
 
@@ -83,10 +101,10 @@ class GrowConfig:
                 raise ValueError(f"{name} may not exceed {EXHAUSTIVE_HARD_LIMIT}")
 
 
-def _node_entries(table: ColumnTable, rows: np.ndarray, sizes: np.ndarray) -> tuple[list[dict], list[bool]]:
-    """The node entry of every node whose rows are the next ``sizes[i]``
-    of ``rows`` in turn, its id and split still to be filled in, and
-    whether each is pure (one class, or one response value)."""
+def _node_stats(table: ColumnTable, rows: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The mean response (regression) or class counts of every node whose
+    rows are the next ``sizes[i]`` of ``rows`` in turn, and whether each
+    is pure (one class, or one response value)."""
     dataset, y = table.dataset, table.response[rows]
     if dataset.task == REGRESSION:
         starts = np.cumsum(sizes) - sizes
@@ -94,17 +112,10 @@ def _node_entries(table: ColumnTable, rows: np.ndarray, sizes: np.ndarray) -> tu
         cells = np.arange(sizes.max()) < sizes[:, None]
         padded = np.zeros(cells.shape)
         padded[cells] = y
-        means = zip(sizes.tolist(), (_row_sums(padded, cells) / sizes).tolist())
-        return [{"id": 0, "size": s, "mean": mu, "split": None} for s, mu in means], pure.tolist()
+        return _row_sums(padded, cells) / sizes, pure
     k = dataset.response.n_classes
     counts = np.bincount(np.repeat(np.arange(sizes.size) * k - 1, sizes) + y, minlength=sizes.size * k).reshape(-1, k)
-    pure = (counts.max(axis=1) == sizes).tolist()
-    counted = zip(sizes.tolist(), counts.tolist())
-    return [{"id": 0, "size": s, "class_counts": c, "split": None} for s, c in counted], pure
-
-
-# the split search of a predictor
-ORDERED, PSEUDO, EXHAUSTIVE, RANDOM = range(4)
+    return counts, counts.max(axis=1) == sizes
 
 
 def _search_kinds(dataset: Dataset, cfg: GrowConfig) -> np.ndarray:
@@ -136,18 +147,20 @@ def _first_best(impurity: np.ndarray, valid: np.ndarray) -> np.ndarray:
 
 
 def _best_splits(block: NodeBlock, sampled: np.ndarray, kinds, rngs, cfg: GrowConfig):
-    """The split entry that each node ``r`` of ``block`` wins over its
-    sampled table predictors ``sampled[r]`` (None where none is valid; a
-    kind no search takes marks padding), scanning them in sampled order
-    and keeping the first strictly lowest objective.
+    """The split that each node ``r`` of ``block`` wins over its sampled
+    table predictors ``sampled[r]`` (a kind no search takes marks
+    padding), scanning them in sampled order and keeping the first
+    strictly lowest objective: each node's table predictor (-1 where none
+    is valid), threshold (NaN unless ordered) and row of a lookup table of
+    the levels it sends left (level 0 never), and per search that won a
+    node, the nodes it won and their :class:`Splits`.
 
-    The pairs of each search kind are scored in one batched call, and only
-    the winners' entries are written, the ordered ones in one call.  The
+    The pairs of each search kind are scored in one batched call.  The
     random search takes its pairs in (node, sampled rank) order, each
     drawing from its node's ``rngs[r]``.
     """
-    dataset = block.table.dataset
-    limit = cfg.exhaustive_max_q_binary if dataset.response.n_classes == 2 else cfg.exhaustive_max_q_multiclass
+    table = block.table
+    limit = cfg.exhaustive_max_q_binary if table.dataset.response.n_classes == 2 else cfg.exhaustive_max_q_multiclass
     kind = kinds[sampled]  # row = node, column = sampling rank
     impurity = np.full(sampled.shape, np.nan)
     valid = np.zeros(sampled.shape, dtype=bool)
@@ -170,46 +183,122 @@ def _best_splits(block: NodeBlock, sampled: np.ndarray, kinds, rngs, cfg: GrowCo
 
     r = np.flatnonzero(valid.any(axis=1))
     c = _first_best(impurity, valid)[r]
-    splits = [None] * sampled.shape[0]
-    for search, entry in scans.items():
+    m = sampled.shape[0]
+    pred, threshold = np.full(m, -1), np.full(m, np.nan)
+    lut = np.zeros((m, table.n_levels.max(initial=0) + 1), dtype=bool)
+    won = []
+    for search, scan in scans.items():
         at = kind[r, c] == search
-        won = pair[r[at], c[at]]
-        for i, split in zip(r[at].tolist(), entry(won) if search == ORDERED else map(entry, won.tolist())):
-            splits[i] = split
-    return splits
+        i = r[at]
+        if i.size:
+            best = scan.take(pair[i, c[at]])
+            pred[i], threshold[i] = sampled[i, c[at]], best.head[:, THRESHOLD]
+            if search != ORDERED:
+                lut[i, 1:] = best.masks[:, SENT_LEFT]
+            won.append((i, best))
+    return pred, threshold, lut, won
 
 
-def _children(block: NodeBlock, splits: list, offset: list) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of the children of the nodes of ``block`` that ``splits``
-    split (node ``i`` on table predictor ``offset[i]`` plus its entry's),
-    flat, every right child's then every left one's; and their sizes."""
-    table, m = block.table, len(splits)
-    pred, threshold = np.zeros(m, dtype=np.int64), np.full(m, np.nan)
-    lut = np.zeros((m, table.n_levels.max(initial=0) + 1), dtype=bool)  # the levels each node sends left
-    for i, s in enumerate(splits):
-        if s is not None:  # an ordered split, or a categorical one
-            pred[i], threshold[i] = s["predictor"] + offset[i], s.get("threshold", np.nan)
-            lut[i, s.get("left_levels", [])] = True
-    won = np.array([s is not None for s in splits])
-    cell = np.repeat(np.arange(m), block.sizes)  # the node of each of block.flat
-    rows, cell = block.flat[won[cell]], cell[won[cell]]
-    at, numeric, cat = table.row[pred[cell]], table.numeric[pred[cell]], ~table.numeric[pred[cell]]
+def _children(block: NodeBlock, pred: np.ndarray, threshold: np.ndarray, lut: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of the children of the nodes of ``block`` that split on
+    table predictor ``pred[i]`` (none where -1) at ``threshold[i]`` or by
+    left-level lookup row ``lut[i]``, flat, every right child's then
+    every left one's; and their sizes."""
+    table, won = block.table, pred >= 0
+    rows, cell = block.flat, np.repeat(np.arange(pred.size), block.sizes)  # the node of each row
+    if not won.all():
+        rows, cell = rows[won[cell]], cell[won[cell]]
+    at, numeric = table.row[pred][cell], table.numeric[pred][cell]
+    cat = ~numeric
     go_left = np.empty(rows.size, dtype=bool)
     go_left[numeric] = table.values[at[numeric], rows[numeric]] <= threshold[cell[numeric]]
     go_left[cat] = lut[cell[cat], table.levels[at[cat], rows[cat]]]
-    n, n_left = np.bincount(cell, minlength=m), np.bincount(cell[go_left], minlength=m)
+    n, n_left = np.bincount(cell, minlength=pred.size), np.bincount(cell[go_left], minlength=pred.size)
     return np.concatenate((rows[~go_left], rows[go_left])), np.concatenate(((n - n_left)[won], n_left[won]))
 
 
-def grow_trees(dataset, samples, cfg, rngs, tree_ids, group=None) -> list[dict]:
+@dataclass
+class GrownTrees:
+    """Trees grown in lock step, in flat arrays.  Per tree: ``tree_id``
+    and ``n_nodes``.  Per node, tree by tree in preorder: ``size`` and
+    ``value``, the mean response or the class counts.  Per inner node, by
+    ``inner``, its index among the nodes (ascending): child ids ``left``
+    and ``right`` within its tree, and its split, row ``i`` of ``splits``
+    (predictor ids in its own dataset)."""
+
+    task: str
+    n_classes: int
+    tree_id: list
+    n_nodes: np.ndarray
+    size: np.ndarray
+    value: np.ndarray
+    inner: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    splits: Splits
+
+    def trees(self, lo: int, hi: int) -> GrownTrees:
+        """Trees ``lo`` to ``hi - 1``."""
+        n0, n1 = (int(self.n_nodes[:t].sum()) for t in (lo, hi))
+        i0, i1 = np.searchsorted(self.inner, (n0, n1)).tolist()
+        return GrownTrees(
+            self.task, self.n_classes, self.tree_id[lo:hi], self.n_nodes[lo:hi], self.size[n0:n1],
+            self.value[n0:n1], self.inner[i0:i1] - n0, self.left[i0:i1], self.right[i0:i1],
+            self.splits.take(np.arange(i0, i1)),
+        )
+
+    @staticmethod
+    def concat(parts: list) -> GrownTrees:
+        """The trees of ``parts`` in turn."""
+        first, starts = parts[0], np.cumsum([0] + [p.size.size for p in parts])
+        return GrownTrees(
+            first.task, first.n_classes, [b for p in parts for b in p.tree_id],
+            *(np.concatenate([getattr(p, f) for p in parts]) for f in ("n_nodes", "size", "value")),
+            np.concatenate([p.inner + s for p, s in zip(parts, starts.tolist())]),
+            *(np.concatenate([getattr(p, f) for p in parts]) for f in ("left", "right")),
+            Splits.concat([p.splits for p in parts]),
+        )
+
+    def tree_dicts(self) -> list[dict]:
+        """Every tree in its dict form (module notes)."""
+        splits = [None] * self.size.size
+        for i, entry in zip(self.inner.tolist(), split_entries(self.splits, self.left.tolist(), self.right.tolist())):
+            splits[i] = entry
+        n_nodes = self.n_nodes.tolist()
+        start = np.cumsum([0] + n_nodes[:-1])
+        local = (np.arange(self.size.size) - np.repeat(start, n_nodes)).tolist()
+        key = "mean" if self.task == REGRESSION else "class_counts"
+        nodes = [{"id": v, "size": s, key: x, "split": e} for v, s, x, e in zip(local, self.size.tolist(), self.value.tolist(), splits)]
+        return [
+            {"tree_id": b, "task": self.task, "n_classes": self.n_classes, "nodes": nodes[a : a + n]}
+            for b, a, n in zip(self.tree_id, start.tolist(), n_nodes)
+        ]
+
+    def table(self) -> NodeTable:
+        """The :class:`NodeTable` of the trees, compiled from these arrays."""
+        head, masks = self.splits.head, self.splits.masks
+        categorical = head[:, SEARCH] > ORDERED
+        levels = head[categorical, LEVELS].astype(np.int64)
+        columns = np.arange(levels.max(initial=0) + 1)
+        codes = np.where((columns >= 1) & (columns <= levels[:, None]), 0, 3).astype(np.int8)
+        codes[:, 1:][masks[:, PRESENT, : columns.size - 1]] = 2
+        codes[:, 1:][masks[:, SENT_LEFT, : columns.size - 1]] = 1
+        predictor, left_size, right_size = head[:, [PREDICTOR, N_LEFT, N_RIGHT]].astype(np.int64).T
+        return NodeTable.compiled(
+            self.tree_id, self.n_nodes.tolist(), self.size, self.value.copy(), self.inner, predictor, self.left,
+            self.right, left_size, right_size, head[:, THRESHOLD], categorical, codes,
+        )
+
+
+def grow_arrays(dataset, samples, cfg, rngs, tree_ids, group=None) -> GrownTrees:
     """Grow one tree per row multiset of ``samples`` (indices may repeat;
     repeats count), tree ``b`` drawing from ``rngs[b]`` and numbered
-    ``tree_ids[b]``; each is returned in its dict form (module notes).
-    ``dataset`` and ``cfg`` are one dataset and its config, or equally
-    long sequences of them, and tree ``b`` grows on ``dataset[group[b]]``
-    with ``cfg[group[b]]`` (on the first where ``group`` is None).  The
-    datasets must share their rows, response and ``y``, and the configs
-    may differ only in ``mtry`` and ``min_node_size``.
+    ``tree_ids[b]``.  ``dataset`` and ``cfg`` are one dataset and its
+    config, or equally long sequences of them, and tree ``b`` grows on
+    ``dataset[group[b]]`` with ``cfg[group[b]]`` (on the first where
+    ``group`` is None).  The datasets must share their rows, response and
+    ``y``, and the configs may differ only in ``mtry`` and
+    ``min_node_size``.
 
     A node is split while it holds more rows than ``min_node_size``, is
     impure, and at least one of ``mtry`` predictors sampled without
@@ -217,13 +306,14 @@ def grow_trees(dataset, samples, cfg, rngs, tree_ids, group=None) -> list[dict]:
     resolved in favour of the earliest sampled predictor.  Nodes are
     numbered in preorder (left subtree before right).
 
-    The trees grow in lock step, each from its own depth-first stack,
-    with every node's entry and purity found when it is pushed, and its
-    rows kept only if it needs a search.  A step pops from every tree
-    still growing up to its next node that needs a search, numbering the
-    leaves on the way, and searches those nodes together (see
-    :func:`_best_splits`), each tree drawing from its rng exactly as if
-    grown alone.  Every right child is pushed, then every left one.
+    The trees grow in lock step, each from its own depth-first stack of
+    node indices, with every node's statistics and purity found when it
+    is made, and its rows kept only if it needs a search.  A step pops
+    from every tree still growing up to its next node that needs a search,
+    numbering the leaves on the way, and searches those nodes together
+    (see :func:`_best_splits`), each tree drawing from its rng exactly as
+    if grown alone.  Every right child is made, then every left one.
+    Nodes and splits stay in flat arrays until the lock step ends.
     """
     samples = [np.asarray(rows, dtype=np.int64) for rows in samples]
     datasets, cfgs = ([dataset], [cfg]) if isinstance(dataset, Dataset) else (list(dataset), list(cfg))
@@ -239,50 +329,76 @@ def grow_trees(dataset, samples, cfg, rngs, tree_ids, group=None) -> list[dict]:
             raise ValueError(f"mtry={c.mtry} exceeds the {data.n_predictors} available predictors")
         if dataclasses.replace(c, mtry=cfgs[0].mtry, min_node_size=cfgs[0].min_node_size) != cfgs[0]:
             raise ValueError("the growth settings of one lock step may differ only in mtry and min_node_size")
-    n_classes = datasets[0].response.n_classes
-    trees = [{"tree_id": b, "task": cfgs[0].task, "n_classes": n_classes, "nodes": []} for b in tree_ids]
     table = ColumnTable(*datasets)
     # the search of each table predictor, then -1, which no search takes, for the padding of `sampled`
     kinds = np.concatenate([_search_kinds(d, c) for d, c in zip(datasets, cfgs)] + [[-1]])
     p, offset = [datasets[g].n_predictors for g in group], table.offset[group].tolist()
-    mtry, min_size = ([getattr(cfgs[g], name) for g in group] for name in ("mtry", "min_node_size"))
+    mtry = [cfgs[g].mtry for g in group]
+    min_size = np.array([cfgs[g].min_node_size for g in group])
 
-    # explicit stacks give preorder ids without recursion-depth limits on
-    # deep, min-node-size-1 trees; an entry holds a copy of a node's rows
-    # (None for a leaf; a view would keep its step's children alive), its
-    # dict entry, and the parent's split and key that take the node's id
+    # nodes are indexed in the order they are made; explicit stacks give
+    # preorder without recursion-depth limits on deep, min-node-size-1
+    # trees.  A stack entry holds a node's index and a copy of its rows
+    # (None for a leaf; a view would keep its step's children alive).
     stacks: list[list[tuple]] = [[] for _ in samples]
-    rows, sizes = np.concatenate(samples), np.array([r.size for r in samples])
-    links = [(b, {}, "left") for b in range(len(samples))]  # to push: tree, parent split (throwaway), key
+    preorder: list[list[int]] = [[] for _ in samples]
+    none = np.zeros(0, dtype=np.int64)
+    made = []  # per step, the sizes and values of the nodes it made
+    won = [(none, none, none, _splits(table, ORDERED, none, none, none))]  # per search and step: nodes, children, splits
+    rows, sizes, tree = np.concatenate(samples), np.array([r.size for r in samples]), np.arange(len(samples))
+    n_made = 0
     while True:
         if sizes.size:
-            entries, pure = _node_entries(table, rows, sizes)
+            values, pure = _node_stats(table, rows, sizes)
+            made.append((sizes, values))
+            searched = ((sizes > min_size[tree]) & ~pure).tolist()
             ends = np.cumsum(sizes).tolist()
-            for (b, split, side), node, is_pure, size, end in zip(links, entries, pure, sizes.tolist(), ends):
-                searched = size > min_size[b] and not is_pure
-                stacks[b].append((rows[end - size : end].copy() if searched else None, node, split, side))
-        step = []  # the nodes to split: tree, rows, node
-        for b, (nodes, stack) in enumerate(zip((t["nodes"] for t in trees), stacks)):
+            for v, b, search, size, end in zip(range(n_made, n_made + sizes.size), tree.tolist(), searched, sizes.tolist(), ends):
+                stacks[b].append((v, rows[end - size : end].copy() if search else None))
+            n_made += sizes.size
+        step = []  # the nodes to split: tree, index, rows
+        for b, (order, stack) in enumerate(zip(preorder, stacks)):
             while stack:
-                node_rows, node, parent, side = stack.pop()
-                node["id"] = parent[side] = len(nodes)
-                nodes.append(node)
+                v, node_rows = stack.pop()
+                order.append(v)
                 if node_rows is not None:
-                    step.append((b, node_rows, node))
+                    step.append((b, v, node_rows))
                     break
         if not step:
-            return trees
+            break
 
-        at, rows_at, nodes_at = zip(*step)
+        at, nodes, rows_at = zip(*step)
         sampled = np.full((len(step), max(mtry[b] for b in at)), table.offset[-1])  # padding
         for i, b in enumerate(at):
             sampled[i, : mtry[b]] = rngs[b].choice(p[b], size=mtry[b], replace=False) + offset[b]
         block = NodeBlock(table, rows_at)
-        splits = _best_splits(block, sampled, kinds, [rngs[b] for b in at], cfgs[0])
-        for node, split in zip(nodes_at, splits):
-            node["split"] = split
-        rows, sizes = _children(block, splits, [offset[b] for b in at])
-        links = [(at[i], splits[i], side) for side in ("right", "left") for i, s in enumerate(splits) if s is not None]
+        pred, threshold, lut, splits = _best_splits(block, sampled, kinds, [rngs[b] for b in at], cfgs[0])
+        rows, sizes = _children(block, pred, threshold, lut)
+        # the nodes made next: every right child, then every left one, in node order
+        split, nodes = pred >= 0, np.array(nodes)
+        right, tree = n_made + np.cumsum(split) - 1, np.array(at)[split]
+        won += [(nodes[i], right[i] + tree.size, right[i], best) for i, best in splits]
+        tree = np.concatenate((tree, tree))
+
+    n_nodes = [len(order) for order in preorder]
+    order = np.fromiter(chain.from_iterable(preorder), np.int64, n_made)
+    position = np.empty(n_made, dtype=np.int64)  # of each node in the preorder of all trees
+    position[order] = np.arange(n_made)
+    local = position - np.repeat(np.cumsum([0] + n_nodes[:-1]), n_nodes)[position]
+    sizes, values = (np.concatenate(parts)[order] for parts in zip(*made))
+    nodes, left, right, splits = zip(*won)
+    nodes = position[np.concatenate(nodes)]
+    ranked = np.argsort(nodes)  # the split nodes in preorder
+    left, right = (local[np.concatenate(child)][ranked] for child in (left, right))
+    return GrownTrees(
+        cfgs[0].task, datasets[0].response.n_classes, list(tree_ids), np.array(n_nodes), sizes, values,
+        nodes[ranked], left, right, Splits.concat(splits).take(ranked),
+    )
+
+
+def grow_trees(dataset, samples, cfg, rngs, tree_ids, group=None) -> list[dict]:
+    """:func:`grow_arrays`, each tree returned in its dict form (module notes)."""
+    return grow_arrays(dataset, samples, cfg, rngs, tree_ids, group).tree_dicts()
 
 
 def grow_tree(
@@ -392,12 +508,15 @@ def _distinct(x: np.ndarray) -> np.ndarray:
 
 class NodeTable:
     """Every node of some trees in flat arrays, indexed by global node id
-    (node ``v`` of tree ``b`` is ``start[b] + v``), built straight from
-    the trees' dict forms; :meth:`route` sends rows
-    through them.  ``codes`` has one row per categorical node, indexed by
-    level: 0 absent, 1 left, 2 present and right, 3 outside its 1..Q.
+    (node ``v`` of tree ``b`` is ``start[b] + v``); :meth:`route` sends
+    rows through them.  ``codes`` has one row per categorical node,
+    indexed by level: 0 absent, 1 left, 2 present and right, 3 outside its
+    1..Q.  The constructor reads the trees' dict forms, as a model dump
+    holds them, and checks them; growth compiles its table from its own
+    arrays instead (:meth:`GrownTrees.table`), through the same
+    :meth:`_compile` step.
 
-    The build raises ValueError naming the first defect, in tree and then
+    The read raises ValueError naming the first defect, in tree and then
     node order, unless every tree has ``task``, ``n_classes`` and a node;
     node ids run 0..n-1; node sizes are at least 1; child ids lie strictly
     between their parent's id and n (preorder, so routing cannot loop);
@@ -421,10 +540,7 @@ class NodeTable:
         n_nodes = [len(t["nodes"]) for t in trees]
         entries = list(chain.from_iterable(t["nodes"] for t in trees))
         n, tree_of = len(entries), np.repeat(np.arange(len(trees)), n_nodes)
-        self.start = np.cumsum([0] + n_nodes[:-1])
-        # a tree's coins are keyed by its id modulo 2**64, as seeding.derive keys them
-        self.tree_id = np.repeat(np.array([b % 2**64 for b in ids], dtype=np.uint64), n_nodes)
-        self.local = np.arange(n) - np.repeat(self.start, n_nodes)
+        local = np.arange(n) - np.repeat(np.cumsum([0] + n_nodes[:-1]), n_nodes)
         faults = []
 
         def fault(stage, rank, nodes, bad, message, *fields):
@@ -437,14 +553,14 @@ class NodeTable:
                 g = int(nodes[i])
                 tree = ids[tree_of[g]]
                 order = (stage == 2, tree_of[g], stage, g, rank)
-                at = f"tree {tree} node {self.local[g]}"
+                at = f"tree {tree} node {local[g]}"
                 faults.append((order, message.format(*(f[i] for f in fields), at=at, tree=tree)))
 
         every = np.arange(n)
         size = _ints(map(itemgetter("size"), entries))
         fault(0, 0, every, size < 1, "{at}: size {0} is below 1", size)
         if task == REGRESSION:
-            self.value = np.fromiter(map(float, map(itemgetter("mean"), entries)), np.float64)
+            value = np.fromiter(map(float, map(itemgetter("mean"), entries)), np.float64)
         else:
             rows = list(map(itemgetter("class_counts"), entries))
             counts, n_counts = _ints(chain.from_iterable(rows)), _ints(map(len, rows))
@@ -456,14 +572,14 @@ class NodeTable:
             message = "{at}: class counts {0} are not counts >= 0 summing to the node size {1}"
             fault(0, 2, every, bad, message, rows, size)
         node_id = _ints(map(itemgetter("id"), entries))
-        fault(0, 3, every, node_id != self.local, "tree {tree}: node {0} has id {1}", self.local, node_id)
+        fault(0, 3, every, node_id != local, "tree {tree}: node {0} has id {1}", local, node_id)
 
         splits = list(map(itemgetter("split"), entries))
         inner = np.array([k for k, s in enumerate(splits) if s is not None], dtype=np.int64)
         splits = [splits[k] for k in inner]
         fields = ("predictor", "left", "right", "left_size", "right_size")
         predictor, left, right, left_size, right_size = (_ints(map(itemgetter(f), splits)) for f in fields)
-        v, n_tree = self.local[inner], np.repeat(n_nodes, n_nodes)[inner]
+        v, n_tree = local[inner], np.repeat(n_nodes, n_nodes)[inner]
         for rank, side, child, daughter in ((4, "left", left, left_size), (5, "right", right, right_size)):
             ok = (v < child) & (child < n_tree)
             fault(0, rank, inner, ~ok, "{at}: child id {0} is not between {1} and {2}", child, v, n_tree)
@@ -521,22 +637,49 @@ class NodeTable:
         if faults:
             raise ValueError(min(faults)[1])
 
-        self.predictor, self.threshold, self.cat_row = np.full(n, -1), np.full(n, np.nan), np.full(n, -1)
-        self.left, self.right = np.arange(n), np.arange(n)
-        self.left_size, self.right_size = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
-        self.predictor[inner], self.threshold[inner[ordered]] = predictor, thresholds
-        self.left[inner], self.right[inner] = inner + left - v, inner + right - v
-        self.left_size[inner], self.right_size[inner] = left_size, right_size
-        self.cat_row[inner[categorical]] = np.arange(n_cat)
         columns = np.arange(n_levels.max(initial=0) + 1)
-        self.codes = np.where((columns >= 1) & (columns <= n_levels[:, None]), 0, 3).astype(np.int8)
+        codes = np.where((columns >= 1) & (columns <= n_levels[:, None]), 0, 3).astype(np.int8)
         levels = np.split(level, cut)
         for k, code in ((1, 2), (0, 1)):  # present levels, then left ones
             q, at = levels[k], owners[k]
             ok = (q >= 1) & (q <= n_levels[at])  # always, once the schema checks pass
-            self.codes[at[ok], q[ok]] = code
-        if task != REGRESSION:
-            self.value = counts.reshape(n, n_classes) / size[:, None]
+            codes[at[ok], q[ok]] = code
+        threshold = np.full(inner.size, np.nan)
+        threshold[ordered] = thresholds
+        value = value if task == REGRESSION else counts.reshape(n, n_classes)
+        self._compile(ids, n_nodes, size, value, inner, predictor, left, right, left_size, right_size, threshold, categorical, codes)
+
+    @classmethod
+    def compiled(cls, *arrays) -> NodeTable:
+        """The table of checked arrays, as :meth:`_compile` takes them."""
+        table = cls.__new__(cls)
+        table._compile(*arrays)
+        return table
+
+    def _compile(self, ids, n_nodes, size, value, inner, predictor, left, right, left_size, right_size, threshold, categorical, codes):
+        """Lay out the table of trees with ids ``ids`` and ``n_nodes`` nodes
+        each, numbered in turn: per node its ``size`` and ``value``, the
+        mean or the class counts; per inner node, by global id ``inner``
+        (ascending), its predictor, child ids within its tree, daughter
+        sizes, threshold (NaN unless ordered) and whether it is
+        ``categorical``; per categorical node in turn, its row of ``codes``."""
+        n = size.size
+        self.start = np.cumsum([0] + n_nodes[:-1])
+        # a tree's coins are keyed by its id modulo 2**64, as seeding.derive keys them
+        self.tree_id = np.repeat(np.array([b % 2**64 for b in ids], dtype=np.uint64), n_nodes)
+        self.local = np.arange(n) - np.repeat(self.start, n_nodes)
+        v = self.local[inner]
+        self.predictor, self.threshold, self.cat_row = np.full(n, -1), np.full(n, np.nan), np.full(n, -1)
+        self.left, self.right = np.arange(n), np.arange(n)
+        self.left_size, self.right_size = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+        self.predictor[inner], self.threshold[inner] = predictor, threshold
+        self.left[inner], self.right[inner] = inner + left - v, inner + right - v
+        self.left_size[inner], self.right_size[inner] = left_size, right_size
+        self.cat_row[inner[categorical]] = np.arange(codes.shape[0])
+        self.codes = codes
+        self.value = value
+        if value.ndim == 2:  # class counts
+            self.value = value / size[:, None]
             self.vote = np.argmax(self.value, axis=1) + 1
 
     def route(self, xmat, policy: Heuristic, coins: Coins, trees: np.ndarray, rows: np.ndarray):

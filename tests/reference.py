@@ -26,7 +26,6 @@ from absentrf.splits import (
     CategoricalRule,
     GammaTable,
     OrderedRule,
-    _encode,
     count_partitions,
 )
 from absentrf.tree import GrowConfig, NodeTable, PredictionTrace
@@ -201,6 +200,11 @@ def best_ordered_splits(dataset: Dataset, rows, predictors) -> list[CandidateSpl
 
 # ---------------------------------------------------------------------------
 # categorical predictors: pseudo-value route
+
+
+def _encode(levels) -> int:
+    """Little-endian bitmask of a level set: bit ``q-1`` on for level ``q``."""
+    return sum(1 << (q - 1) for q in levels)
 
 
 def _gamma_pass(dataset: Dataset, rows, predictor: int):

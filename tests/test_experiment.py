@@ -29,10 +29,19 @@ from absentrf.experiment import (
     run_experiment,
     run_experiment_on,
 )
-from absentrf.forest import ForestConfig, forest_hash, forest_tree_hashes, train_forest, train_forests
+from absentrf.forest import (
+    ForestConfig,
+    forest_from_dict,
+    forest_hash,
+    forest_to_dict,
+    forest_tree_hashes,
+    train_forest,
+    train_forests,
+)
 from absentrf.heuristics import Heuristic
 from absentrf.metrics import cohen_kappa, log_loss
 from absentrf.synth import bridge_multiclass, rollcall_binary
+from absentrf.tree import NodeTable
 
 ALL = (
     Heuristic.LEFT,
@@ -351,6 +360,27 @@ def test_onehot_forest_follows_the_config_growth_settings(tmp_path, monkeypatch)
     assert split_sizes and min(split_sizes) > 40
     name = "replication_0/oob_onehot.csv"
     assert (tmp_path / "unset" / name).read_bytes() != (tmp_path / "set" / name).read_bytes()
+
+
+def test_an_experiment_builds_no_node_table_from_tree_dicts(tmp_path, monkeypatch):
+    # every forest comes from train_forests with its table compiled from the
+    # growth arrays, so the dict reader, which model loading uses, never runs
+    reads = []
+    read = NodeTable.__init__
+
+    def counting_read(self, *args, **kwargs):
+        reads.append(args)
+        read(self, *args, **kwargs)
+
+    monkeypatch.setattr(NodeTable, "__init__", counting_read)
+    data, schema = write_inputs(tmp_path, rollcall_binary(0))
+    out = tmp_path / "out"
+    cfg = ExperimentConfig(data, schema, str(out), heuristics=ALL, replications=1, n_trees=20, seed=11)
+    run_experiment(cfg)
+    assert (out / "summary.csv").exists() and (out / "replication_0" / "oob_onehot.csv").exists()
+    assert reads == []
+    forest_from_dict(forest_to_dict(train_forest(rollcall_binary(0), ForestConfig(n_trees=2))))
+    assert len(reads) == 1  # loading a dump reads it
 
 
 # ---------------------------------------------------------------------------

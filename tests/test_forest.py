@@ -1,6 +1,8 @@
 """Forest training, out-of-bag prediction, and persistence."""
 import dataclasses
+import gc
 import json
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -44,8 +46,9 @@ from absentrf.forest import (
 )
 from absentrf.heuristics import Heuristic
 from absentrf.seeding import BOOTSTRAP, stream
-from absentrf.tree import GrowConfig, route
+from absentrf.tree import GrowConfig, NodeTable, route
 from reference import tree_predict, tree_vote
+from test_node_table import TABLE, as_bytes
 from test_tree import lock_step_dataset
 
 
@@ -440,6 +443,29 @@ def test_forest_from_dict_rejects_malformed_dumps(task, corrupt, message):
         forest_from_dict(dump)
 
 
+def test_a_trained_forest_holds_a_bounded_number_of_bytes_per_grown_node():
+    # the tree dicts, the node table and in_bag of this forest hold 652
+    # bytes per node; growth arrays kept beside them would add about 90
+    rng = np.random.default_rng(0)
+    n = 400
+    schema = tuple(ColumnSchema(f"x{i}", NUMERIC) for i in range(3))
+    schema += (ColumnSchema("c", CATEGORICAL, tuple(f"L{q}" for q in range(30))),)
+    columns = [rng.normal(size=n) for _ in range(3)] + [rng.integers(1, 31, size=n)]
+    ds = from_arrays(schema, ResponseSpec(RESPONSE_NUMERIC), columns, rng.normal(size=n))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        forest = train_forest(ds, ForestConfig(n_trees=10, seed=3))
+        predict_rows(forest, ds.matrix()[:5], [Heuristic.LEFT], default_coins(forest))
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    nodes = sum(len(t["nodes"]) for t in forest.tree_dicts)
+    assert nodes > 2000 and held / nodes <= 685
+
+
 def test_tiny_bitmask_chunks_grow_the_golden_bridge_forest(monkeypatch):
     # chunks of a few cells split every node's bitmask pairs across chunks,
     # each pair's pattern table in a run of its own
@@ -474,6 +500,26 @@ def test_train_forests_equals_training_each_forest_alone(task, k, workers, seed)
         assert [t["tree_id"] for t in forest.tree_dicts] == list(range(config.n_trees))
         assert np.array_equal(forest.in_bag, alone.in_bag)
         assert (forest.config, forest.fingerprint, forest.schema) == (alone.config, alone.fingerprint, alone.schema)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("task,k", [(REGRESSION, 0), (CLASSIFICATION, 2), (CLASSIFICATION, 7)])
+@given(seed=st.integers(0, 10**9))
+@settings(max_examples=6, deadline=None, derandomize=True)
+def test_a_grown_forest_table_equals_the_table_read_from_its_dicts(task, k, workers, seed):
+    # train_forests compiles each forest's table from the growth arrays; the
+    # dump reader builds it from the tree dicts, with every check
+    ds = lock_step_dataset(seed, task, k)
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for g, data in enumerate((ds, one_hot_transform(ds))):
+        grow = dataclasses.replace(default_grow_config(data), min_node_size=int(rng.choice([1, 5])), random_candidates=64)
+        pairs.append((data, ForestConfig(n_trees=int(rng.integers(1, 5)), seed=seed + g, grow=grow)))
+    for forest in train_forests(pairs, workers=workers):
+        assert "table" in vars(forest)  # compiled by train_forests, not built on first use
+        read = NodeTable(forest.tree_dicts, forest.task, forest.n_classes, forest.schema)
+        for name in TABLE:  # bytes, so NaN thresholds compare equal
+            assert as_bytes(getattr(forest.table, name, None)) == as_bytes(getattr(read, name, None)), name
 
 
 def test_train_forests_rejects_forests_that_cannot_share_a_lock_step():

@@ -100,6 +100,33 @@ def test_paired_bench_summarizes_alternated_pairs():
 
 
 
+def test_paired_bench_states_the_verdict_of_each_metric():
+    bench = load_script("paired_bench")
+    bounds = bench.load_bounds(ROOT)
+    assert bounds["op_ref_s"] == ("lower", 0.24) and bounds["tree.route.calls"] == ("lower", None)
+
+    def summary(pairs, bound=0.05, better="lower"):
+        runs = []
+        for seed, (base, change) in enumerate(pairs):
+            for side, value in (("base", base), ("change", change)):
+                runs.append({"seed": seed, "side": side, "order": 0, **bench.parse_result(result_line(value, 100.0))})
+        return bench.summarize(runs, {"op_ref_s": (better, bound)})["op_ref_s"]
+
+    nine = [(1.00 + i / 100, 0.90 + i / 100) for i in range(9)]  # with a tenth pair: base IQR 0.045, gap 0.09
+    met = summary(nine + [(1.00, 1.01)])
+    assert met["change_lower"] == 9 and met["claim_met"] is True and met["within_bound"] is True
+    assert summary(nine[:8] + [(1.00, 1.01)] * 2)["claim_met"] is False  # lower in 8 of 10
+    narrow = [(1.00 + i / 50, 0.99 + i / 50) for i in range(10)]  # lower in 10 of 10, gap 0.01 < IQR 0.09
+    assert summary(narrow)["claim_met"] is False
+    assert summary([(1.0, 1.04)] * 3)["within_bound"] is True
+    assert summary([(1.0, 1.06)] * 3)["within_bound"] is False
+    assert summary([(1.0, 1.06)] * 3, bound=None)["within_bound"] is None
+    higher = summary(nine, better="higher")  # the change reads lower, which is worse
+    assert higher["claim_met"] is False and higher["within_bound"] is False
+    assert summary([(1.0, 0.9)] * 9, better="higher")["within_bound"] is False
+    assert summary([(1.0, 1.1)] * 9, better="higher")["claim_met"] is True
+
+
 def test_paired_bench_rotates_a_control_and_reports_its_medians():
     bench = load_script("paired_bench")
     sides = ("base", "change", "control")

@@ -51,6 +51,7 @@ from absentrf.splits import (
     pseudo_value_split,
     random_bitmasks,
     random_categorical_split,
+    split_entries,
 )
 from absentrf.splits import _column_sum, _gini, _row_sums, _runs
 
@@ -334,6 +335,13 @@ def assert_same_entry(got: dict, want):
     assert json.dumps(got, sort_keys=True) == json.dumps(reference._split_entry(want), sort_keys=True)
 
 
+def written(scan):
+    """A batched scan's objectives and found flags, and a function that
+    writes pair ``j``'s split entry as growth writes it."""
+    impurity, found, best = scan
+    return impurity, found, lambda j: split_entries(best.take(np.array([j])), [None], [None])[0]
+
+
 def assert_same_split(got, want):
     assert got == want
     assert repr(got.impurity) == repr(want.impurity)
@@ -356,7 +364,7 @@ def test_ordered_split_batch_equals_per_node_kernel(task, k, seed):
     if not numeric:
         return
     pairs = np.array([(i, p) for i in range(len(nodes)) for p in numeric if rng.random() < 0.8] or [(0, numeric[0])])
-    impurity, found, entry = ordered_split_batch(NodeBlock(ColumnTable(ds), nodes), pairs[:, 0], pairs[:, 1])
+    impurity, found, entry = written(ordered_split_batch(NodeBlock(ColumnTable(ds), nodes), pairs[:, 0], pairs[:, 1]))
     assert len(impurity) == len(found) == len(pairs)
     for j, (i, p) in enumerate(pairs.tolist()):
         want = best_ordered_splits(ds, nodes[i], [p])[0]
@@ -402,8 +410,9 @@ def two_valued_instances(draw):
     nodes = []
     for _ in range(draw(st.integers(1, 6))):
         size = draw(st.sampled_from([1, 1, 2, 5, 17, 60]))
-        if draw(st.booleans()):  # the rows of one value of column 0 only
-            among = np.flatnonzero(columns[0] == columns[0][rng.integers(0, n_rows)])
+        if draw(st.booleans()):  # the rows of one value of column 0 only, NaN too
+            value = columns[0][rng.integers(0, n_rows)]
+            among = np.flatnonzero((columns[0] == value) | (np.isnan(columns[0]) & np.isnan(value)))
             nodes.append(rng.choice(among, size=size))
         else:
             nodes.append(rng.integers(0, n_rows, size=size))  # repeated row ids count twice
@@ -431,7 +440,7 @@ def test_ordered_split_batch_scores_two_valued_columns_without_sorting(case):
     pairs = np.array([(i, p) for i in range(len(nodes)) for p in range(ds.n_predictors)])
     splits._sorting_scan = spy
     try:
-        impurity, found, entry = ordered_split_batch(NodeBlock(ColumnTable(ds), nodes), pairs[:, 0], pairs[:, 1])
+        impurity, found, entry = written(ordered_split_batch(NodeBlock(ColumnTable(ds), nodes), pairs[:, 0], pairs[:, 1]))
     finally:
         splits._sorting_scan = sorting_scan
     assert sorted(sorted_preds) == sorted(p for p in pairs[:, 1].tolist() if not is_two_valued(ds, p))
@@ -487,7 +496,7 @@ def test_ordered_split_batch_dispatch_on_constant_columns_and_regression_tables(
 
     splits._sorting_scan = spy
     try:
-        impurity, found, entry = ordered_split_batch(NodeBlock(table, nodes), pairs[:, 0], pairs[:, 1])
+        impurity, found, entry = written(ordered_split_batch(NodeBlock(table, nodes), pairs[:, 0], pairs[:, 1]))
     finally:
         splits._sorting_scan = sorting_scan
     if not table.any_two:  # every regression table: no lookup, every pair to the sorting scan at once
@@ -523,7 +532,7 @@ def test_pseudo_value_batch_equals_per_node_kernel(task, seed):
     if not cats:
         return
     pairs = np.array([(i, p) for i in range(len(nodes)) for p in cats if rng.random() < 0.8] or [(0, cats[0])])
-    impurity, found, entry = pseudo_value_batch(NodeBlock(ColumnTable(ds), nodes), pairs[:, 0], pairs[:, 1])
+    impurity, found, entry = written(pseudo_value_batch(NodeBlock(ColumnTable(ds), nodes), pairs[:, 0], pairs[:, 1]))
     assert len(impurity) == len(found) == len(pairs)
     for j, (i, p) in enumerate(pairs.tolist()):
         want = pseudo_value_search(ds, nodes[i], p)
@@ -1168,7 +1177,7 @@ def test_exhaustive_bitmask_batch_equals_per_node_search(cells, k, seed, max_q):
     ds, nodes, pairs = bitmask_batch_instance(np.random.default_rng(seed), k, max_q)
     with chunk_cells(cells):
         block = NodeBlock(ColumnTable(ds), nodes)
-        impurity, found, entry = bitmask_batch(block, pairs[:, 0], pairs[:, 1], None, 1024, max_q)
+        impurity, found, entry = written(bitmask_batch(block, pairs[:, 0], pairs[:, 1], None, 1024, max_q))
     assert len(impurity) == len(found) == len(pairs)
     for j, (i, p) in enumerate(pairs.tolist()):
         want = reference.exhaustive_categorical_split(ds, nodes[i], p, max_q)
@@ -1183,7 +1192,7 @@ def test_exhaustive_bitmask_batch_keeps_the_first_of_tied_encodings():
     nodes = [np.arange(4), np.array([2, 3])]
     want = [reference.exhaustive_categorical_split(ds, rows, 0) for rows in nodes]
     block = NodeBlock(ColumnTable(ds), nodes)
-    impurity, found, entry = bitmask_batch(block, np.array([0, 1]), np.array([0, 0]), None, 1024, EXHAUSTIVE_HARD_LIMIT)
+    impurity, found, entry = written(bitmask_batch(block, np.array([0, 1]), np.array([0, 0]), None, 1024, EXHAUSTIVE_HARD_LIMIT))
     assert want[0].impurity == 0.0 and want[0].rule.bitmask == 3
     assert_same_bitmask_split(impurity, found, entry, 0, want[0])
     assert want[1] is None and not found[1]  # one present level
@@ -1212,7 +1221,7 @@ def test_exhaustive_bitmask_batch_scores_only_the_present_levels(p, monkeypatch)
     scan = bitmask_batch(NodeBlock(ColumnTable(ds), nodes), pair, np.zeros_like(pair), None, 1024, EXHAUSTIVE_HARD_LIMIT)
     assert sum(scored) <= len(nodes) * count_partitions(p)
     for j, rows in enumerate(nodes):
-        assert_same_bitmask_split(*scan, j, reference.exhaustive_categorical_split(ds, rows, 0))
+        assert_same_bitmask_split(*written(scan), j, reference.exhaustive_categorical_split(ds, rows, 0))
 
 
 def test_exhaustive_bitmask_batch_keeps_no_large_encoding_table():
@@ -1224,7 +1233,7 @@ def test_exhaustive_bitmask_batch_keeps_no_large_encoding_table():
     pair = np.arange(2)
     scan = bitmask_batch(NodeBlock(ColumnTable(ds), nodes), pair, np.zeros_like(pair), None, 1024, 16)
     for j, rows in enumerate(nodes):
-        assert_same_bitmask_split(*scan, j, reference.exhaustive_categorical_split(ds, rows, 0))
+        assert_same_bitmask_split(*written(scan), j, reference.exhaustive_categorical_split(ds, rows, 0))
     assert sum(t.nbytes for t in splits._ENCODINGS.values()) <= 256 * 1024
 
 
@@ -1280,7 +1289,7 @@ def test_random_bitmask_batch_equals_sequential_per_node_searches(cells, seed, k
     draw_from = [got_rngs[i] for i in pairs[:, 0].tolist()]
     with chunk_cells(cells):
         block = NodeBlock(ColumnTable(ds), nodes)
-        impurity, found, entry = bitmask_batch(block, pairs[:, 0], pairs[:, 1], draw_from, m, EXHAUSTIVE_HARD_LIMIT)
+        impurity, found, entry = written(bitmask_batch(block, pairs[:, 0], pairs[:, 1], draw_from, m, EXHAUSTIVE_HARD_LIMIT))
     for j, (i, p) in enumerate(pairs.tolist()):  # in pair order, as the batch draws
         want = reference.random_categorical_split(ds, nodes[i], p, want_rngs[i], m)
         assert_same_bitmask_split(impurity, found, entry, j, want)
